@@ -11,10 +11,11 @@ equilibrium can still be displaced by a new focal one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .games import CoalitionGame, Profile, payoff_isomorphic
 from .partitions import Coalition, CoalitionStructure
@@ -23,6 +24,7 @@ from .solver import (
     MixedProfile,
     SolverConfig,
     _check_mixed,
+    _structure_groups,
     is_pure_equilibrium,
     verify_epsilon_nash,
 )
@@ -76,20 +78,9 @@ def equilibrium_partitions(
     weight onto its realized partition.
     """
     _require_equilibrium(result)
-    mixed = result.profile
-    _check_mixed(game, mixed)
-    masses: dict = {}
-    zero = Fraction(0) if mixed.is_exact else 0.0
-    for combo in itertools.product(*mixed.support_items()):
-        prob = 1
-        for _, w in combo:
-            prob *= w
-        structure = game.realized_partition(tuple(k for k, _ in combo))
-        masses[structure] = masses.get(structure, zero) + prob
-    order = {s: k for k, s in enumerate(game.family)}
-    positive = tuple(
-        sorted((s for s, p in masses.items() if p > 0), key=order.__getitem__)
-    )
+    _check_mixed(game, result.profile)
+    masses = {s: sum(prob.tolist()) for s, prob, _ in _structure_groups(game, result.profile)}
+    positive = tuple(s for s, p in masses.items() if p > 0)
     return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
 
 
@@ -237,14 +228,12 @@ class StabilityReport:
 def _pareto_dominating_pures(
     game: CoalitionGame, baseline
 ) -> Iterable[StabilityDiagnostic]:
-    for profile in game.profiles():
-        pay = game.payoff(profile)
-        if (
-            all(p >= b for p, b in zip(pay, baseline))
-            and any(p > b for p, b in zip(pay, baseline))
-            and is_pure_equilibrium(game, profile)
-        ):
-            yield StabilityDiagnostic(game.max_coalition, profile, tuple(pay))
+    pay = game.payoff_tensor
+    base = np.array(baseline, dtype=object)
+    dominating = (pay >= base).all(axis=-1) & (pay > base).any(axis=-1)
+    for profile in map(tuple, np.argwhere(dominating).tolist()):
+        if is_pure_equilibrium(game, profile):
+            yield StabilityDiagnostic(game.max_coalition, profile, tuple(pay[profile].tolist()))
 
 
 def stability_K_star(

@@ -209,8 +209,10 @@ def build_lunch() -> CoalitionGame:
         strategy_sets=(strategies,) * n,
         payoffs=payoffs,
     )
-    for profile in game.profiles():
-        payoffs[profile] = _lunch_payoffs(game.realized_partition(profile))
+    by_structure = [_lunch_payoffs(s) for s in family]
+    payoffs.update(
+        zip(game.profiles(), (by_structure[s] for s in game.realized_index.ravel().tolist()))
+    )
     game.validate_domains()
     return game
 

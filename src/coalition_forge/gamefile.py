@@ -134,6 +134,12 @@ def _parse_profile_key(key: Any, game_shape: Sequence[int], where: str) -> Profi
                 f"{where} key {key!r}: index {idx} out of range for player {i}"
             )
         profile.append(idx)
+    # int() also reads "00", " 1" and "+0"; such a key could name the same
+    # profile as a canonical one and silently replace its entry.
+    if key != _profile_key(profile):
+        raise GameFileError(
+            f"{where} key {key!r} is not canonical, expected {_profile_key(profile)!r}"
+        )
     return tuple(profile)
 
 

@@ -2,11 +2,16 @@
 
 A strategy is a (desired partition, action) pair. A mechanism maps every
 profile of desires to one realized coalition structure, which splits the
-profile space into disjoint domains, one per reachable structure. Payoffs
-are exact rationals keyed by the full strategy profile.
+profile space into disjoint domains, one per reachable structure.
+
+Payoffs come in as a mapping from profile to exact rationals, the form
+game files hold. On first use a game turns it into a payoff tensor of
+shape (*strategy counts, n_players) holding the same Fractions, and the
+mechanism into a realized-structure index: the family index of the
+structure each profile realizes. Every consumer reads these two arrays.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
-player. The index tuples double as table keys and as the lexicographic
+player. They index both tensors, and their lexicographic order is the
 iteration order used everywhere deterministic output is promised.
 """
 
@@ -15,7 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from math import prod
 from typing import Mapping
+
+import numpy as np
 
 from .partitions import Coalition, CoalitionStructure, PartitionFamily, enumerate_partitions
 
@@ -133,14 +142,16 @@ class CoalitionGame:
 
     def profiles(self):
         """All profiles in lexicographic order of strategy indices."""
-        return itertools.product(*(range(len(s)) for s in self.strategy_sets))
+        return itertools.product(*(range(k) for k in self.shape))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Strategy count per player, the shape of the profile space."""
+        return tuple(len(s) for s in self.strategy_sets)
 
     @property
     def n_profiles(self) -> int:
-        out = 1
-        for s in self.strategy_sets:
-            out *= len(s)
-        return out
+        return prod(self.shape)
 
     def desired_structure(self, player: int, strategy_index: int) -> CoalitionStructure:
         return self.family[self.strategy_sets[player][strategy_index].desired_partition]
@@ -161,37 +172,100 @@ class CoalitionGame:
             if not 0 <= idx < len(self.strategy_sets[i]):
                 raise ValueError(f"profile {profile}: index {idx} out of range for player {i}")
 
+    # -- exact tensors ---------------------------------------------------
+
+    @cached_property
+    def payoff_tensor(self) -> np.ndarray:
+        """The payoffs as a read-only object array of shape (*shape, n_players).
+
+        Built on first use, so a builder may fill the mapping after
+        constructing the game.
+        """
+        rows = []
+        for profile in self.profiles():
+            row = self.payoffs.get(profile)
+            if row is None:
+                raise ValidationError(f"payoff table has no entry for profile {profile}")
+            if len(row) != self.n_players:
+                raise ValidationError(f"payoff entry for {profile} has the wrong arity")
+            rows.append(row)
+        return _frozen(np.array(rows, dtype=object).reshape(*self.shape, self.n_players))
+
+    @cached_property
+    def realized_index(self) -> np.ndarray:
+        """Family index of the structure each profile realizes, as a read-only array.
+
+        Under unanimity a block forms exactly where every member's own
+        desired block equals it, which each strategy's own-block bitmask
+        gives for all profiles at once.
+        """
+        if self.mechanism.kind == TABLE:
+            index = []
+            for profile in self.profiles():
+                structure = self.mechanism.table.get(profile)
+                if structure is None:
+                    raise ValidationError(f"mechanism table has no entry for profile {profile}")
+                if structure not in self.family:
+                    raise ValidationError(
+                        f"profile {profile} realizes {structure}, outside the family cap {self.max_coalition}"
+                    )
+                index.append(self.family.index_of(structure))
+            return _frozen(np.array(index, dtype=np.int64).reshape(self.shape))
+        n = self.n_players
+        own = [
+            np.array(
+                [sum(1 << m for m in self.desired_structure(i, k).block_of(i)) for k in range(size)],
+                dtype=np.int64,
+            ).reshape([size if j == i else 1 for j in range(n)])
+            for i, size in enumerate(self.shape)
+        ]
+        realized = []
+        for i in range(n):
+            formed = reduce(
+                np.logical_and,
+                (((own[i] >> j) & 1 == 0) | (own[j] == own[i]) for j in range(n)),
+            )
+            realized.append(np.broadcast_to(np.where(formed, own[i], 1 << i), self.shape))
+        rows, inverse = np.unique(
+            np.stack(realized, axis=-1).reshape(-1, n), axis=0, return_inverse=True
+        )
+        codes = np.array([
+            self.family.index_of(
+                CoalitionStructure.of([[m for m in range(n) if mask >> m & 1] for mask in set(row)], n)
+            )
+            for row in rows.tolist()
+        ])
+        return _frozen(codes[inverse.reshape(-1)].reshape(self.shape))
+
+    @cached_property
+    def best_reply_counts(self) -> np.ndarray:
+        """How many of each player's strategies tie for the best reply, per profile.
+
+        Read-only int array of shape (*shape, n_players); 0 where the
+        player gains by switching alone.
+        """
+        counts = np.empty(self.payoff_tensor.shape, dtype=np.int64)
+        for i in range(self.n_players):
+            pay = self.payoff_tensor[..., i]
+            best = pay == pay.max(axis=i, keepdims=True)
+            counts[..., i] = np.where(best, best.sum(axis=i, keepdims=True), 0)
+        return _frozen(counts)
+
+    @cached_property
+    def payoff_peaks(self) -> tuple:
+        """Each player's highest payoff anywhere in the game."""
+        return tuple(self.payoff_tensor.reshape(-1, self.n_players).max(axis=0).tolist())
+
     # -- mechanism and payoffs -------------------------------------------
 
     def realized_partition(self, profile: Profile) -> CoalitionStructure:
         """The structure the mechanism produces for a pure profile."""
         self._check_profile(profile)
-        if self.mechanism.kind == TABLE:
-            try:
-                return self.mechanism.table[tuple(profile)]
-            except KeyError:
-                raise ValidationError(f"mechanism table has no entry for profile {profile}") from None
-        desired = [self.desired_structure(i, profile[i]) for i in range(self.n_players)]
-        formed: list[Coalition] = []
-        taken: set[int] = set()
-        for i in range(self.n_players):
-            if i in taken:
-                continue
-            block = desired[i].block_of(i)
-            if block.size >= 2 and all(desired[j].block_of(j) == block for j in block):
-                formed.append(block)
-                taken.update(block.members)
-        for i in range(self.n_players):
-            if i not in taken:
-                formed.append(Coalition.of(i))
-        return CoalitionStructure(tuple(formed), self.n_players)
+        return self.family[int(self.realized_index[tuple(profile)])]
 
     def payoff(self, profile: Profile) -> tuple[Fraction, ...]:
         self._check_profile(profile)
-        try:
-            return self.payoffs[tuple(profile)]
-        except KeyError:
-            raise ValidationError(f"payoff table has no entry for profile {profile}") from None
+        return tuple(self.payoff_tensor[tuple(profile)].tolist())
 
     def coalition_value(self, profile: Profile, coalition: Coalition) -> Fraction:
         """Sum of members' payoffs at a profile, if the coalition is realized there."""
@@ -208,31 +282,17 @@ class CoalitionGame:
     def validate_domains(self) -> DomainDecomposition:
         """Check mechanism totality and payoff totality, returning the domains.
 
-        Every profile must map to a structure inside the family and carry a
-        payoff entry. Grouping a total function cannot overlap, so the
-        decomposition is disjoint and covering by construction; profile
-        counts are still rechecked.
+        Building the two tensors checks that every profile maps to a
+        structure inside the family and carries a payoff entry of the
+        right arity. Grouping a total function cannot overlap, so the
+        decomposition is disjoint and covering by construction.
         """
-        members = set(self.family.structures)
-        domains: dict[CoalitionStructure, list[Profile]] = {}
-        for profile in self.profiles():
-            structure = self.realized_partition(profile)
-            if structure not in members:
-                raise ValidationError(
-                    f"profile {profile} realizes {structure}, outside the family cap {self.max_coalition}"
-                )
-            if profile not in self.payoffs:
-                raise ValidationError(f"payoff table has no entry for profile {profile}")
-            if len(self.payoffs[profile]) != self.n_players:
-                raise ValidationError(f"payoff entry for {profile} has the wrong arity")
-            domains.setdefault(structure, []).append(profile)
-        ordered = {
-            s: tuple(domains[s]) for s in self.family.structures if s in domains
-        }
-        decomposition = DomainDecomposition(ordered)
-        if decomposition.profile_count() != self.n_profiles:
-            raise AssertionError("domain decomposition lost profiles")
-        return decomposition
+        index = self.realized_index.ravel().tolist()
+        self.payoff_tensor
+        domains: dict[int, list[Profile]] = {}
+        for profile, s in zip(self.profiles(), index):
+            domains.setdefault(s, []).append(profile)
+        return DomainDecomposition({self.family[s]: tuple(domains[s]) for s in sorted(domains)})
 
     def restrict(self, max_coalition: int) -> CoalitionGame:
         """The nested game with desires capped at a smaller block size.
@@ -249,14 +309,13 @@ class CoalitionGame:
         if max_coalition == self.max_coalition:
             return self
         sub_family = enumerate_partitions(self.n_players, max_coalition)
-        allowed = set(sub_family.structures)
         kept: list[list[int]] = []
         new_sets: list[tuple[Strategy, ...]] = []
         for i in range(self.n_players):
             rows = [
                 idx
                 for idx in range(len(self.strategy_sets[i]))
-                if self.desired_structure(i, idx) in allowed
+                if self.desired_structure(i, idx) in sub_family
             ]
             if not rows:
                 raise ValidationError(
@@ -272,18 +331,15 @@ class CoalitionGame:
                     for idx in rows
                 )
             )
-        new_payoffs: dict[Profile, tuple[Fraction, ...]] = {}
-        new_table: dict[Profile, CoalitionStructure] = {}
-        for new_profile in itertools.product(*(range(len(r)) for r in kept)):
-            parent = tuple(kept[i][new_profile[i]] for i in range(self.n_players))
-            new_payoffs[new_profile] = self.payoff(parent)
-            if self.mechanism.kind == TABLE:
-                new_table[new_profile] = self.realized_partition(parent)
-        mechanism = (
-            Mechanism()
-            if self.mechanism.kind == UNANIMITY
-            else Mechanism(TABLE, new_table)
+        grid = np.ix_(*kept)
+        profiles = list(itertools.product(*(range(len(r)) for r in kept)))
+        new_payoffs = dict(
+            zip(profiles, map(tuple, self.payoff_tensor[grid].reshape(-1, self.n_players).tolist()))
         )
+        mechanism = Mechanism()
+        if self.mechanism.kind == TABLE:
+            structures = [self.family[s] for s in self.realized_index[grid].ravel().tolist()]
+            mechanism = Mechanism(TABLE, dict(zip(profiles, structures)))
         game = CoalitionGame(
             n_players=self.n_players,
             max_coalition=max_coalition,
@@ -310,9 +366,14 @@ def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
         keys_b = [b.strategy_key(i, j) for j in range(len(b.strategy_sets[i]))]
         if keys_a != keys_b:
             return False
-    return all(a.payoff(p) == b.payoff(p) for p in a.profiles())
+    return np.array_equal(a.payoff_tensor, b.payoff_tensor)
 
 
 def restrict_game(game: CoalitionGame, max_coalition: int) -> CoalitionGame:
     """Functional form of CoalitionGame.restrict."""
     return game.restrict(max_coalition)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

@@ -6,13 +6,22 @@ games, and damped fictitious play for everything else. The exact lanes
 work in rational arithmetic end to end. The iterative lane runs on
 floats and reports the residual regret it achieved, snapping to an
 exactly verified pure profile when best responses lock in.
+
+All lanes read the game's payoff tensor through one contraction: a
+player's deviation values are the tensor, sliced to the other players'
+supports and contracted with their weights, in Fractions for exact
+profiles and floats otherwise. The pure lane reads the game's
+best-reply counts; lotteries group the support grid by the game's
+realized-structure index.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -82,7 +91,7 @@ class MixedProfile:
             elif abs(total - 1) > _FLOAT_SUM_SLACK:
                 raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for row in self.weights for w in row)
 
@@ -161,19 +170,40 @@ def _check_mixed(game: CoalitionGame, mixed: MixedProfile) -> None:
             )
 
 
+def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
+    """Sum the tensor over every axis but the player's, weighted by the others' weights."""
+    letters = string.ascii_letters
+    n = len(weights)
+    subscripts = ",".join([letters[:n], *(letters[j] for j in range(n) if j != player)])
+    operands = [weights[j] for j in range(n) if j != player]
+    return np.einsum(subscripts + "->" + letters[player], tensor, *operands)
+
+
+def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
+    """Expected payoff of each pure strategy of one player vs the rest."""
+    dtype = object if mixed.is_exact else float
+    tensor = game.payoff_tensor[..., player]
+    weights = []
+    for j, row in enumerate(mixed.support_items()):
+        if j != player:
+            tensor = tensor.take([k for k, _ in row], axis=j)
+        weights.append(np.array([w for _, w in row], dtype=dtype))
+    return _contract(tensor.astype(dtype, copy=False), weights, player).tolist()
+
+
+def _expected(mixed: MixedProfile, player: int, values: list):
+    """Expected payoff of a player from their deviation values."""
+    zero = Fraction(0) if mixed.is_exact else 0.0
+    return sum((w * values[k] for k, w in mixed.support_items()[player]), zero)
+
+
 def expected_utilities(game: CoalitionGame, mixed: MixedProfile) -> tuple:
     """Expected payoff vector under independent mixing."""
     _check_mixed(game, mixed)
-    zero = Fraction(0) if mixed.is_exact else 0.0
-    totals = [zero] * game.n_players
-    for combo in itertools.product(*mixed.support_items()):
-        prob = 1
-        for _, w in combo:
-            prob *= w
-        pay = game.payoff(tuple(k for k, _ in combo))
-        for i in range(game.n_players):
-            totals[i] += prob * pay[i]
-    return tuple(totals)
+    return tuple(
+        _expected(mixed, i, _deviation_values(game, i, mixed))
+        for i in range(game.n_players)
+    )
 
 
 def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
@@ -183,46 +213,36 @@ def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
     return expected_utilities(game, mixed)[player]
 
 
+def _structure_groups(game: CoalitionGame, mixed: MixedProfile):
+    """The support grid grouped by realized structure.
+
+    Yields, in family order, each realized structure with the
+    probabilities of its profiles and their payoff rows.
+    """
+    items = mixed.support_items()
+    grid = np.ix_(*([k for k, _ in row] for row in items))
+    dtype = object if mixed.is_exact else float
+    weights = [np.array([w for _, w in row], dtype=dtype) for row in items]
+    prob = reduce(np.multiply.outer, weights).ravel()
+    index = game.realized_index[grid].ravel()
+    pay = game.payoff_tensor[grid].reshape(-1, game.n_players)
+    for s in np.unique(index).tolist():
+        mask = index == s
+        yield game.family[s], prob[mask], pay[mask]
+
+
 def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> dict:
     """Expected payoff contributions grouped by the realized partition.
 
     Values over all keys sum to the flat expected utility. Only
-    partitions realized with positive probability appear.
+    partitions realized with positive probability appear, in family
+    order.
     """
     _check_mixed(game, mixed)
-    zero = Fraction(0) if mixed.is_exact else 0.0
-    grouped: dict = {}
-    for combo in itertools.product(*mixed.support_items()):
-        prob = 1
-        for _, w in combo:
-            prob *= w
-        profile = tuple(k for k, _ in combo)
-        structure = game.realized_partition(profile)
-        pay = game.payoff(profile)
-        totals = grouped.setdefault(structure, [zero] * game.n_players)
-        for i in range(game.n_players):
-            totals[i] += prob * pay[i]
-    return {s: tuple(v) for s, v in grouped.items()}
-
-
-def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
-    """Expected payoff of each pure strategy of one player vs the rest."""
-    items = mixed.support_items()
-    others = [j for j in range(game.n_players) if j != player]
-    zero = Fraction(0) if mixed.is_exact else 0.0
-    values = []
-    base = [0] * game.n_players
-    for s in range(len(game.strategy_sets[player])):
-        base[player] = s
-        total = zero
-        for combo in itertools.product(*(items[j] for j in others)):
-            prob = 1
-            for pos, (k, w) in zip(others, combo):
-                base[pos] = k
-                prob *= w
-            total += prob * game.payoff(tuple(base))[player]
-        values.append(total)
-    return values
+    return {
+        structure: tuple((prob[:, None] * pay).sum(axis=0).tolist())
+        for structure, prob, pay in _structure_groups(game, mixed)
+    }
 
 
 def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):
@@ -248,10 +268,9 @@ def verify_epsilon_nash(
     _check_mixed(game, mixed)
     if tolerance is None:
         tolerance = Fraction(0) if mixed.is_exact else 1e-9
-    expected = expected_utilities(game, mixed)
-    best = tuple(
-        max(_deviation_values(game, i, mixed)) for i in range(game.n_players)
-    )
+    values = [_deviation_values(game, i, mixed) for i in range(game.n_players)]
+    expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
+    best = tuple(max(v) for v in values)
     regrets = tuple(b - e for b, e in zip(best, expected))
     max_regret = max(regrets)
     return VerificationReport(
@@ -267,15 +286,6 @@ def verify_epsilon_nash(
 # -- pure equilibria -----------------------------------------------------
 
 
-def _global_max(game: CoalitionGame) -> list[Fraction]:
-    peaks = [None] * game.n_players
-    for pay in game.payoffs.values():
-        for i, v in enumerate(pay):
-            if peaks[i] is None or v > peaks[i]:
-                peaks[i] = v
-    return peaks
-
-
 def _redesire_alternatives(game: CoalitionGame, player: int, strategy_index: int):
     """Other strategies of the player with the same action label."""
     action = game.strategy_sets[player][strategy_index].action
@@ -285,7 +295,8 @@ def _redesire_alternatives(game: CoalitionGame, player: int, strategy_index: int
         if k != strategy_index and s.action == action
     ]
 
-def _group_blocked(game: CoalitionGame, profile: Profile, pay, peaks) -> bool:
+
+def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
     """True if some group can strictly gain by jointly redesiring.
 
     A redesire keeps every member's action fixed and changes only the
@@ -293,7 +304,9 @@ def _group_blocked(game: CoalitionGame, profile: Profile, pay, peaks) -> bool:
     Players already at their best payoff anywhere in the game can never
     strictly gain and are skipped.
     """
-    movers = [i for i in range(game.n_players) if pay[i] < peaks[i]]
+    tensor = game.payoff_tensor
+    pay = tensor[profile]
+    movers = [i for i in range(game.n_players) if pay[i] < game.payoff_peaks[i]]
     top = min(game.max_coalition, len(movers))
     for size in range(2, top + 1):
         for group in itertools.combinations(movers, size):
@@ -304,7 +317,7 @@ def _group_blocked(game: CoalitionGame, profile: Profile, pay, peaks) -> bool:
             for combo in itertools.product(*alt_lists):
                 for i, k in zip(group, combo):
                     switched[i] = k
-                moved = game.payoff(tuple(switched))
+                moved = tensor[tuple(switched)]
                 if all(moved[i] > pay[i] for i in group):
                     return True
             for i in group:
@@ -312,31 +325,24 @@ def _group_blocked(game: CoalitionGame, profile: Profile, pay, peaks) -> bool:
     return False
 
 
-def _pure_ties(game: CoalitionGame, profile: Profile, pay) -> bool:
-    """True when some player has an equally good alternative strategy."""
-    switched = list(profile)
-    for i in range(game.n_players):
-        for k in range(len(game.strategy_sets[i])):
-            if k == profile[i]:
-                continue
-            switched[i] = k
-            if game.payoff(tuple(switched))[i] == pay[i]:
-                switched[i] = profile[i]
-                return True
-        switched[i] = profile[i]
-    return False
-
-
-def _pure_result(game: CoalitionGame, profile: Profile, pay, method=PURE, iterations=0):
+def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=0):
     return EquilibriumResult(
         profile=point_mass(game, profile),
-        expected_payoffs=tuple(pay),
+        expected_payoffs=tuple(game.payoff_tensor[profile].tolist()),
         max_regret=Fraction(0),
         method=method,
         is_equilibrium=True,
-        degenerate=_pure_ties(game, profile, pay),
+        degenerate=bool((game.best_reply_counts[profile] > 1).any()),
         iterations=iterations,
     )
+
+
+def _pure_equilibria(game: CoalitionGame):
+    """Pure equilibria in lexicographic order: unilateral survivors the group screen keeps."""
+    survivors = np.argwhere((game.best_reply_counts > 0).all(axis=-1))
+    for profile in map(tuple, survivors.tolist()):
+        if not _group_blocked(game, profile):
+            yield profile
 
 
 def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
@@ -346,61 +352,22 @@ def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
     no group of players up to the coalition cap gains strictly by
     switching desired partitions in concert while keeping actions fixed.
     """
-    ctx_best: list[dict] = [dict() for _ in range(game.n_players)]
-    for profile in game.profiles():
-        pay = game.payoff(profile)
-        for i in range(game.n_players):
-            ctx = profile[:i] + profile[i + 1 :]
-            cur = ctx_best[i].get(ctx)
-            if cur is None or pay[i] > cur:
-                ctx_best[i][ctx] = pay[i]
-    peaks = _global_max(game)
-    found = []
-    for profile in game.profiles():
-        pay = game.payoff(profile)
-        if any(
-            pay[i] != ctx_best[i][profile[:i] + profile[i + 1 :]]
-            for i in range(game.n_players)
-        ):
-            continue
-        if _group_blocked(game, profile, pay, peaks):
-            continue
-        found.append(_pure_result(game, profile, pay))
-    return tuple(found)
-
-
-def _unilateral_ok(game: CoalitionGame, profile: Profile, pay) -> bool:
-    switched = list(profile)
-    for i in range(game.n_players):
-        for k in range(len(game.strategy_sets[i])):
-            if k == profile[i]:
-                continue
-            switched[i] = k
-            if game.payoff(tuple(switched))[i] > pay[i]:
-                return False
-        switched[i] = profile[i]
-    return True
+    return tuple(_pure_result(game, p) for p in _pure_equilibria(game))
 
 
 def is_pure_equilibrium(game: CoalitionGame, profile: Profile) -> bool:
     """Single profile check, same semantics as pure_nash_enumerate."""
     game._check_profile(profile)
-    pay = game.payoff(profile)
-    if not _unilateral_ok(game, profile, pay):
+    profile = tuple(profile)
+    if not (game.best_reply_counts[profile] > 0).all():
         return False
-    return not _group_blocked(game, profile, pay, _global_max(game))
+    return not _group_blocked(game, profile)
 
 
 def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:
-    """First pure equilibrium in lexicographic order, without a full scan."""
-    peaks = _global_max(game)
-    for profile in game.profiles():
-        pay = game.payoff(profile)
-        if _unilateral_ok(game, profile, pay) and not _group_blocked(
-            game, profile, pay, peaks
-        ):
-            return _pure_result(game, profile, pay)
-    return None
+    """First pure equilibrium in lexicographic order, screening no further."""
+    profile = next(_pure_equilibria(game), None)
+    return None if profile is None else _pure_result(game, profile)
 
 
 # -- support enumeration (two players) -----------------------------------
@@ -422,12 +389,6 @@ def solve_linear_exact(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
-
-
-def _pay_matrix(game: CoalitionGame, player: int):
-    rows = len(game.strategy_sets[0])
-    cols = len(game.strategy_sets[1])
-    return [[game.payoff((i, j))[player] for j in range(cols)] for i in range(rows)]
 
 
 def _indifference_weights(pay, own_support, other_support):
@@ -467,11 +428,11 @@ def _candidate_result(game, sup1, sup2, w1, w2):
     ties the equilibrium value.
     """
     mixed = MixedProfile((w1, w2))
-    expected = expected_utilities(game, mixed)
+    values = [_deviation_values(game, i, mixed) for i in range(2)]
+    expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
     degenerate = False
     for player, sup in ((0, sup1), (1, sup2)):
-        values = _deviation_values(game, player, mixed)
-        for k, v in enumerate(values):
+        for k, v in enumerate(values[player]):
             if k in sup:
                 if v != expected[player]:
                     return None
@@ -507,9 +468,8 @@ def mixed_nash_2p_support_enum(
     n1 = len(game.strategy_sets[0])
     n2 = len(game.strategy_sets[1])
     cap = config.max_support if config.max_support is not None else min(6, n1, n2)
-    pay1 = _pay_matrix(game, 0)
-    pay2 = _pay_matrix(game, 1)
-    pay2_t = [list(col) for col in zip(*pay2)]
+    pay1 = game.payoff_tensor[..., 0].tolist()
+    pay2_t = game.payoff_tensor[..., 1].T.tolist()
     found: dict = {}
     for size1 in range(1, min(cap, n1) + 1):
         for sup1 in itertools.combinations(range(n1), size1):
@@ -543,26 +503,6 @@ def mixed_nash_2p_support_enum(
 
 
 # -- iterative solver ----------------------------------------------------
-
-
-def _payoff_tensors(game: CoalitionGame) -> list[np.ndarray]:
-    shape = tuple(len(s) for s in game.strategy_sets)
-    tensors = [np.empty(shape, dtype=float) for _ in range(game.n_players)]
-    for profile in game.profiles():
-        pay = game.payoff(profile)
-        for i in range(game.n_players):
-            tensors[i][profile] = float(pay[i])
-    return tensors
-
-
-def _contract(tensor: np.ndarray, dists: list[np.ndarray], player: int) -> np.ndarray:
-    letters = "abcdefghijklmnop"
-    n = len(dists)
-    subscripts = letters[:n] + "," + ",".join(
-        letters[j] for j in range(n) if j != player
-    )
-    operands = [dists[j] for j in range(n) if j != player]
-    return np.einsum(subscripts + "->" + letters[player], tensor, *operands)
 
 
 def _start_distributions(game: CoalitionGame, config: SolverConfig, start):
@@ -599,7 +539,7 @@ def mixed_nash_iterative(
     reporting nothing.
     """
     config = config or SolverConfig()
-    tensors = _payoff_tensors(game)
+    tensors = np.moveaxis(game.payoff_tensor, -1, 0).astype(float, order="C")
     dists = _start_distributions(game, config, start)
     n = game.n_players
     last_br: Profile | None = None
@@ -633,9 +573,7 @@ def mixed_nash_iterative(
             stable = 0
             report = verify_epsilon_nash(game, point_mass(game, br))
             if report.passed:
-                return _pure_result(
-                    game, br, game.payoff(br), method=ITERATIVE, iterations=iterations
-                )
+                return _pure_result(game, br, method=ITERATIVE, iterations=iterations)
         alpha = config.damping / (t + 2)
         for i in range(n):
             dists[i] *= 1.0 - alpha
