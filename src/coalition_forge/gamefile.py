@@ -272,17 +272,21 @@ def _player_names(game: CoalitionGame, player_names: Sequence[str] | None) -> tu
     return names
 
 
-def load_game(path: str | Path) -> tuple[CoalitionGame, tuple[str, ...]]:
-    """Read and validate a game document from disk."""
+def _read_document(path: str | Path) -> Any:
+    """The parsed JSON at path; read and decode failures raise GameFileError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFileError(f"{path} is not valid JSON: {exc}") from None
-    return game_from_dict(data)
+
+
+def load_game(path: str | Path) -> tuple[CoalitionGame, tuple[str, ...]]:
+    """Read and validate a game document from disk."""
+    return game_from_dict(_read_document(path))
 
 
 def save_game(game: CoalitionGame, path: str | Path, player_names: Sequence[str] | None = None) -> None:
@@ -326,12 +330,4 @@ def profile_from_dict(data: Any, game: CoalitionGame) -> MixedProfile:
 
 
 def load_profile(path: str | Path, game: CoalitionGame) -> MixedProfile:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GameFileError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFileError(f"{path} is not valid JSON: {exc}") from None
-    return profile_from_dict(data, game)
+    return profile_from_dict(_read_document(path), game)

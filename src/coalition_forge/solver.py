@@ -33,6 +33,8 @@ ITERATIVE = "iterative"
 
 _LOCK_WINDOW = 64
 _FLOAT_SUM_SLACK = 1e-12
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,14 @@ class MixedProfile:
         return len(self.weights)
 
     def support(self, player: int) -> tuple[int, ...]:
-        return tuple(k for k, w in enumerate(self.weights[player]) if w != 0)
+        return tuple(k for k, _ in self._support_items[player])
 
     def support_items(self) -> tuple[tuple[tuple[int, Fraction | float], ...], ...]:
         """Per player, the (index, weight) pairs with nonzero weight."""
+        return self._support_items
+
+    @cached_property
+    def _support_items(self):
         return tuple(
             tuple((k, w) for k, w in enumerate(row) if w != 0) for row in self.weights
         )
@@ -122,7 +128,7 @@ def point_mass(game: CoalitionGame, profile: Profile) -> MixedProfile:
     game._check_profile(profile)
     return MixedProfile(
         tuple(
-            tuple(Fraction(1 if k == profile[i] else 0) for k in range(len(s)))
+            tuple(_ONE if k == profile[i] else _ZERO for k in range(len(s)))
             for i, s in enumerate(game.strategy_sets)
         )
     )
@@ -130,6 +136,14 @@ def point_mass(game: CoalitionGame, profile: Profile) -> MixedProfile:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """A solver's answer: a profile, its expected payoffs and its regret.
+
+    degenerate is True when some player has more pure best replies
+    than strategies in their support, so an unused strategy ties the
+    equilibrium value. Float results from fictitious play leave it
+    False.
+    """
+
     profile: MixedProfile
     expected_payoffs: tuple[Fraction | float, ...]
     max_regret: Fraction | float
@@ -286,42 +300,31 @@ def verify_epsilon_nash(
 # -- pure equilibria -----------------------------------------------------
 
 
-def _redesire_alternatives(game: CoalitionGame, player: int, strategy_index: int):
-    """Other strategies of the player with the same action label."""
-    action = game.strategy_sets[player][strategy_index].action
-    return [
-        k
-        for k, s in enumerate(game.strategy_sets[player])
-        if k != strategy_index and s.action == action
-    ]
-
-
 def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
     """True if some group can strictly gain by jointly redesiring.
 
     A redesire keeps every member's action fixed and changes only the
-    desired partition. Groups run from pairs up to the coalition cap.
-    Players already at their best payoff anywhere in the game can never
-    strictly gain and are skipped.
+    desired partition. Groups run from pairs up to the coalition cap;
+    each group's redesires are one slice of the payoff tensor, with the
+    members' axes cut to their alternatives and every other axis to the
+    profile's strategy. Players already at their best payoff anywhere
+    in the game can never strictly gain and are skipped.
     """
     tensor = game.payoff_tensor
     pay = tensor[profile]
-    movers = [i for i in range(game.n_players) if pay[i] < game.payoff_peaks[i]]
-    top = min(game.max_coalition, len(movers))
-    for size in range(2, top + 1):
-        for group in itertools.combinations(movers, size):
-            alt_lists = [_redesire_alternatives(game, i, profile[i]) for i in group]
-            if any(not alts for alts in alt_lists):
-                continue
-            switched = list(profile)
-            for combo in itertools.product(*alt_lists):
-                for i, k in zip(group, combo):
-                    switched[i] = k
-                moved = tensor[tuple(switched)]
-                if all(moved[i] > pay[i] for i in group):
-                    return True
-            for i in group:
-                switched[i] = profile[i]
+    alternatives = {}
+    for i, k in enumerate(profile):
+        if pay[i] < game.payoff_peaks[i]:
+            action = game.strategy_sets[i][k].action
+            same = [j for j, s in enumerate(game.strategy_sets[i]) if j != k and s.action == action]
+            if same:
+                alternatives[i] = same
+    for size in range(2, min(game.max_coalition, len(alternatives)) + 1):
+        for group in map(list, itertools.combinations(alternatives, size)):
+            axes = [alternatives[i] if i in group else [k] for i, k in enumerate(profile)]
+            moved = tensor[np.ix_(*axes)][..., group]
+            if (moved > pay[group]).all(-1).any():
+                return True
     return False
 
 
@@ -337,20 +340,31 @@ def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=
     )
 
 
-def _pure_equilibria(game: CoalitionGame):
-    """Pure equilibria in lexicographic order: unilateral survivors the group screen keeps."""
-    survivors = np.argwhere((game.best_reply_counts > 0).all(axis=-1))
-    for profile in map(tuple, survivors.tolist()):
-        if not _group_blocked(game, profile):
+def _pure_equilibria(game: CoalitionGame, profiles=None):
+    """The profiles that pass the pure lane's test, in the order given.
+
+    A profile passes when every player is at a best reply and no group
+    is blocked by a redesire. Without profiles, every profile of the
+    game is screened, in lexicographic order.
+    """
+    counts = game.best_reply_counts
+    if profiles is None:
+        profiles = map(tuple, np.argwhere((counts > 0).all(axis=-1)).tolist())
+    for profile in profiles:
+        if (counts[profile] > 0).all() and not _group_blocked(game, profile):
             yield profile
 
 
 def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
-    """All pure equilibria, in lexicographic profile order.
+    """All pure equilibria of the group-redesire refinement, in lexicographic profile order.
 
     A profile qualifies when no player gains by a unilateral switch and
     no group of players up to the coalition cap gains strictly by
     switching desired partitions in concert while keeping actions fixed.
+    This refines pure Nash: in lunch, the profile where all four
+    colleagues desire {0,1}{2,3} is Nash, since the other pair forms
+    whatever one player desires, but players 0 and 2 both gain (3 to
+    10) by desiring {0,2}{1}{3} together, so it is screened out.
     """
     return tuple(_pure_result(game, p) for p in _pure_equilibria(game))
 
@@ -358,10 +372,7 @@ def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
 def is_pure_equilibrium(game: CoalitionGame, profile: Profile) -> bool:
     """Single profile check, same semantics as pure_nash_enumerate."""
     game._check_profile(profile)
-    profile = tuple(profile)
-    if not (game.best_reply_counts[profile] > 0).all():
-        return False
-    return not _group_blocked(game, profile)
+    return next(_pure_equilibria(game, [tuple(profile)]), None) is not None
 
 
 def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:
@@ -395,8 +406,8 @@ def _indifference_weights(pay, own_support, other_support):
     """Opponent weights making the player indifferent across own_support.
 
     pay[own][other] is the player's payoff matrix oriented so the first
-    index is their own strategy. Returns (weights, value) or None when
-    the linear system is singular or leaves the support.
+    index is their own strategy. Returns the weights, or None when the
+    linear system is singular or leaves the support.
     """
     k = len(own_support)
     matrix = [
@@ -407,10 +418,10 @@ def _indifference_weights(pay, own_support, other_support):
     solution = solve_linear_exact(matrix, rhs)
     if solution is None:
         return None
-    weights, value = solution[:k], solution[k]
+    weights = solution[:k]
     if any(w <= 0 for w in weights):
         return None
-    return weights, value
+    return weights
 
 
 def _full_weights(size: int, support, weights) -> tuple[Fraction, ...]:
@@ -420,26 +431,19 @@ def _full_weights(size: int, support, weights) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def _candidate_result(game, sup1, sup2, w1, w2):
-    """Validate candidate weights as an exact equilibrium, or None.
+def _candidate_result(game: CoalitionGame, mixed: MixedProfile):
+    """The candidate as an exact equilibrium, or None.
 
-    Checks indifference inside each support and no profitable strategy
-    outside it; flags the result degenerate when an off-support strategy
-    ties the equilibrium value.
+    It passes when each player's best deviation value equals their
+    expected value, the zero-regret rule of verify_epsilon_nash.
     """
-    mixed = MixedProfile((w1, w2))
     values = [_deviation_values(game, i, mixed) for i in range(2)]
     expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
-    degenerate = False
-    for player, sup in ((0, sup1), (1, sup2)):
-        for k, v in enumerate(values[player]):
-            if k in sup:
-                if v != expected[player]:
-                    return None
-            elif v > expected[player]:
-                return None
-            elif v == expected[player]:
-                degenerate = True
+    if any(max(v) != e for v, e in zip(values, expected)):
+        return None
+    degenerate = any(
+        v.count(e) > len(items) for v, e, items in zip(values, expected, mixed.support_items())
+    )
     return EquilibriumResult(
         profile=mixed,
         expected_payoffs=expected,
@@ -455,10 +459,19 @@ def mixed_nash_2p_support_enum(
 ) -> SupportEnumeration:
     """Exact support enumeration for two player games.
 
-    Equal sized supports are solved through the indifference system;
-    unequal or singular cases fall back to a uniform candidate, which
-    catches continua that a square system cannot pin down. Results come
-    back deduplicated and sorted by support.
+    Each pair of supports yields one candidate: the indifference
+    system's weights when the supports are equal sized and both systems
+    solve, uniform weights otherwise. Every result is an exact
+    equilibrium, and results come sorted by support. The lane is not
+    complete on degenerate games: it misses every equilibrium that is
+    neither a square system's solution nor uniform on its supports, and
+    can miss whole components. Two games from
+    random_two_player_game(random.Random(7), 4), payoffs shifted by +6:
+    trial 278, A = [[6,10],[11,6],[4,11],[7,2]],
+    B = [[8,8],[8,10],[7,11],[1,7]], where pure row 0 against column
+    mixes from (1/3, 2/3) to (4/9, 5/9) is missed; trial 298,
+    A = [[7,2,11],[11,4,11]], B = [[11,1,3],[2,7,6]], where the row mix
+    (1/3, 2/3) against pure column 2 is missed.
     """
     if game.n_players != 2:
         raise ValueError(
@@ -470,36 +483,26 @@ def mixed_nash_2p_support_enum(
     cap = config.max_support if config.max_support is not None else min(6, n1, n2)
     pay1 = game.payoff_tensor[..., 0].tolist()
     pay2_t = game.payoff_tensor[..., 1].T.tolist()
-    found: dict = {}
-    for size1 in range(1, min(cap, n1) + 1):
-        for sup1 in itertools.combinations(range(n1), size1):
-            for size2 in range(1, min(cap, n2) + 1):
-                for sup2 in itertools.combinations(range(n2), size2):
-                    if size1 == size2:
-                        solved2 = _indifference_weights(pay1, sup1, sup2)
-                        solved1 = _indifference_weights(pay2_t, sup2, sup1)
-                        if solved1 is not None and solved2 is not None:
-                            w1 = _full_weights(n1, sup1, solved1[0])
-                            w2 = _full_weights(n2, sup2, solved2[0])
-                            result = _candidate_result(game, sup1, sup2, w1, w2)
-                            if result is not None:
-                                found.setdefault(result.profile.weights, result)
-                            continue
-                    w1 = _full_weights(n1, sup1, [Fraction(1, size1)] * size1)
-                    w2 = _full_weights(n2, sup2, [Fraction(1, size2)] * size2)
-                    result = _candidate_result(game, sup1, sup2, w1, w2)
-                    if result is not None:
-                        found.setdefault(result.profile.weights, result)
-    ordered = sorted(
-        found.values(),
-        key=lambda r: (
-            tuple(r.profile.support(i) for i in range(2)),
-            r.profile.weights,
-        ),
-    )
-    return SupportEnumeration(
-        equilibria=tuple(ordered), truncated=cap < max(n1, n2)
-    )
+    # Lexicographic support lists make the pairs come in result order.
+    supports = [
+        sorted(
+            s for size in range(1, min(cap, n) + 1) for s in itertools.combinations(range(n), size)
+        )
+        for n in (n1, n2)
+    ]
+    found = []
+    for sup1, sup2 in itertools.product(*supports):
+        w1, w2 = [Fraction(1, len(sup1))] * len(sup1), [Fraction(1, len(sup2))] * len(sup2)
+        if len(sup1) == len(sup2):
+            solved1 = _indifference_weights(pay2_t, sup2, sup1)
+            solved2 = _indifference_weights(pay1, sup1, sup2)
+            if solved1 is not None and solved2 is not None:
+                w1, w2 = solved1, solved2
+        mixed = MixedProfile((_full_weights(n1, sup1, w1), _full_weights(n2, sup2, w2)))
+        result = _candidate_result(game, mixed)
+        if result is not None:
+            found.append(result)
+    return SupportEnumeration(equilibria=tuple(found), truncated=cap < max(n1, n2))
 
 
 # -- iterative solver ----------------------------------------------------
@@ -544,7 +547,6 @@ def mixed_nash_iterative(
     n = game.n_players
     last_br: Profile | None = None
     stable = 0
-    regret = float("inf")
     iterations = 0
     for t in range(config.max_iterations):
         iterations = t + 1
@@ -554,16 +556,7 @@ def mixed_nash_iterative(
             float(values[i][br[i]] - values[i] @ dists[i]) for i in range(n)
         )
         if regret <= config.tolerance:
-            profile = _float_profile(dists)
-            report = verify_epsilon_nash(game, profile, config.tolerance)
-            return EquilibriumResult(
-                profile=profile,
-                expected_payoffs=report.expected,
-                max_regret=report.max_regret,
-                method=ITERATIVE,
-                is_equilibrium=report.passed,
-                iterations=iterations,
-            )
+            break
         if br == last_br:
             stable += 1
         else:
@@ -571,8 +564,7 @@ def mixed_nash_iterative(
             stable = 0
         if stable >= _LOCK_WINDOW:
             stable = 0
-            report = verify_epsilon_nash(game, point_mass(game, br))
-            if report.passed:
+            if (game.best_reply_counts[br] > 0).all():
                 return _pure_result(game, br, method=ITERATIVE, iterations=iterations)
         alpha = config.damping / (t + 2)
         for i in range(n):

@@ -25,10 +25,12 @@ from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_
 from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
+    SolverConfig,
     expected_utilities,
     expected_utility_by_structure,
     first_pure_equilibrium,
     is_pure_equilibrium,
+    mixed_nash_2p_support_enum,
     mixed_nash_iterative,
     point_mass,
     pure_nash_enumerate,
@@ -82,14 +84,18 @@ def brute_expected(game, mixed):
     return tuple(totals)
 
 
-def brute_best(game, mixed, player):
-    best = None
+def brute_deviation_values(game, mixed, player):
+    """The player's expected payoff from each own pure strategy against the others' mix."""
+    values = []
     for k in range(len(game.strategy_sets[player])):
         rows = list(mixed.weights)
         rows[player] = tuple(Fraction(int(j == k)) for j in range(len(rows[player])))
-        value = brute_expected(game, MixedProfile(tuple(rows)))[player]
-        best = value if best is None else max(best, value)
-    return best
+        values.append(brute_expected(game, MixedProfile(tuple(rows)))[player])
+    return values
+
+
+def brute_best(game, mixed, player):
+    return max(brute_deviation_values(game, mixed, player))
 
 
 def brute_by_structure(game, mixed):
@@ -153,17 +159,31 @@ def brute_pure(game):
     return found
 
 
+def brute_nash(game):
+    """Each pure Nash profile, mapped to whether some player has a tied best reply."""
+    pay = game.payoffs
+    found = {}
+    for profile in all_profiles(game):
+        replies = [
+            [pay[switched(profile, [(i, k)])][i] for k in range(len(game.strategy_sets[i]))]
+            for i in range(game.n_players)
+        ]
+        if all(max(r) == r[profile[i]] for i, r in enumerate(replies)):
+            found[profile] = any(r.count(max(r)) > 1 for r in replies)
+    return found
+
+
 # -- random games ------------------------------------------------------------
 
 
 @st.composite
-def coalition_games(draw, alone=False):
+def coalition_games(draw, alone=False, players=(2, 4)):
     """Random small games; payoffs either per profile or per realized structure.
 
     With alone=True every player can desire the all-singleton structure and
     any mechanism table realizes only that, so every restriction succeeds.
     """
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(*players))
     cap = draw(st.integers(1, n))
     family = enumerate_partitions(n, cap)
     singletons = family.index_of(CoalitionStructure.singletons(n))
@@ -305,6 +325,38 @@ class TestAgainstBruteForce:
         assert dict(small.payoffs) == {p: game.payoffs[q] for p, q in parents.items()}
         for profile, parent in parents.items():
             assert small.realized_partition(profile) == brute_realized(game, parent)
+
+
+class TestSolverLanes:
+    @DIFFERENTIAL
+    @given(coalition_games(players=(2, 2)))
+    def test_support_enumeration(self, game):
+        pure = {}
+        for result in mixed_nash_2p_support_enum(game).equilibria:
+            mixed = result.profile
+            expected = brute_expected(game, mixed)
+            values = [brute_deviation_values(game, mixed, i) for i in range(2)]
+            assert result.expected_payoffs == expected
+            assert [max(v) for v in values] == list(expected)
+            support = [sum(w != 0 for w in row) for row in mixed.weights]
+            assert result.degenerate == any(
+                v.count(max(v)) > size for v, size in zip(values, support)
+            )
+            if support == [1, 1]:
+                pure[tuple(row.index(1) for row in mixed.weights)] = result.degenerate
+        assert pure == brute_nash(game)
+
+    @DIFFERENTIAL
+    @given(coalition_games())
+    def test_fictitious_play_snaps_to_pure_nash(self, game):
+        result = mixed_nash_iterative(game, SolverConfig(max_iterations=300))
+        if result.profile.is_exact:
+            profile = tuple(row.index(1) for row in result.profile.weights)
+            nash = brute_nash(game)
+            assert profile in nash
+            assert result.degenerate == nash[profile]
+            assert result.expected_payoffs == game.payoffs[profile]
+            assert result.max_regret == 0 and result.is_equilibrium
 
 
 # -- profile arguments ----------------------------------------------------------
