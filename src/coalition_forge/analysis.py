@@ -11,6 +11,7 @@ equilibrium can still be displaced by a new focal one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -228,12 +229,22 @@ class StabilityReport:
 def _pareto_dominating_pures(
     game: CoalitionGame, baseline
 ) -> Iterable[StabilityDiagnostic]:
-    pay = game.payoff_tensor
-    base = np.array(baseline, dtype=object)
-    dominating = (pay >= base).all(axis=-1) & (pay > base).any(axis=-1)
+    """Pure equilibria paying every player at least the baseline and someone more.
+
+    The comparison runs on the game's integer payoffs against the
+    baseline scaled exactly (a float baseline exactly as its binary
+    value): an integer is >= q when it is >= ceil(q), and > q when it
+    is > floor(q).
+    """
+    pay = game.payoff_ints
+    scaled = [Fraction(b) * game.payoff_scale for b in baseline]
+    at_least = np.array([math.ceil(q) for q in scaled], dtype=object)
+    above = np.array([math.floor(q) for q in scaled], dtype=object)
+    dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
     for profile in map(tuple, np.argwhere(dominating).tolist()):
         if is_pure_equilibrium(game, profile):
-            yield StabilityDiagnostic(game.max_coalition, profile, tuple(pay[profile].tolist()))
+            payoffs = tuple(game.payoff_tensor[profile].tolist())
+            yield StabilityDiagnostic(game.max_coalition, profile, payoffs)
 
 
 def stability_K_star(

@@ -25,6 +25,7 @@ from .gamefile import (
     GameFileError,
     _structure_literal,
     dumps,
+    format_rational as _fr,
     game_to_dict,
     load_game,
     load_profile,
@@ -40,11 +41,6 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 
 SEED_ENV = "COALITION_FORGE_SEED"
-
-
-def _fr(value) -> str:
-    """Exact text form of a number; floats convert without rounding."""
-    return str(Fraction(value))
 
 
 def _show(value) -> str:

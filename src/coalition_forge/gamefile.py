@@ -74,7 +74,19 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise GameFileError(f"{where} must be a rational string, got {type(value).__name__}")
 
 
+def _parse_once(value: Any, decoded: dict[str, Fraction], where: str) -> Fraction:
+    """parse_rational, keeping each string's value in decoded to parse it once."""
+    if type(value) is not str:
+        return parse_rational(value, where)
+    if value not in decoded:
+        decoded[value] = parse_rational(value, where)
+    return decoded[value]
+
+
 def format_rational(value: Fraction) -> str:
+    """Exact "p/q" text of a number; floats convert without rounding."""
+    if type(value) in (Fraction, int):
+        return str(value)
     return str(Fraction(value))
 
 
@@ -117,30 +129,37 @@ def _structure_literal(structure: CoalitionStructure, names: Sequence[str]) -> l
     return [[names[i] for i in block] for block in structure.blocks]
 
 
-def _parse_profile_key(key: Any, game_shape: Sequence[int], where: str) -> Profile:
+def _parse_profile_key(key: Any, digits: Sequence[Mapping[str, int]], where: str) -> Profile:
+    """The profile a key of comma-joined indices names.
+
+    digits[i] maps the canonical text of each of player i's indices to
+    the index, so a canonical key is read by lookups alone; any other
+    key is parsed part by part to say what is wrong with it.
+    """
     if not isinstance(key, str):
         raise GameFileError(f"{where} keys must be strings of comma-joined indices")
     parts = key.split(",")
-    if len(parts) != len(game_shape):
-        raise GameFileError(f"{where} key {key!r} must have {len(game_shape)} indices")
-    profile = []
+    if len(parts) != len(digits):
+        raise GameFileError(f"{where} key {key!r} must have {len(digits)} indices")
+    profile = tuple(map(dict.get, digits, parts))
+    if None not in profile:
+        return profile
+    indices = []
     for i, part in enumerate(parts):
         try:
             idx = int(part)
         except ValueError:
             raise GameFileError(f"{where} key {key!r} has a non-integer index") from None
-        if not 0 <= idx < game_shape[i]:
+        if not 0 <= idx < len(digits[i]):
             raise GameFileError(
                 f"{where} key {key!r}: index {idx} out of range for player {i}"
             )
-        profile.append(idx)
+        indices.append(idx)
     # int() also reads "00", " 1" and "+0"; such a key could name the same
     # profile as a canonical one and silently replace its entry.
-    if key != _profile_key(profile):
-        raise GameFileError(
-            f"{where} key {key!r} is not canonical, expected {_profile_key(profile)!r}"
-        )
-    return tuple(profile)
+    raise GameFileError(
+        f"{where} key {key!r} is not canonical, expected {_profile_key(indices)!r}"
+    )
 
 
 def _profile_key(profile: Profile) -> str:
@@ -186,7 +205,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
                 raise GameFileError(f"{where}.action must be a string")
             strategies.append(Strategy(desired, action))
         strategy_sets.append(tuple(strategies))
-    shape = [len(s) for s in strategy_sets]
+    digits = [{str(k): k for k in range(len(s))} for s in strategy_sets]
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
@@ -196,7 +215,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         raw_table = _require_mapping(raw_mech["table"], "mechanism.table")
         table = {}
         for key, literal in raw_table.items():
-            profile = _parse_profile_key(key, shape, "mechanism.table")
+            profile = _parse_profile_key(key, digits, "mechanism.table")
             table[profile] = _parse_structure(
                 literal, by_name, n, f"mechanism.table[{key!r}]"
             )
@@ -208,13 +227,20 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
 
     raw_payoffs = _require_mapping(data["payoffs"], "payoffs")
     payoffs = {}
+    # decoded holds strings only, so a row with anything else (a JSON
+    # number, a boolean) or a new string is read value by value and fails
+    # where it failed before.
+    decoded: dict[str, Fraction] = {}
     for key, row in raw_payoffs.items():
-        profile = _parse_profile_key(key, shape, "payoffs")
+        profile = _parse_profile_key(key, digits, "payoffs")
         if not isinstance(row, list) or len(row) != n:
             raise GameFileError(f"payoffs[{key!r}] must list {n} rationals")
-        payoffs[profile] = tuple(
-            parse_rational(v, f"payoffs[{key!r}][{i}]") for i, v in enumerate(row)
-        )
+        try:
+            payoffs[profile] = tuple(map(decoded.__getitem__, row))
+        except (KeyError, TypeError):
+            payoffs[profile] = tuple(
+                _parse_once(v, decoded, f"payoffs[{key!r}][{i}]") for i, v in enumerate(row)
+            )
 
     try:
         game = CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs)
@@ -302,7 +328,7 @@ def profile_to_dict(mixed: MixedProfile) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "weights": [
-            [format_rational(Fraction(w)) for w in row] for row in mixed.weights
+            [format_rational(w) for w in row] for row in mixed.weights
         ],
     }
 

@@ -10,6 +10,14 @@ shape (*strategy counts, n_players) holding the same Fractions, and the
 mechanism into a realized-structure index: the family index of the
 structure each profile realizes. Every consumer reads these two arrays.
 
+Consumers that only compare payoffs read a third: payoff_ints, the
+payoff tensor times payoff_scale (the lcm of every payoff's
+denominator) as exact integers, int64 when every value fits and Python
+ints otherwise. Scaling by a positive integer keeps every order and
+tie, so best-reply counts, payoff peaks, the group-redesire screen and
+the Pareto filter of the stability scan compare integers there;
+arithmetic (expected utilities, lotteries, results) stays in Fractions.
+
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
 iteration order used everywhere deterministic output is promised.
@@ -21,7 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import prod
+from math import lcm, prod
+from numbers import Rational
 from typing import Mapping
 
 import numpy as np
@@ -179,7 +188,8 @@ class CoalitionGame:
         """The payoffs as a read-only object array of shape (*shape, n_players).
 
         Built on first use, so a builder may fill the mapping after
-        constructing the game.
+        constructing the game. Every payoff must be an exact rational
+        (a numbers.Rational, such as int or Fraction).
         """
         rows = []
         for profile in self.profiles():
@@ -189,7 +199,38 @@ class CoalitionGame:
             if len(row) != self.n_players:
                 raise ValidationError(f"payoff entry for {profile} has the wrong arity")
             rows.append(row)
-        return _frozen(np.array(rows, dtype=object).reshape(*self.shape, self.n_players))
+        tensor = np.array(rows, dtype=object).reshape(*self.shape, self.n_players)
+        if not all(issubclass(t, Rational) for t in set(map(type, tensor.ravel().tolist()))):
+            for profile, row in zip(self.profiles(), rows):
+                for v in row:
+                    if not isinstance(v, Rational):
+                        raise ValidationError(
+                            f"payoff entry for {profile} holds {v!r}, not an exact rational"
+                        )
+        return _frozen(tensor)
+
+    @cached_property
+    def payoff_scale(self) -> int:
+        """The lcm of every payoff's denominator, so payoff_ints are whole."""
+        return lcm(*{int(v.denominator) for v in self.payoff_tensor.ravel().tolist()})
+
+    @cached_property
+    def payoff_ints(self) -> np.ndarray:
+        """payoff_tensor * payoff_scale as exact integers, read-only, same shape.
+
+        int64 when every value lies below 2**63 in absolute value, an
+        object array of Python ints otherwise; both compare exactly, so
+        consumers need not know which. The positive scale keeps every
+        order and tie of the payoffs.
+        """
+        scale = self.payoff_scale
+        ints = [
+            int(v.numerator) * (scale // int(v.denominator))
+            for v in self.payoff_tensor.ravel().tolist()
+        ]
+        fits = max(map(abs, ints)) < 2**63
+        array = np.array(ints, dtype=np.int64 if fits else object)
+        return _frozen(array.reshape(self.payoff_tensor.shape))
 
     @cached_property
     def realized_index(self) -> np.ndarray:
@@ -244,17 +285,17 @@ class CoalitionGame:
         Read-only int array of shape (*shape, n_players); 0 where the
         player gains by switching alone.
         """
-        counts = np.empty(self.payoff_tensor.shape, dtype=np.int64)
+        counts = np.empty(self.payoff_ints.shape, dtype=np.int64)
         for i in range(self.n_players):
-            pay = self.payoff_tensor[..., i]
+            pay = self.payoff_ints[..., i]
             best = pay == pay.max(axis=i, keepdims=True)
             counts[..., i] = np.where(best, best.sum(axis=i, keepdims=True), 0)
         return _frozen(counts)
 
     @cached_property
     def payoff_peaks(self) -> tuple:
-        """Each player's highest payoff anywhere in the game."""
-        return tuple(self.payoff_tensor.reshape(-1, self.n_players).max(axis=0).tolist())
+        """Each player's highest payoff anywhere in the game, in payoff_ints units."""
+        return tuple(self.payoff_ints.reshape(-1, self.n_players).max(axis=0).tolist())
 
     # -- mechanism and payoffs -------------------------------------------
 

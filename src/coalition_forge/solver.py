@@ -11,7 +11,8 @@ All lanes read the game's payoff tensor through one contraction: a
 player's deviation values are the tensor, sliced to the other players'
 supports and contracted with their weights, in Fractions for exact
 profiles and floats otherwise. The pure lane reads the game's
-best-reply counts; lotteries group the support grid by the game's
+best-reply counts and compares joint redesires on its integer payoffs
+(payoff_ints); lotteries group the support grid by the game's
 realized-structure index.
 """
 
@@ -84,9 +85,12 @@ class MixedProfile:
         for i, row in enumerate(self.weights):
             if not row:
                 raise ValueError(f"player {i} has an empty weight vector")
-            if any(w < 0 for w in row):
+            # Exact zeros change neither the sign check nor the exact sum;
+            # float rows keep theirs, so an all-zero row still sums to 0.0.
+            weights = [w for w in row if w] if self.is_exact else row
+            if any(w < 0 for w in weights):
                 raise ValueError(f"player {i} has a negative weight")
-            total = sum(row)
+            total = sum(weights)
             if self.is_exact:
                 if total != 1:
                     raise ValueError(f"player {i} weights sum to {total}, expected 1")
@@ -308,13 +312,14 @@ def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
     each group's redesires are one slice of the payoff tensor, with the
     members' axes cut to their alternatives and every other axis to the
     profile's strategy. Players already at their best payoff anywhere
-    in the game can never strictly gain and are skipped.
+    in the game can never strictly gain and are skipped. Payoffs are
+    compared in the game's integer units, payoff_ints.
     """
-    tensor = game.payoff_tensor
+    tensor = game.payoff_ints
     pay = tensor[profile]
     alternatives = {}
-    for i, k in enumerate(profile):
-        if pay[i] < game.payoff_peaks[i]:
+    for i, (k, here, peak) in enumerate(zip(profile, pay.tolist(), game.payoff_peaks)):
+        if here < peak:
             action = game.strategy_sets[i][k].action
             same = [j for j, s in enumerate(game.strategy_sets[i]) if j != k and s.action == action]
             if same:

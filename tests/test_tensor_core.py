@@ -10,16 +10,26 @@ from __future__ import annotations
 import copy
 import io
 import itertools
+import math
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _shared import game as catalog_game
 from coalition_forge.cli import main
-from coalition_forge.gamefile import GameFileError, dumps, game_from_dict, game_to_dict
+from coalition_forge.gamefile import (
+    GameFileError,
+    dumps,
+    format_rational,
+    game_from_dict,
+    game_to_dict,
+)
 from coalition_forge.games import TABLE, CoalitionGame, Mechanism, Strategy, ValidationError
 from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
 from coalition_forge.solver import (
@@ -36,7 +46,11 @@ from coalition_forge.solver import (
     pure_nash_enumerate,
     verify_epsilon_nash,
 )
-from coalition_forge.analysis import equilibrium_partitions, stability_K_star
+from coalition_forge.analysis import (
+    _pareto_dominating_pures,
+    equilibrium_partitions,
+    stability_K_star,
+)
 
 DIFFERENTIAL = settings(
     max_examples=60,
@@ -177,11 +191,12 @@ def brute_nash(game):
 
 
 @st.composite
-def coalition_games(draw, alone=False, players=(2, 4)):
+def coalition_games(draw, alone=False, players=(2, 4), payoff_values=st.integers(-3, 3)):
     """Random small games; payoffs either per profile or per realized structure.
 
     With alone=True every player can desire the all-singleton structure and
     any mechanism table realizes only that, so every restriction succeeds.
+    payoff_values draws each payoff, as anything Fraction() accepts.
     """
     n = draw(st.integers(*players))
     cap = draw(st.integers(1, n))
@@ -219,11 +234,41 @@ def coalition_games(draw, alone=False, players=(2, 4)):
     # redesires pay off, so the group screen has work to do.
     by_structure = draw(st.booleans())
     rows = len(family) if by_structure else len(profiles)
-    values = draw(st.lists(st.integers(-3, 3), min_size=n * rows, max_size=n * rows))
+    values = draw(st.lists(payoff_values, min_size=n * rows, max_size=n * rows))
     for k, p in enumerate(profiles):
         row = family.index_of(brute_realized(game, p)) if by_structure else k
         payoffs[p] = tuple(Fraction(v) for v in values[row * n : (row + 1) * n])
     return game
+
+
+# Denominators 1 to 7. In half of the games a fifth of the numerators sit
+# beyond 2**63 either way, so payoff_ints takes both dtypes.
+small_numerators = st.integers(-3, 3)
+big_numerators = st.builds(
+    lambda small, offset: small + offset,
+    small_numerators,
+    st.sampled_from([0, 0, 0, 2**63, -(2**64)]),
+)
+exact_games = st.one_of(
+    coalition_games(payoff_values=st.builds(Fraction, numerators, st.integers(1, 7)))
+    for numerators in (small_numerators, big_numerators)
+)
+
+
+@st.composite
+def games_with_baselines(draw):
+    """An exact-payoff game and a baseline per player, at or next to a payoff, some floats."""
+    game = draw(exact_games)
+    # One profile's payoffs, some a hair off: where ceil and floor of the
+    # scaled baseline differ.
+    row = game.payoffs[draw(st.sampled_from(sorted(game.payoffs)))]
+    baseline = []
+    for payoff in row:
+        value = payoff + draw(st.sampled_from([0, 0, Fraction(1, 1000), Fraction(-1, 1000)]))
+        if draw(st.booleans()):
+            value = float(value)
+        baseline.append(value)
+    return game, tuple(baseline)
 
 
 @st.composite
@@ -359,6 +404,123 @@ class TestSolverLanes:
             assert result.max_regret == 0 and result.is_equilibrium
 
 
+class TestIntegerPayoffs:
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_payoff_ints_scale_the_tensor_exactly(self, game):
+        values = [v for row in game.payoffs.values() for v in row]
+        scale = math.lcm(*(v.denominator for v in values))
+        assert game.payoff_scale == scale
+        ints = game.payoff_ints
+        assert ints.shape == game.payoff_tensor.shape and not ints.flags.writeable
+        fits = all(abs(v * scale) < 2**63 for v in values)
+        assert ints.dtype == (np.int64 if fits else object)
+        for profile in all_profiles(game):
+            assert [int(v) for v in ints[profile]] == [v * scale for v in game.payoffs[profile]]
+
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_best_reply_counts(self, game):
+        pay = game.payoffs
+        for profile in all_profiles(game):
+            for i in range(game.n_players):
+                replies = [
+                    pay[switched(profile, [(i, k)])][i] for k in range(len(game.strategy_sets[i]))
+                ]
+                best = replies.count(max(replies)) if pay[profile][i] == max(replies) else 0
+                assert game.best_reply_counts[profile + (i,)] == best
+        peaks = tuple(max(row[i] for row in pay.values()) for i in range(game.n_players))
+        assert game.payoff_peaks == tuple(p * game.payoff_scale for p in peaks)
+
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_pure_enumeration(self, game):
+        found = [
+            (tuple(r.profile.support(i)[0] for i in range(game.n_players)), r.degenerate)
+            for r in pure_nash_enumerate(game)
+        ]
+        assert found == brute_pure(game)
+        for result in pure_nash_enumerate(game):
+            profile = tuple(r.index(1) for r in result.profile.weights)
+            assert result.expected_payoffs == game.payoffs[profile]
+
+    @DIFFERENTIAL
+    @given(games_with_baselines())
+    def test_pareto_diagnostics(self, case):
+        game, baseline = case
+        pure = {p for p, _ in brute_pure(game)}
+        expected = [
+            (p, game.payoffs[p])
+            for p in all_profiles(game)
+            if p in pure
+            and all(v >= b for v, b in zip(game.payoffs[p], baseline))
+            and any(v > b for v, b in zip(game.payoffs[p], baseline))
+        ]
+        found = [(d.profile, d.payoffs) for d in _pareto_dominating_pures(game, baseline)]
+        assert found == expected
+        assert all(type(v) is Fraction for _, pay in found for v in pay)
+
+
+@pytest.mark.parametrize(
+    "value, other, dtype",
+    [
+        (2**63 - 1, 1, np.int64),
+        (-(2**63) + 1, 1, np.int64),
+        (2**63, 1, object),
+        (-(2**63), 1, object),
+        (Fraction(2**62, 3), 1, np.int64),
+        (2**62, Fraction(1, 2), object),
+    ],
+)
+def test_payoff_ints_dtype_boundary(value, other, dtype):
+    game = table_game()
+    payoffs = dict(game.payoffs)
+    payoffs[(0, 0)] = (Fraction(value), Fraction(other))
+    game = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    assert game.payoff_ints.dtype == dtype
+    assert game.payoff_ints[0, 0, 0] == value * game.payoff_scale
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1), "1"])
+def test_inexact_payoff_is_rejected_naming_the_profile(bad):
+    game = table_game()
+    payoffs = dict(game.payoffs)
+    payoffs[(1, 0)] = (Fraction(1), bad)
+    game = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    with pytest.raises(ValidationError, match=r"\(1, 0\)"):
+        pure_nash_enumerate(game)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (((0.0, 0.0),), "player 0 weights sum to 0.0, expected 1"),
+        (((Fraction(0), Fraction(0)),), "player 0 weights sum to 0, expected 1"),
+        (((Fraction(1),), (Fraction(0), Fraction(1, 2))), "player 1 weights sum to 1/2, expected 1"),
+        (((Fraction(3, 2), Fraction(0), Fraction(-1, 2)),), "player 0 has a negative weight"),
+        (((1.5, 0.0, -0.5),), "player 0 has a negative weight"),
+        (((0.25, 0.0, 0.5),), "player 0 weights sum to 0.75, expected 1"),
+    ],
+)
+def test_mixed_profile_messages(weights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MixedProfile(weights)
+
+
+@pytest.mark.parametrize("value", [Fraction(-7, 3), Fraction(4), 5, -2, 0.1, 2.0, True])
+def test_format_rational_text(value):
+    assert format_rational(value) == str(Fraction(value))
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "coalition_forge", "enumerate", "-n", "4", "--count-only"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "15\n")
+
+
 # -- profile arguments ----------------------------------------------------------
 
 
@@ -429,6 +591,47 @@ def test_noncanonical_table_key_is_rejected():
     table["0,01"] = table.pop("0,1")
     with pytest.raises(GameFileError, match="not canonical"):
         game_from_dict(document)
+
+
+def test_repeated_bad_rational_fails_at_its_first_position():
+    document = game_to_dict(table_game())
+    document["payoffs"]["0,1"][1] = "1/0"
+    document["payoffs"]["1,0"][0] = "1/0"
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "payoffs['0,1'][1] is not a rational: '1/0'"
+
+
+@pytest.mark.parametrize("one", ["1", 1])
+def test_boolean_after_the_same_number_is_rejected(one):
+    document = game_to_dict(table_game())
+    document["payoffs"]["0,1"] = [one, "1"]
+    document["payoffs"]["1,0"] = [True, "1"]
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "payoffs['1,0'][0] must be a rational, got True"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("00,1", "payoffs key '00,1' is not canonical, expected '0,1'"),
+        ("0,2", "payoffs key '0,2': index 2 out of range for player 1"),
+        ("0,x", "payoffs key '0,x' has a non-integer index"),
+        ("0,1,0", "payoffs key '0,1,0' must have 2 indices"),
+    ],
+)
+def test_bad_key_after_canonical_ones_keeps_its_message(key, message):
+    document = game_to_dict(table_game())
+    document["payoffs"][key] = ["7", "7"]
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message
+    table = document["mechanism"]["table"]
+    table[key] = table["0,0"]
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message.replace("payoffs", "mechanism.table")
 
 
 def test_noncanonical_key_exits_with_usage_code(tmp_path):
