@@ -67,21 +67,7 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
 
 def build_pd_standard() -> CoalitionGame:
     """Two-player dilemma where staying alone is the only option (cap K=1)."""
-    family = enumerate_partitions(2, 1)
-    strategies = (Strategy(0, "L"), Strategy(0, "H"))
-    payoffs = {}
-    for i, s1 in enumerate(strategies):
-        for j, s2 in enumerate(strategies):
-            payoffs[(i, j)] = _PD_BASE[(s1.action, s2.action)]
-    game = CoalitionGame(
-        n_players=2,
-        max_coalition=1,
-        family=family,
-        strategy_sets=(strategies, strategies),
-        payoffs=payoffs,
-    )
-    game.validate_domains()
-    return game
+    return build_pd_extended().restrict(1)
 
 
 def build_pd_extended() -> CoalitionGame:

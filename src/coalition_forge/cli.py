@@ -5,6 +5,7 @@ equilibria of a catalog or file game, analyze inspects one equilibrium,
 stability scans a nested family for the largest safe coalition cap, and
 catalog lists the built-in games. Human-readable tables are the default;
 --json switches to a machine-readable document with exact "p/q" numbers.
+Each command builds only the format it prints.
 
 Exit codes: 0 on success (including flagged diagnostics), 2 on usage or
 parse errors, 3 on validation errors.
@@ -26,14 +27,13 @@ from .gamefile import (
     _structure_literal,
     dumps,
     format_rational as _fr,
-    game_to_dict,
     load_game,
     load_profile,
     parse_rational,
 )
 from .games import CoalitionGame, ValidationError
 from .partitions import enumerate_partitions, restricted_bell
-from .solver import EquilibriumResult, MixedProfile, SolverConfig
+from .solver import EquilibriumResult, SolverConfig, VerificationReport
 
 PROG = "coalition-forge"
 EXIT_OK = 0
@@ -57,16 +57,21 @@ def _structure_text(structure, names: Sequence[str]) -> str:
     return "{" + blocks + "}"
 
 
-def _strategy_label(game: CoalitionGame, names: Sequence[str], player: int, strategy) -> str:
-    structure = game.family[strategy.desired_partition]
-    if not strategy.action:
-        return _structure_text(structure, names)
-    block = structure.block_of(player)
-    if block.size == 1:
-        return strategy.action + "_a"
-    if game.n_players == 2:
-        return strategy.action + "_t"
-    return strategy.action + "_t" + "{" + ",".join(names[i] for i in block) + "}"
+def _strategy_labels(game: CoalitionGame, names: Sequence[str]) -> list[list[str]]:
+    """Display label of every strategy, indexed by player, then strategy."""
+
+    def label(player: int, strategy) -> str:
+        structure = game.family[strategy.desired_partition]
+        if not strategy.action:
+            return _structure_text(structure, names)
+        block = structure.block_of(player)
+        if block.size == 1:
+            return strategy.action + "_a"
+        if game.n_players == 2:
+            return strategy.action + "_t"
+        return strategy.action + "_t" + "{" + ",".join(names[i] for i in block) + "}"
+
+    return [[label(i, s) for s in strategies] for i, strategies in enumerate(game.strategy_sets)]
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -92,13 +97,11 @@ def _load_source(source: str, params: dict[str, Fraction]):
     key = ALIASES.get(source, source)
     if key in CATALOG:
         entry = get_entry(key)
-        game = entry.build(**params)
-        return game, entry.player_names, entry
+        return entry.build(**params), entry.player_names
     if Path(source).exists():
         if params:
             raise ValueError("--param only applies to catalog games")
-        game, names = load_game(source)
-        return game, names, None
+        return load_game(source)
     known = ", ".join(sorted(CATALOG))
     raise GameFileError(f"unknown game source {source!r}; catalog ids: {known}")
 
@@ -126,30 +129,45 @@ def _make_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _default_equilibrium(game: CoalitionGame, config: SolverConfig) -> EquilibriumResult:
-    """First pure equilibrium, else a mixed one by the cheapest route."""
+def _chosen_equilibrium(
+    game: CoalitionGame, args, config: SolverConfig
+) -> tuple[EquilibriumResult, VerificationReport | None]:
+    """The --profile file with its verification report, else a default.
+
+    The default is the first pure equilibrium, else a mixed one by the
+    cheapest route, and comes without a report.
+    """
+    if args.profile:
+        mixed = load_profile(args.profile, game)
+        report = solver.verify_epsilon_nash(game, mixed)
+        supplied = EquilibriumResult(
+            profile=mixed,
+            expected_payoffs=report.expected,
+            max_regret=report.max_regret,
+            method="supplied",
+            is_equilibrium=report.passed,
+        )
+        return supplied, report
     result = solver.first_pure_equilibrium(game)
-    if result is not None:
-        return result
-    if game.n_players == 2:
+    if result is None and game.n_players == 2:
         found = solver.mixed_nash_2p_support_enum(game, config)
         if found.equilibria:
-            return found.equilibria[0]
-    return solver.mixed_nash_iterative(game, config)
+            result = found.equilibria[0]
+    if result is None:
+        result = solver.mixed_nash_iterative(game, config)
+    return result, None
 
 
-def _supplied_equilibrium(game: CoalitionGame, mixed: MixedProfile) -> EquilibriumResult:
-    report = solver.verify_epsilon_nash(game, mixed)
-    return EquilibriumResult(
-        profile=mixed,
-        expected_payoffs=report.expected,
-        max_regret=report.max_regret,
-        method="supplied",
-        is_equilibrium=report.passed,
-    )
+def _document(command: str, **fields) -> dict[str, Any]:
+    return {"schema_version": 1, "command": command, **fields}
 
 
-def _equilibrium_entry(game: CoalitionGame, names, result: EquilibriumResult) -> dict:
+def _game_document(command: str, source: str, game: CoalitionGame, names) -> dict[str, Any]:
+    """Header of the solve and analyze JSON documents."""
+    return _document(command, source=source, players=list(names), K=game.max_coalition)
+
+
+def _equilibrium_entry(game: CoalitionGame, names, labels, result: EquilibriumResult) -> dict:
     mixed = result.profile
     entry: dict[str, Any] = {
         "method": result.method,
@@ -157,11 +175,7 @@ def _equilibrium_entry(game: CoalitionGame, names, result: EquilibriumResult) ->
         "degenerate": result.degenerate,
         "weights": [[_fr(w) for w in row] for row in mixed.weights],
         "support": [
-            [
-                _strategy_label(game, names, i, game.strategy_sets[i][j])
-                for j in mixed.support(i)
-            ]
-            for i in range(game.n_players)
+            [labels[i][j] for j in mixed.support(i)] for i in range(game.n_players)
         ],
         "expected_payoffs": [_fr(v) for v in result.expected_payoffs],
         "max_regret": _fr(result.max_regret),
@@ -180,22 +194,16 @@ def _equilibrium_entry(game: CoalitionGame, names, result: EquilibriumResult) ->
     return entry
 
 
-def _equilibrium_lines(game: CoalitionGame, names, index: int, result: EquilibriumResult) -> list[str]:
+def _equilibrium_lines(game: CoalitionGame, names, labels, index: int, result: EquilibriumResult) -> list[str]:
     mixed = result.profile
-    lines = []
     if mixed.is_pure:
-        profile = tuple(mixed.support(i)[0] for i in range(game.n_players))
-        labels = ", ".join(
-            _strategy_label(game, names, i, game.strategy_sets[i][profile[i]])
-            for i in range(game.n_players)
-        )
-        head = f"#{index} [{result.method}] ({labels})"
+        shown = ", ".join(labels[i][mixed.support(i)[0]] for i in range(game.n_players))
+        head = f"#{index} [{result.method}] ({shown})"
     else:
         parts = []
         for i in range(game.n_players):
             weights = " ".join(
-                f"{_strategy_label(game, names, i, game.strategy_sets[i][j])}={_show(mixed.weights[i][j])}"
-                for j in mixed.support(i)
+                f"{labels[i][j]}={_show(mixed.weights[i][j])}" for j in mixed.support(i)
             )
             parts.append(f"{names[i]}: {weights}")
         head = f"#{index} [{result.method}] " + " | ".join(parts)
@@ -204,26 +212,18 @@ def _equilibrium_lines(game: CoalitionGame, names, index: int, result: Equilibri
     if result.degenerate:
         head += ", degenerate"
     if not result.is_equilibrium:
-        head += ", NOT verified"
-    lines.append(head)
-    if result.is_equilibrium:
-        dist = analysis.equilibrium_partitions(game, result)
-        rendered = ", ".join(
-            f"{_structure_text(s, names)} {_show(dist.probability(s))}"
-            for s in dist.partitions
-        )
-        lines.append(f"    partitions: {rendered}")
-    return lines
+        return [head + ", NOT verified"]
+    dist = analysis.equilibrium_partitions(game, result)
+    rendered = ", ".join(
+        f"{_structure_text(s, names)} {_show(dist.probability(s))}"
+        for s in dist.partitions
+    )
+    return [head, f"    partitions: {rendered}"]
 
 
-def _matrix_lines(game: CoalitionGame, names) -> list[str]:
+def _matrix_lines(game: CoalitionGame, names, labels) -> list[str]:
     """Payoff grid with the realized structure in every cell."""
-    rows = [
-        _strategy_label(game, names, 0, s) for s in game.strategy_sets[0]
-    ]
-    cols = [
-        _strategy_label(game, names, 1, s) for s in game.strategy_sets[1]
-    ]
+    rows, cols = labels
     cells = []
     for i in range(len(rows)):
         line = []
@@ -253,11 +253,8 @@ def _matrix_lines(game: CoalitionGame, names) -> list[str]:
     return out
 
 
-def _emit(args, document: dict, lines: list[str]) -> int:
-    if args.json:
-        sys.stdout.write(dumps(document) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _emit(text: str) -> int:
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 
@@ -266,27 +263,23 @@ def _emit(args, document: dict, lines: list[str]) -> int:
 def cmd_enumerate(args) -> int:
     n, cap = args.n, args.K if args.K is not None else args.n
     count = restricted_bell(n, cap)
+    family = () if args.count_only else enumerate_partitions(n, cap)
     names = _default_names(n)
-    document: dict[str, Any] = {
-        "schema_version": 1,
-        "command": "enumerate",
-        "n": n,
-        "K": cap,
-        "count": count,
-    }
+    if args.json:
+        document = _document("enumerate", n=n, K=cap, count=count)
+        if not args.count_only:
+            document["partitions"] = [_structure_literal(s, names) for s in family]
+        return _emit(dumps(document))
     if args.count_only:
-        return _emit(args, document, [str(count)])
-    family = enumerate_partitions(n, cap)
-    document["partitions"] = [_structure_literal(s, names) for s in family]
+        return _emit(str(count))
     lines = [f"p({n},{cap}) = {count}"]
-    for i, s in enumerate(family):
-        lines.append(f"{i:>3}  {_structure_text(s, names)}")
-    return _emit(args, document, lines)
+    lines.extend(f"{i:>3}  {_structure_text(s, names)}" for i, s in enumerate(family))
+    return _emit("\n".join(lines))
 
 
 def cmd_solve(args) -> int:
     params = _parse_params(args.param)
-    game, names, entry = _load_source(args.source, params)
+    game, names = _load_source(args.source, params)
     config = _make_config(args)
     truncated = False
     converged = True
@@ -303,97 +296,92 @@ def cmd_solve(args) -> int:
         results = [one]
         converged = one.is_equilibrium
         method = solver.ITERATIVE
+    labels = _strategy_labels(game, names)
 
-    document: dict[str, Any] = {
-        "schema_version": 1,
-        "command": "solve",
-        "source": args.source,
-        "players": list(names),
-        "K": game.max_coalition,
-        "method": method,
-        "equilibria": [_equilibrium_entry(game, names, r) for r in results],
-    }
-    if params:
-        document["parameters"] = {k: _fr(v) for k, v in sorted(params.items())}
-    if truncated:
-        document["truncated"] = True
-    if not converged:
-        document["converged"] = False
+    if args.json:
+        document = _game_document("solve", args.source, game, names)
+        document["method"] = method
+        document["equilibria"] = [_equilibrium_entry(game, names, labels, r) for r in results]
+        if params:
+            document["parameters"] = {k: _fr(v) for k, v in sorted(params.items())}
+        if truncated:
+            document["truncated"] = True
+        if not converged:
+            document["converged"] = False
+        return _emit(dumps(document))
 
     lines = [
         f"{args.source}: {game.n_players} players, K={game.max_coalition}, method {method}"
     ]
     if game.n_players == 2:
         lines.append("")
-        lines.extend(_matrix_lines(game, names))
+        lines.extend(_matrix_lines(game, names, labels))
     lines.append("")
     if not results:
         lines.append("no equilibria found")
-    shown = results if len(results) <= 24 else results[:24]
+    shown = results[:24]
     for i, result in enumerate(shown, start=1):
-        lines.extend(_equilibrium_lines(game, names, i, result))
+        lines.extend(_equilibrium_lines(game, names, labels, i, result))
     if len(results) > len(shown):
         lines.append(f"... and {len(results) - len(shown)} more ({len(results)} total)")
     if truncated:
         lines.append("note: support search truncated by max_support cap")
     if not converged:
         lines.append("note: iteration budget exhausted without convergence")
-    return _emit(args, document, lines)
+    return _emit("\n".join(lines))
 
 
 def cmd_analyze(args) -> int:
     params = _parse_params(args.param)
-    game, names, entry = _load_source(args.source, params)
-    config = _make_config(args)
-    if args.profile:
-        mixed = load_profile(args.profile, game)
-        result = _supplied_equilibrium(game, mixed)
-    else:
-        result = _default_equilibrium(game, config)
-    report = solver.verify_epsilon_nash(game, result.profile)
+    game, names = _load_source(args.source, params)
+    result, report = _chosen_equilibrium(game, args, _make_config(args))
+    if report is None:
+        report = solver.verify_epsilon_nash(game, result.profile)
+    stochastic = coalition = coop = None
+    if result.is_equilibrium:
+        stochastic = analysis.classify_stochastic(game, result)
+        if args.coalition:
+            coalition = _parse_coalition(args.coalition, names)
+            coop = analysis.is_complete_cooperation(game, result, coalition)
+    labels = _strategy_labels(game, names)
 
-    document: dict[str, Any] = {
-        "schema_version": 1,
-        "command": "analyze",
-        "source": args.source,
-        "players": list(names),
-        "K": game.max_coalition,
-        "verification": {
+    if args.json:
+        document = _game_document("analyze", args.source, game, names)
+        document["verification"] = {
             "expected": [_fr(v) for v in report.expected],
             "best_response": [_fr(v) for v in report.best_response],
             "regrets": [_fr(v) for v in report.regrets],
             "max_regret": _fr(report.max_regret),
             "passed": report.passed,
-        },
-        "equilibrium": _equilibrium_entry(game, names, result),
-    }
-    lines = [f"{args.source}: {game.n_players} players, K={game.max_coalition}"]
-    lines.extend(_equilibrium_lines(game, names, 1, result))
-    lines.append(f"verified: {'yes' if report.passed else 'no'} (max regret {_show(report.max_regret)})")
-
-    if result.is_equilibrium:
-        stochastic = analysis.classify_stochastic(game, result)
-        document["stochastic"] = stochastic
-        lines.append(f"stochastic: {'yes' if stochastic else 'no'}")
-        if args.coalition:
-            coalition = _parse_coalition(args.coalition, names)
-            coop = analysis.is_complete_cooperation(game, result, coalition)
+        }
+        document["equilibrium"] = _equilibrium_entry(game, names, labels, result)
+        if result.is_equilibrium:
+            document["stochastic"] = stochastic
+        if coop is not None:
             document["cooperation"] = {
                 "coalition": [names[i] for i in coalition],
                 "ex_ante": coop.ex_ante,
                 "ex_post": coop.ex_post,
                 "complete": coop.complete,
             }
-            shown = ",".join(names[i] for i in coalition)
-            lines.append(
-                f"cooperation {{{shown}}}: "
-                f"{'complete' if coop.complete else 'incomplete'} "
-                f"(ex ante {'yes' if coop.ex_ante else 'no'}, "
-                f"ex post {'yes' if coop.ex_post else 'no'})"
-            )
+        return _emit(dumps(document))
+
+    lines = [f"{args.source}: {game.n_players} players, K={game.max_coalition}"]
+    lines.extend(_equilibrium_lines(game, names, labels, 1, result))
+    lines.append(f"verified: {'yes' if report.passed else 'no'} (max regret {_show(report.max_regret)})")
+    if result.is_equilibrium:
+        lines.append(f"stochastic: {'yes' if stochastic else 'no'}")
     else:
         lines.append("note: profile is not an equilibrium; no further classification")
-    return _emit(args, document, lines)
+    if coop is not None:
+        shown = ",".join(names[i] for i in coalition)
+        lines.append(
+            f"cooperation {{{shown}}}: "
+            f"{'complete' if coop.complete else 'incomplete'} "
+            f"(ex ante {'yes' if coop.ex_ante else 'no'}, "
+            f"ex post {'yes' if coop.ex_post else 'no'})"
+        )
+    return _emit("\n".join(lines))
 
 
 def _parse_coalition(raw: str, names: Sequence[str]):
@@ -414,7 +402,7 @@ def _parse_coalition(raw: str, names: Sequence[str]):
 def cmd_stability(args) -> int:
     params = _parse_params(args.param)
     if len(args.source) == 1:
-        game, names, entry = _load_source(args.source[0], params)
+        game, names = _load_source(args.source[0], params)
         family = [game.restrict(k) for k in range(args.K0, game.max_coalition + 1)]
     else:
         if params:
@@ -422,66 +410,58 @@ def cmd_stability(args) -> int:
         loaded = [load_game(path) for path in args.source]
         names = loaded[0][1]
         family = [g for g, _ in loaded]
-    family.sort(key=lambda g: g.max_coalition)
     base = next((g for g in family if g.max_coalition == args.K0), None)
     if base is None:
         raise ValueError(f"no family member has K={args.K0}")
     config = _make_config(args)
-    if args.profile:
-        mixed = load_profile(args.profile, base)
-        result = _supplied_equilibrium(base, mixed)
-    else:
-        result = _default_equilibrium(base, config)
+    result, _ = _chosen_equilibrium(base, args, config)
     report = analysis.stability_K_star(family, args.K0, result, config)
-
     source_text = " ".join(args.source)
-    document: dict[str, Any] = {
-        "schema_version": 1,
-        "command": "stability",
-        "source": source_text,
-        "K0": report.K0,
-        "K_star": report.K_star,
-        "checks": [
-            {"K": c.K, "payoff_ok": c.payoff_ok, "domain_ok": c.domain_ok, "passed": c.passed}
-            for c in report.per_K_checks
-        ],
-        "diagnostics": [
-            {
-                "K": d.K,
-                "profile": list(d.profile),
-                "payoffs": [_fr(v) for v in d.payoffs],
-            }
-            for d in report.diagnostics
-        ],
-        "equilibrium": _equilibrium_entry(base, names, result),
-    }
+    labels = _strategy_labels(base, names)
+
+    if args.json:
+        document = _document(
+            "stability",
+            source=source_text,
+            K0=report.K0,
+            K_star=report.K_star,
+            checks=[
+                {"K": c.K, "payoff_ok": c.payoff_ok, "domain_ok": c.domain_ok, "passed": c.passed}
+                for c in report.per_K_checks
+            ],
+            diagnostics=[
+                {"K": d.K, "profile": list(d.profile), "payoffs": [_fr(v) for v in d.payoffs]}
+                for d in report.diagnostics
+            ],
+            equilibrium=_equilibrium_entry(base, names, labels, result),
+        )
+        return _emit(dumps(document))
+
     lines = [f"{source_text}: K0={report.K0} -> K* = {report.K_star}"]
-    lines.extend(_equilibrium_lines(base, names, 1, result))
+    lines.extend(_equilibrium_lines(base, names, labels, 1, result))
     for check in report.per_K_checks:
         verdict = "pass" if check.passed else "FAIL"
         lines.append(
             f"  K={check.K}: payoffs {'ok' if check.payoff_ok else 'fail'}, "
             f"domains {'ok' if check.domain_ok else 'fail'} -> {verdict}"
         )
+    # stability_K_star has checked that the caps are distinct
+    by_cap = {g.max_coalition: g for g in family}
+    tables = {k: _strategy_labels(by_cap[k], names) for k in {d.K for d in report.diagnostics}}
     for d in report.diagnostics:
-        game_at = next(g for g in family if g.max_coalition == d.K)
-        labels = ", ".join(
-            _strategy_label(game_at, names, i, game_at.strategy_sets[i][d.profile[i]])
-            for i in range(game_at.n_players)
-        )
+        shown = ", ".join(tables[d.K][i][j] for i, j in enumerate(d.profile))
         pay = ", ".join(_fr(v) for v in d.payoffs)
         lines.append(
-            f"  diagnostic at K={d.K}: dominating pure equilibrium ({labels}) with payoffs ({pay})"
+            f"  diagnostic at K={d.K}: dominating pure equilibrium ({shown}) with payoffs ({pay})"
         )
-    return _emit(args, document, lines)
+    return _emit("\n".join(lines))
 
 
 def cmd_catalog(args) -> int:
     if args.id:
-        key = ALIASES.get(args.id, args.id)
-        entry = get_entry(key)
-        document = _catalog_entry_dict(entry)
-        document.update({"schema_version": 1, "command": "catalog"})
+        entry = get_entry(ALIASES.get(args.id, args.id))
+        if args.json:
+            return _emit(dumps(_document("catalog", **_catalog_entry_dict(entry))))
         lines = [
             f"{entry.id}: {entry.description}",
             f"  players: {', '.join(entry.player_names)} ({entry.n_players})",
@@ -490,18 +470,14 @@ def cmd_catalog(args) -> int:
         if entry.parameters:
             rendered = ", ".join(f"{k}={_fr(v)}" for k, v in sorted(entry.parameters))
             lines.append(f"  parameters: {rendered}")
-        return _emit(args, document, lines)
-    document = {
-        "schema_version": 1,
-        "command": "catalog",
-        "entries": [_catalog_entry_dict(e) for e in CATALOG.values()],
-    }
-    lines = []
-    for entry in CATALOG.values():
-        lines.append(
-            f"{entry.id:<14} {entry.n_players} players, K={entry.max_coalition}  {entry.description}"
-        )
-    return _emit(args, document, lines)
+        return _emit("\n".join(lines))
+    if args.json:
+        entries = [_catalog_entry_dict(e) for e in CATALOG.values()]
+        return _emit(dumps(_document("catalog", entries=entries)))
+    return _emit("\n".join(
+        f"{entry.id:<14} {entry.n_players} players, K={entry.max_coalition}  {entry.description}"
+        for entry in CATALOG.values()
+    ))
 
 
 def _catalog_entry_dict(entry: CatalogEntry) -> dict:
@@ -527,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="number of players")
     p.add_argument("-K", type=int, default=None, help="largest allowed block (default n)")
     p.add_argument("--count-only", action="store_true", help="print only the count")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="find equilibria of a game")
@@ -546,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE[,NAME=VALUE...]",
         help="catalog game parameter overrides",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("analyze", help="inspect one equilibrium of a game")
@@ -554,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coalition", default=None, metavar='"A,B"', help="players to test for cooperation")
     p.add_argument("--profile", default=None, help="mixed profile file to analyze")
     p.add_argument("--param", action="append", metavar="NAME=VALUE[,NAME=VALUE...]")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stability", help="largest cap an equilibrium survives")
@@ -562,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K0", type=int, required=True, help="cap the equilibrium is computed at")
     p.add_argument("--profile", default=None, help="mixed profile file for the base game")
     p.add_argument("--param", action="append", metavar="NAME=VALUE[,NAME=VALUE...]")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("catalog", help="list built-in games")
     p.add_argument("--id", default=None, help="show one entry in detail")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_catalog)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

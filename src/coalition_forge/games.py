@@ -146,9 +146,6 @@ class CoalitionGame:
 
     # -- basic accessors -------------------------------------------------
 
-    def strategies_of(self, player: int) -> tuple[Strategy, ...]:
-        return self.strategy_sets[player]
-
     def profiles(self):
         """All profiles in lexicographic order of strategy indices."""
         return itertools.product(*(range(k) for k in self.shape))
@@ -328,8 +325,10 @@ class CoalitionGame:
         right arity. Grouping a total function cannot overlap, so the
         decomposition is disjoint and covering by construction.
         """
-        index = self.realized_index.ravel().tolist()
+        # Payoffs first: under unanimity the structure index allocates
+        # arrays the size of the whole profile space.
         self.payoff_tensor
+        index = self.realized_index.ravel().tolist()
         domains: dict[int, list[Profile]] = {}
         for profile, s in zip(self.profiles(), index):
             domains.setdefault(s, []).append(profile)

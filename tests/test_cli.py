@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from coalition_forge import cli, solver
 from coalition_forge.catalog import build_game
 from coalition_forge.cli import SEED_ENV, _make_config, main
 from coalition_forge.gamefile import dumps, game_to_dict, profile_to_dict
@@ -358,3 +359,55 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "15\n"
+
+
+class TestOneRenderingPerRun:
+    """Each command builds only the format it prints."""
+
+    @staticmethod
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built a rendering that is not printed")
+
+    def test_text_runs_build_no_json(self, monkeypatch):
+        argvs = [("solve", "pd-extended"), ("solve", "bos", "--method", "support")]
+        expected = [run(*argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_equilibrium_entry", self.refuse)
+        monkeypatch.setattr(cli, "dumps", self.refuse)
+        for argv, before in zip(argvs, expected):
+            assert before[0] == 0
+            assert run(*argv) == before
+
+    def test_json_runs_build_no_text(self, monkeypatch, tmp_path):
+        profile = write_json(
+            tmp_path / "eq.json",
+            profile_to_dict(MixedProfile(((Fraction(0), Fraction(1)),) * 2)),
+        )
+        argvs = [
+            ("solve", "pd-extended"),
+            ("solve", "bos", "--method", "support"),
+            ("analyze", "pd-extroverts", "--coalition", "1,2"),
+            ("analyze", "pd-standard", "--profile", profile),
+            ("stability", "stag-hare", "--K0", "1"),
+        ]
+        expected = [run(*argv, "--json") for argv in argvs]
+        monkeypatch.setattr(cli, "_equilibrium_lines", self.refuse)
+        monkeypatch.setattr(cli, "_matrix_lines", self.refuse)
+        for argv, before in zip(argvs, expected):
+            assert before[0] == 0
+            assert run(*argv, "--json") == before
+
+    def test_supplied_profile_is_verified_once(self, monkeypatch, tmp_path):
+        uniform = MixedProfile(((Fraction(1, 2), Fraction(1, 2)),) * 2)
+        path = write_json(tmp_path / "uniform.json", profile_to_dict(uniform))
+        calls = []
+        verify = solver.verify_epsilon_nash
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "verify_epsilon_nash", counted)
+        code, out, _ = run("analyze", "pd-standard", "--profile", path)
+        assert code == 0
+        assert "verified: no (max regret 3/2)" in out
+        assert len(calls) == 1

@@ -260,6 +260,20 @@ class TestValidation:
                 ((Strategy(0), Strategy(0)), (Strategy(0),)),
             )
 
+    def test_missing_payoffs_fail_before_the_mechanism_is_built(self):
+        # 810,000 declared profiles: the payoff check must come first,
+        # before the structure index allocates arrays of that size.
+        family = enumerate_partitions(4, 4)
+        strategies = tuple(
+            Strategy(k, action) for k in range(len(family)) for action in ("x", "y")
+        )
+        game = CoalitionGame(
+            4, 4, family, (strategies,) * 4, payoffs={(0, 0, 0, 0): (0, 0, 0, 0)}
+        )
+        with pytest.raises(ValidationError, match=r"no entry for profile \(0, 0, 0, 1\)"):
+            game.validate_domains()
+        assert "realized_index" not in game.__dict__
+
     def test_family_dimensions_must_match(self):
         family = enumerate_partitions(3, 2)
         with pytest.raises(ValidationError):
