@@ -3,17 +3,18 @@
 Three solvers cover the usual cases: an exhaustive pure profile search
 with a group redesire screen, exact support enumeration for two player
 games, and damped fictitious play for everything else. The exact lanes
-work in rational arithmetic end to end. The iterative lane runs on
-floats and reports the residual regret it achieved, snapping to an
-exactly verified pure profile when best responses lock in.
+compare payoffs, and the support lane also solves, in the game's integer
+units (payoff_ints), with Fractions only in their results. The iterative
+lane runs on floats and reports the residual regret it achieved,
+snapping to an exactly verified pure profile when best responses lock
+in.
 
-All lanes read the game's payoff tensor through one contraction: a
-player's deviation values are the tensor, sliced to the other players'
-supports and contracted with their weights, in Fractions for exact
-profiles and floats otherwise. The pure lane reads the game's
-best-reply counts and compares joint redesires on its integer payoffs
-(payoff_ints); lotteries group the support grid by the game's
-realized-structure index.
+Verification, expected utilities and fictitious play read the payoff
+tensor through one contraction: a player's deviation values are the
+tensor, sliced to the other players' supports and contracted with their
+weights, in Fractions for exact profiles and floats otherwise. The pure
+lane reads best-reply counts; lotteries group the support grid by the
+game's realized-structure index.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class SolverConfig:
 
     tolerance applies to float verification and iterative convergence.
     max_support caps the support sizes tried by enumeration (None picks
-    min(6, set size)). damping scales the fictitious play step
-    damping / (t + 2); rng_seed 0 means a uniform start, anything else
-    seeds a Dirichlet draw.
+    min(6, the smaller strategy count)). damping scales the fictitious
+    play step damping / (t + 2); rng_seed 0 means a uniform start,
+    anything else seeds a Dirichlet draw.
     """
 
     tolerance: float = 1e-9
@@ -171,6 +172,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SupportEnumeration:
+    """The exact equilibria support enumeration found, sorted by support.
+
+    truncated is True when the support size cap was below some player's
+    strategy count, so larger supports went untried.
+    """
+
     equilibria: tuple[EquilibriumResult, ...]
     truncated: bool = False
 
@@ -389,74 +396,49 @@ def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:
 # -- support enumeration (two players) -----------------------------------
 
 
-def solve_linear_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; None when singular."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+def _solve_fraction_free(rows):
+    """Solve an n x (n+1) augmented integer system; None when singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each step sets
+    every other row to (pivot * row - factor * pivot row) // previous
+    pivot, exact since every entry is a minor of the system. Pivots are
+    the first nonzero entry at or below the diagonal, and the last one
+    ends on the whole diagonal. Returns (numerators, denominator > 0),
+    overwriting rows.
+    """
+    n = len(rows)
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(p * v - f * t) // previous for v, t in zip(row, top)]
+        previous = p
+    sign = 1 if previous > 0 else -1
+    return [sign * row[n] for row in rows], sign * previous
 
 
 def _indifference_weights(pay, own_support, other_support):
     """Opponent weights making the player indifferent across own_support.
 
-    pay[own][other] is the player's payoff matrix oriented so the first
-    index is their own strategy. Returns the weights, or None when the
-    linear system is singular or leaves the support.
+    pay[own][other] is the player's integer payoff matrix oriented so
+    the first index is their own strategy; a positive scale of pay
+    leaves the weights alone. Returns (numerators, denominator > 0), or
+    None when the linear system is singular or leaves the support.
     """
     k = len(own_support)
-    matrix = [
-        [pay[i][j] for j in other_support] + [Fraction(-1)] for i in own_support
-    ]
-    matrix.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    solution = solve_linear_exact(matrix, rhs)
-    if solution is None:
+    rows = [[pay[i][j] for j in other_support] + [-1, 0] for i in own_support]
+    rows.append([1] * k + [0, 1])
+    solution = _solve_fraction_free(rows)
+    if solution is None or min(solution[0][:k]) <= 0:
         return None
-    weights = solution[:k]
-    if any(w <= 0 for w in weights):
-        return None
-    return weights
-
-
-def _full_weights(size: int, support, weights) -> tuple[Fraction, ...]:
-    row = [Fraction(0)] * size
-    for idx, w in zip(support, weights):
-        row[idx] = Fraction(w)
-    return tuple(row)
-
-
-def _candidate_result(game: CoalitionGame, mixed: MixedProfile):
-    """The candidate as an exact equilibrium, or None.
-
-    It passes when each player's best deviation value equals their
-    expected value, the zero-regret rule of verify_epsilon_nash.
-    """
-    values = [_deviation_values(game, i, mixed) for i in range(2)]
-    expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
-    if any(max(v) != e for v, e in zip(values, expected)):
-        return None
-    degenerate = any(
-        v.count(e) > len(items) for v, e, items in zip(values, expected, mixed.support_items())
-    )
-    return EquilibriumResult(
-        profile=mixed,
-        expected_payoffs=expected,
-        max_regret=Fraction(0),
-        method=SUPPORT,
-        is_equilibrium=True,
-        degenerate=degenerate,
-    )
+    return solution[0][:k], solution[1]
 
 
 def mixed_nash_2p_support_enum(
@@ -466,13 +448,16 @@ def mixed_nash_2p_support_enum(
 
     Each pair of supports yields one candidate: the indifference
     system's weights when the supports are equal sized and both systems
-    solve, uniform weights otherwise. Every result is an exact
-    equilibrium, and results come sorted by support. The lane is not
-    complete on degenerate games: it misses every equilibrium that is
-    neither a square system's solution nor uniform on its supports, and
-    can miss whole components. Two games from
-    random_two_player_game(random.Random(7), 4), payoffs shifted by +6:
-    trial 278, A = [[6,10],[11,6],[4,11],[7,2]],
+    solve, uniform weights otherwise. It passes when every support
+    strategy of both players reaches their best deviation value, the
+    zero-regret rule of verify_epsilon_nash. Weights, values and the
+    check are integers in payoff_ints units; only accepted candidates
+    become Fractions. Every result is an exact equilibrium, and results
+    come sorted by support. The lane is not complete on degenerate
+    games: it misses every equilibrium that is neither a square system's
+    solution nor uniform on its supports, and can miss whole components.
+    Two games from random_two_player_game(random.Random(7), 4), payoffs
+    shifted by +6: trial 278, A = [[6,10],[11,6],[4,11],[7,2]],
     B = [[8,8],[8,10],[7,11],[1,7]], where pure row 0 against column
     mixes from (1/3, 2/3) to (4/9, 5/9) is missed; trial 298,
     A = [[7,2,11],[11,4,11]], B = [[11,1,3],[2,7,6]], where the row mix
@@ -483,31 +468,45 @@ def mixed_nash_2p_support_enum(
             f"support enumeration handles exactly 2 players, game has {game.n_players}"
         )
     config = config or SolverConfig()
-    n1 = len(game.strategy_sets[0])
-    n2 = len(game.strategy_sets[1])
-    cap = config.max_support if config.max_support is not None else min(6, n1, n2)
-    pay1 = game.payoff_tensor[..., 0].tolist()
-    pay2_t = game.payoff_tensor[..., 1].T.tolist()
+    sizes = [len(s) for s in game.strategy_sets]
+    cap = config.max_support if config.max_support is not None else min(6, *sizes)
+    pay = [game.payoff_ints[..., 0].tolist(), game.payoff_ints[..., 1].T.tolist()]
+    scale = game.payoff_scale
     # Lexicographic support lists make the pairs come in result order.
     supports = [
         sorted(
             s for size in range(1, min(cap, n) + 1) for s in itertools.combinations(range(n), size)
         )
-        for n in (n1, n2)
+        for n in sizes
     ]
     found = []
-    for sup1, sup2 in itertools.product(*supports):
-        w1, w2 = [Fraction(1, len(sup1))] * len(sup1), [Fraction(1, len(sup2))] * len(sup2)
-        if len(sup1) == len(sup2):
-            solved1 = _indifference_weights(pay2_t, sup2, sup1)
-            solved2 = _indifference_weights(pay1, sup1, sup2)
-            if solved1 is not None and solved2 is not None:
-                w1, w2 = solved1, solved2
-        mixed = MixedProfile((_full_weights(n1, sup1, w1), _full_weights(n2, sup2, w2)))
-        result = _candidate_result(game, mixed)
-        if result is not None:
-            found.append(result)
-    return SupportEnumeration(equilibria=tuple(found), truncated=cap < max(n1, n2))
+    for pair in itertools.product(*supports):
+        weights = [([1] * len(s), len(s)) for s in pair]
+        if len(pair[0]) == len(pair[1]):
+            solved = [
+                _indifference_weights(pay[1], pair[1], pair[0]),
+                _indifference_weights(pay[0], pair[0], pair[1]),
+            ]
+            if None not in solved:
+                weights = solved
+        # Each player's value of every own strategy, times the opponent's denominator.
+        best, ties = [], []
+        for i, (other, (q, _)) in enumerate(zip(pair[::-1], weights[::-1])):
+            v = [sum(row[j] * w for j, w in zip(other, q)) for row in pay[i]]
+            best.append(max(v))
+            if any(v[k] != best[i] for k in pair[i]):
+                break
+            ties.append(v.count(best[i]) > len(pair[i]))
+        else:
+            rows = [[_ZERO] * size for size in sizes]
+            for row, support, (numerators, denominator) in zip(rows, pair, weights):
+                for k, w in zip(support, numerators):
+                    row[k] = Fraction(w, denominator)
+            expected = tuple(Fraction(b, d * scale) for b, (_, d) in zip(best, weights[::-1]))
+            found.append(
+                EquilibriumResult(MixedProfile(rows), expected, _ZERO, SUPPORT, True, any(ties))
+            )
+    return SupportEnumeration(equilibria=tuple(found), truncated=cap < max(sizes))
 
 
 # -- iterative solver ----------------------------------------------------

@@ -1,8 +1,11 @@
 """The payoff tensor and realized-structure index against brute-force walks.
 
-Every oracle here reads the game's payoffs mapping and mechanism table
-directly, walking whole profile spaces one profile at a time, so it
-shares no code with the tensor contractions it checks.
+Every brute-force oracle here reads the game's payoffs mapping and
+mechanism table directly, walking whole profile spaces one profile at a
+time, so it shares no code with the tensor contractions it checks. The
+one exception is the Fraction support lane, the integer support lane's
+reference, which reads the payoff tensor through the same contraction
+that the brute-force checks of verification cover.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import copy
 import io
 import itertools
 import math
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _shared import game as catalog_game
+from _shared import random_two_player_game
 from coalition_forge.cli import main
 from coalition_forge.gamefile import (
     GameFileError,
@@ -33,9 +38,14 @@ from coalition_forge.gamefile import (
 from coalition_forge.games import TABLE, CoalitionGame, Mechanism, Strategy, ValidationError
 from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
 from coalition_forge.solver import (
+    SUPPORT,
     EquilibriumResult,
     MixedProfile,
     SolverConfig,
+    SupportEnumeration,
+    _deviation_values,
+    _expected,
+    _solve_fraction_free,
     expected_utilities,
     expected_utility_by_structure,
     first_pure_equilibrium,
@@ -187,6 +197,112 @@ def brute_nash(game):
     return found
 
 
+# -- the Fraction support lane ----------------------------------------------------
+#
+# The support lane as it stood before it moved to integer units: Fraction
+# Gaussian elimination for the indifference weights and the exact
+# deviation values for the check. The integer lane must give the same
+# results, repr for repr.
+
+
+def fraction_solve(matrix, rhs):
+    """Gaussian elimination over Fractions; None when singular."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def fraction_indifference_weights(pay, own_support, other_support):
+    k = len(own_support)
+    matrix = [[pay[i][j] for j in other_support] + [Fraction(-1)] for i in own_support]
+    matrix.append([Fraction(1)] * k + [Fraction(0)])
+    solution = fraction_solve(matrix, [Fraction(0)] * k + [Fraction(1)])
+    if solution is None or any(w <= 0 for w in solution[:k]):
+        return None
+    return solution[:k]
+
+
+def fraction_support_enum(game, max_support=None):
+    sizes = [len(s) for s in game.strategy_sets]
+    cap = max_support if max_support is not None else min(6, *sizes)
+    pay1 = game.payoff_tensor[..., 0].tolist()
+    pay2_t = game.payoff_tensor[..., 1].T.tolist()
+    supports = [
+        sorted(s for k in range(1, min(cap, n) + 1) for s in itertools.combinations(range(n), k))
+        for n in sizes
+    ]
+    found = []
+    for sup1, sup2 in itertools.product(*supports):
+        w1, w2 = [Fraction(1, len(sup1))] * len(sup1), [Fraction(1, len(sup2))] * len(sup2)
+        if len(sup1) == len(sup2):
+            solved1 = fraction_indifference_weights(pay2_t, sup2, sup1)
+            solved2 = fraction_indifference_weights(pay1, sup1, sup2)
+            if solved1 is not None and solved2 is not None:
+                w1, w2 = solved1, solved2
+        rows = []
+        for size, support, weights in zip(sizes, (sup1, sup2), (w1, w2)):
+            row = [Fraction(0)] * size
+            for k, w in zip(support, weights):
+                row[k] = Fraction(w)
+            rows.append(tuple(row))
+        mixed = MixedProfile(tuple(rows))
+        values = [_deviation_values(game, i, mixed) for i in range(2)]
+        expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
+        if any(max(v) != e for v, e in zip(values, expected)):
+            continue
+        degenerate = any(
+            v.count(e) > len(items) for v, e, items in zip(values, expected, mixed.support_items())
+        )
+        found.append(EquilibriumResult(mixed, expected, Fraction(0), SUPPORT, True, degenerate))
+    return SupportEnumeration(tuple(found), cap < max(sizes))
+
+
+class ExactInt(int):
+    """An int whose floor divisions must leave no remainder; arithmetic keeps the type."""
+
+    def __floordiv__(self, other):
+        quotient, remainder = divmod(int(self), int(other))
+        assert remainder == 0, f"{int(self)} // {int(other)} leaves {remainder}"
+        return ExactInt(quotient)
+
+    def __rfloordiv__(self, other):
+        return ExactInt(other) // self
+
+    def __mul__(self, other):
+        return ExactInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return ExactInt(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return ExactInt(int(other) - int(self))
+
+
+def square_game(seed, m):
+    """A seeded m x m unanimity game with integer payoffs in [-9, 9]."""
+    rng = random.Random(seed)
+    menu = [Strategy(d, a) for d in range(2) for a in "abcd"]
+    sets = tuple(tuple(rng.sample(menu, m)) for _ in range(2))
+    payoffs = {
+        p: (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        for p in itertools.product(range(m), repeat=2)
+    }
+    return CoalitionGame(2, 2, enumerate_partitions(2, 2), sets, Mechanism(), payoffs)
+
+
 # -- random games ------------------------------------------------------------
 
 
@@ -249,10 +365,23 @@ big_numerators = st.builds(
     small_numerators,
     st.sampled_from([0, 0, 0, 2**63, -(2**64)]),
 )
-exact_games = st.one_of(
-    coalition_games(payoff_values=st.builds(Fraction, numerators, st.integers(1, 7)))
+exact_payoffs = [
+    st.builds(Fraction, numerators, st.integers(1, 7))
     for numerators in (small_numerators, big_numerators)
-)
+]
+exact_games = st.one_of(coalition_games(payoff_values=values) for values in exact_payoffs)
+
+
+@st.composite
+def two_player_games(draw, payoff_values):
+    """Two-player unanimity games with 1 to 5 strategies each."""
+    family = enumerate_partitions(2, 2)
+    menu = [Strategy(d, a) for d in range(len(family)) for a in "abc"]
+    sets = tuple(tuple(draw(st.permutations(menu))[: draw(st.integers(1, 5))]) for _ in range(2))
+    profiles = list(itertools.product(*(range(len(s)) for s in sets)))
+    values = draw(st.lists(payoff_values, min_size=2 * len(profiles), max_size=2 * len(profiles)))
+    payoffs = {p: (values[2 * k], values[2 * k + 1]) for k, p in enumerate(profiles)}
+    return CoalitionGame(2, 2, family, sets, Mechanism(), payoffs)
 
 
 @st.composite
@@ -390,6 +519,70 @@ class TestSolverLanes:
             if support == [1, 1]:
                 pure[tuple(row.index(1) for row in mixed.weights)] = result.degenerate
         assert pure == brute_nash(game)
+
+    @DIFFERENTIAL
+    @given(st.one_of(two_player_games(values) for values in exact_payoffs))
+    def test_support_lane_matches_the_fraction_lane(self, game):
+        for max_support in (None, 1, 2, 3):
+            found = mixed_nash_2p_support_enum(game, SolverConfig(max_support=max_support))
+            assert repr(found) == repr(fraction_support_enum(game, max_support))
+
+    @settings(DIFFERENTIAL, max_examples=300)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-(2**62), 2**62), min_size=n + 1, max_size=n + 1),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from([False, True, False]),
+        st.data(),
+    )
+    def test_fraction_free_solve(self, rows, repeat, data):
+        n = len(rows)
+        # About three systems in ten repeat a row, so they are singular.
+        repeated = n > 1 and repeat
+        if repeated:
+            source, target = data.draw(st.permutations(range(n)))[:2]
+            rows[target] = list(rows[source])
+        expected = fraction_solve([row[:n] for row in rows], [row[n] for row in rows])
+        solution = _solve_fraction_free([[ExactInt(v) for v in row] for row in rows])
+        if expected is None:
+            assert solution is None
+            return
+        assert not repeated
+        numerators, denominator = solution
+        assert type(denominator) is ExactInt and denominator > 0
+        assert [Fraction(v, denominator) for v in numerators] == expected
+
+    def test_random_games_keep_their_results(self):
+        rng = random.Random(7)
+        games = [random_two_player_game(rng, 4) for _ in range(300)]
+        results = [r for g in games for r in mixed_nash_2p_support_enum(g).equilibria]
+        assert len(results) == 609
+        assert sum(r.degenerate for r in results) == 209
+        assert sum(not r.profile.is_pure for r in results) == 200
+        # Trials 278 and 298 each keep one pure result and still miss the
+        # mixed equilibria that the lane's docstring names.
+        for trial, found, payoffs, missed in (
+            (278, ((0, 0, 1, 0), (0, 1)), (5, 5), ((1, 0, 0, 0), (Fraction(1, 3), Fraction(2, 3)))),
+            (298, ((0, 1), (0, 1, 0)), (-2, 1), ((Fraction(1, 3), Fraction(2, 3)), (0, 0, 1))),
+        ):
+            (result,) = mixed_nash_2p_support_enum(games[trial]).equilibria
+            assert result.profile.weights == found and result.expected_payoffs == payoffs
+            assert not result.degenerate
+            assert verify_epsilon_nash(games[trial], MixedProfile(missed)).passed
+
+    @pytest.mark.parametrize("seed, m", [(6, 6), (8, 8)])
+    def test_larger_games_reach_zero_regret(self, seed, m):
+        game = square_game(seed, m)
+        found = mixed_nash_2p_support_enum(game)
+        assert found.equilibria and found.truncated == (m > 6)
+        for result in found.equilibria:
+            values = [brute_deviation_values(game, result.profile, i) for i in range(2)]
+            assert [max(v) for v in values] == list(brute_expected(game, result.profile))
+            assert list(result.expected_payoffs) == [max(v) for v in values]
 
     @DIFFERENTIAL
     @given(coalition_games())
