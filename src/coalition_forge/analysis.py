@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .games import CoalitionGame, Profile, payoff_isomorphic
+from .games import CoalitionGame, Profile, ValidationError, payoff_isomorphic
 from .partitions import Coalition, CoalitionStructure
 from .solver import (
     EquilibriumResult,
@@ -243,7 +243,7 @@ def _pareto_dominating_pures(
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
     for profile in map(tuple, np.argwhere(dominating).tolist()):
         if is_pure_equilibrium(game, profile):
-            payoffs = tuple(game.payoff_tensor[profile].tolist())
+            payoffs = tuple(game.payoffs[profile])
             yield StabilityDiagnostic(game.max_coalition, profile, payoffs)
 
 
@@ -272,7 +272,13 @@ def stability_K_star(
     if any(g.n_players != games[0].n_players for g in games):
         raise ValueError("family mixes player counts")
     for small, big in zip(games, games[1:]):
-        if not payoff_isomorphic(big.restrict(small.max_coalition), small):
+        try:
+            nested = payoff_isomorphic(big.restrict(small.max_coalition), small)
+        except ValidationError:
+            # The larger game has no valid restriction to the smaller cap,
+            # such as when a player keeps no strategy under it.
+            nested = False
+        if not nested:
             raise ValueError(
                 f"family is not nested between caps {small.max_coalition} "
                 f"and {big.max_coalition}"

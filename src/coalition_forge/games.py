@@ -5,18 +5,19 @@ profile of desires to one realized coalition structure, which splits the
 profile space into disjoint domains, one per reachable structure.
 
 Payoffs come in as a mapping from profile to exact rationals, the form
-game files hold. On first use a game turns it into a payoff tensor of
-shape (*strategy counts, n_players) holding the same Fractions, and the
-mechanism into a realized-structure index: the family index of the
-structure each profile realizes. Every consumer reads these two arrays.
-
-Consumers that only compare payoffs read a third: payoff_ints, the
-payoff tensor times payoff_scale (the lcm of every payoff's
-denominator) as exact integers, int64 when every value fits and Python
-ints otherwise. Scaling by a positive integer keeps every order and
-tie, so best-reply counts, payoff peaks, the group-redesire screen and
-the Pareto filter of the stability scan compare integers there;
-arithmetic (expected utilities, lotteries, results) stays in Fractions.
+game files hold. On first use a game turns it, in one pass, into its
+one payoff tensor, payoff_ints: shape (*strategy counts, n_players),
+every payoff times payoff_scale (the lcm of every payoff's denominator)
+as an exact integer, int64 when every value fits and Python ints
+otherwise. The mechanism becomes a realized-structure index: the family
+index of the structure each profile realizes. Every consumer reads
+these two arrays. Scaling by a positive integer keeps every order and
+tie, so comparisons (best-reply counts, payoff peaks, the group-redesire
+screen, the Pareto filter of the stability scan) read the integers as
+they are; exact values divide a contraction of them by payoff_scale
+once per value, and float values read each payoff rounded once from
+its exact value. Single payoffs are read from the mapping once the
+table is valid, so they keep their objects.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
@@ -181,53 +182,52 @@ class CoalitionGame:
     # -- exact tensors ---------------------------------------------------
 
     @cached_property
-    def payoff_tensor(self) -> np.ndarray:
-        """The payoffs as a read-only object array of shape (*shape, n_players).
+    def _scaled_payoffs(self) -> tuple[np.ndarray, int]:
+        """payoff_ints and payoff_scale, from one pass over the payoffs mapping.
 
         Built on first use, so a builder may fill the mapping after
         constructing the game. Every payoff must be an exact rational
         (a numbers.Rational, such as int or Fraction).
         """
-        rows = []
+        values = []
         for profile in self.profiles():
             row = self.payoffs.get(profile)
             if row is None:
                 raise ValidationError(f"payoff table has no entry for profile {profile}")
             if len(row) != self.n_players:
                 raise ValidationError(f"payoff entry for {profile} has the wrong arity")
-            rows.append(row)
-        tensor = np.array(rows, dtype=object).reshape(*self.shape, self.n_players)
-        if not all(issubclass(t, Rational) for t in set(map(type, tensor.ravel().tolist()))):
-            for profile, row in zip(self.profiles(), rows):
-                for v in row:
-                    if not isinstance(v, Rational):
-                        raise ValidationError(
-                            f"payoff entry for {profile} holds {v!r}, not an exact rational"
-                        )
-        return _frozen(tensor)
+            values.extend(row)
+        # Tables repeat a few payoff objects many times (builders and game
+        # files share them), so each distinct object is read once.
+        ids = np.fromiter(map(id, values), np.uint64, len(values))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        bad = next((k for k in sorted(first.tolist()) if not isinstance(values[k], Rational)), None)
+        if bad is not None:
+            profile = next(itertools.islice(self.profiles(), bad // self.n_players, None))
+            raise ValidationError(f"payoff entry for {profile} holds {values[bad]!r}, not an exact rational")
+        distinct = [values[k] for k in first.tolist()]
+        scale = lcm(*{int(v.denominator) for v in distinct})
+        ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
+        fits = max(map(abs, ints)) < 2**63
+        array = np.array(ints, dtype=np.int64 if fits else object)[inverse]
+        return _frozen(array.reshape(*self.shape, self.n_players)), scale
 
-    @cached_property
+    @property
     def payoff_scale(self) -> int:
         """The lcm of every payoff's denominator, so payoff_ints are whole."""
-        return lcm(*{int(v.denominator) for v in self.payoff_tensor.ravel().tolist()})
+        return self._scaled_payoffs[1]
 
-    @cached_property
+    @property
     def payoff_ints(self) -> np.ndarray:
-        """payoff_tensor * payoff_scale as exact integers, read-only, same shape.
+        """The payoffs times payoff_scale as exact integers, read-only.
 
-        int64 when every value lies below 2**63 in absolute value, an
-        object array of Python ints otherwise; both compare exactly, so
+        Shape (*shape, n_players): the game's one payoff tensor. int64
+        when every value lies below 2**63 in absolute value, an object
+        array of Python ints otherwise; both compare exactly, so
         consumers need not know which. The positive scale keeps every
         order and tie of the payoffs.
         """
-        scale = self.payoff_scale
-        ints = [
-            int(v.numerator) * (scale // int(v.denominator))
-            for v in self.payoff_tensor.ravel().tolist()
-        ]
-        fits = max(map(abs, ints)) < 2**63
-        array = np.array(ints, dtype=np.int64 if fits else object)
-        return _frozen(array.reshape(self.payoff_tensor.shape))
+        return self._scaled_payoffs[0]
 
     @cached_property
     def realized_index(self) -> np.ndarray:
@@ -303,7 +303,8 @@ class CoalitionGame:
 
     def payoff(self, profile: Profile) -> tuple[Fraction, ...]:
         self._check_profile(profile)
-        return tuple(self.payoff_tensor[tuple(profile)].tolist())
+        self.payoff_ints  # the mapping is read only once the table is valid
+        return tuple(self.payoffs[tuple(profile)])
 
     def coalition_value(self, profile: Profile, coalition: Coalition) -> Fraction:
         """Sum of members' payoffs at a profile, if the coalition is realized there."""
@@ -327,7 +328,7 @@ class CoalitionGame:
         """
         # Payoffs first: under unanimity the structure index allocates
         # arrays the size of the whole profile space.
-        self.payoff_tensor
+        self.payoff_ints
         index = self.realized_index.ravel().tolist()
         domains: dict[int, list[Profile]] = {}
         for profile, s in zip(self.profiles(), index):
@@ -371,14 +372,13 @@ class CoalitionGame:
                     for idx in rows
                 )
             )
-        grid = np.ix_(*kept)
         profiles = list(itertools.product(*(range(len(r)) for r in kept)))
-        new_payoffs = dict(
-            zip(profiles, map(tuple, self.payoff_tensor[grid].reshape(-1, self.n_players).tolist()))
-        )
+        self.payoff_ints  # the mapping is read only once the table is valid
+        new_payoffs = dict(zip(profiles, map(self.payoffs.__getitem__, itertools.product(*kept))))
         mechanism = Mechanism()
         if self.mechanism.kind == TABLE:
-            structures = [self.family[s] for s in self.realized_index[grid].ravel().tolist()]
+            index = self.realized_index[np.ix_(*kept)].ravel().tolist()
+            structures = [self.family[s] for s in index]
             mechanism = Mechanism(TABLE, dict(zip(profiles, structures)))
         game = CoalitionGame(
             n_players=self.n_players,
@@ -398,6 +398,8 @@ def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
     Same players, same per-player sequences of (desired structure, action)
     pairs, and pointwise equal payoffs. Family indices may differ, which is
     exactly what happens between a game and a rebuilt restriction of it.
+    Equal rationals have equal reduced denominators, so equal payoffs
+    mean equal payoff scales and equal integer tensors.
     """
     if a.n_players != b.n_players or a.max_coalition != b.max_coalition:
         return False
@@ -406,7 +408,7 @@ def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
         keys_b = [b.strategy_key(i, j) for j in range(len(b.strategy_sets[i]))]
         if keys_a != keys_b:
             return False
-    return np.array_equal(a.payoff_tensor, b.payoff_tensor)
+    return a.payoff_scale == b.payoff_scale and np.array_equal(a.payoff_ints, b.payoff_ints)
 
 
 def restrict_game(game: CoalitionGame, max_coalition: int) -> CoalitionGame:

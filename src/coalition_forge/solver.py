@@ -9,12 +9,14 @@ lane runs on floats and reports the residual regret it achieved,
 snapping to an exactly verified pure profile when best responses lock
 in.
 
-Verification, expected utilities and fictitious play read the payoff
-tensor through one contraction: a player's deviation values are the
-tensor, sliced to the other players' supports and contracted with their
-weights, in Fractions for exact profiles and floats otherwise. The pure
-lane reads best-reply counts; lotteries group the support grid by the
-game's realized-structure index.
+Verification, expected utilities and fictitious play read the game's
+one payoff tensor, payoff_ints, through one contraction: a player's
+deviation values are the tensor, sliced to the other players' supports
+and contracted with their weights. Exact profiles contract the integers
+with Fraction weights and divide each value by payoff_scale once; float
+profiles contract each payoff rounded once from its exact value, the
+float(Fraction) of it. The pure lane reads best-reply counts; lotteries
+group the support grid by the game's realized-structure index.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_support is not None and self.max_support < 1:
             raise ValueError(f"max_support must be at least 1, got {self.max_support}")
@@ -204,16 +206,34 @@ def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.
     return np.einsum(subscripts + "->" + letters[player], tensor, *operands)
 
 
+def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
+    """payoff_ints entries as float payoffs, each int / payoff_scale rounded once.
+
+    That is float(Fraction) of the payoff; int64 division would round
+    the dividend first once it passes 2**53.
+    """
+    return (ints.astype(object) / game.payoff_scale).astype(float)
+
+
+def _payoff_values(game: CoalitionGame, values: np.ndarray, exact: bool) -> list:
+    """Values computed on payoff_ints or _float_payoffs, in payoff units.
+
+    Exact ones are divided by payoff_scale, once each.
+    """
+    return [Fraction(v, game.payoff_scale) for v in values.tolist()] if exact else values.tolist()
+
+
 def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
     """Expected payoff of each pure strategy of one player vs the rest."""
-    dtype = object if mixed.is_exact else float
-    tensor = game.payoff_tensor[..., player]
+    exact = mixed.is_exact
+    tensor = game.payoff_ints[..., player]
     weights = []
     for j, row in enumerate(mixed.support_items()):
         if j != player:
             tensor = tensor.take([k for k, _ in row], axis=j)
-        weights.append(np.array([w for _, w in row], dtype=dtype))
-    return _contract(tensor.astype(dtype, copy=False), weights, player).tolist()
+        weights.append(np.array([w for _, w in row], dtype=object if exact else float))
+    values = _contract(tensor if exact else _float_payoffs(game, tensor), weights, player)
+    return _payoff_values(game, values, exact)
 
 
 def _expected(mixed: MixedProfile, player: int, values: list):
@@ -242,7 +262,7 @@ def _structure_groups(game: CoalitionGame, mixed: MixedProfile):
     """The support grid grouped by realized structure.
 
     Yields, in family order, each realized structure with the
-    probabilities of its profiles and their payoff rows.
+    probabilities of its profiles and their payoff_ints rows.
     """
     items = mixed.support_items()
     grid = np.ix_(*([k for k, _ in row] for row in items))
@@ -250,7 +270,7 @@ def _structure_groups(game: CoalitionGame, mixed: MixedProfile):
     weights = [np.array([w for _, w in row], dtype=dtype) for row in items]
     prob = reduce(np.multiply.outer, weights).ravel()
     index = game.realized_index[grid].ravel()
-    pay = game.payoff_tensor[grid].reshape(-1, game.n_players)
+    pay = game.payoff_ints[grid].reshape(-1, game.n_players)
     for s in np.unique(index).tolist():
         mask = index == s
         yield game.family[s], prob[mask], pay[mask]
@@ -264,10 +284,13 @@ def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> d
     order.
     """
     _check_mixed(game, mixed)
-    return {
-        structure: tuple((prob[:, None] * pay).sum(axis=0).tolist())
-        for structure, prob, pay in _structure_groups(game, mixed)
-    }
+    exact = mixed.is_exact
+    by_structure = {}
+    for structure, prob, pay in _structure_groups(game, mixed):
+        pay = pay if exact else _float_payoffs(game, pay)
+        # Summed row by row, so float sums keep one order whatever the shape.
+        by_structure[structure] = tuple(_payoff_values(game, reduce(np.add, prob[:, None] * pay), exact))
+    return by_structure
 
 
 def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):
@@ -343,7 +366,7 @@ def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
 def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=0):
     return EquilibriumResult(
         profile=point_mass(game, profile),
-        expected_payoffs=tuple(game.payoff_tensor[profile].tolist()),
+        expected_payoffs=tuple(game.payoffs[profile]),
         max_regret=Fraction(0),
         method=method,
         is_equilibrium=True,
@@ -546,7 +569,7 @@ def mixed_nash_iterative(
     reporting nothing.
     """
     config = config or SolverConfig()
-    tensors = np.moveaxis(game.payoff_tensor, -1, 0).astype(float, order="C")
+    tensors = np.ascontiguousarray(np.moveaxis(_float_payoffs(game, game.payoff_ints), -1, 0))
     dists = _start_distributions(game, config, start)
     n = game.n_players
     last_br: Profile | None = None

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from coalition_forge.catalog import get_entry
 from coalition_forge.games import CoalitionGame, Mechanism, Strategy
-from coalition_forge.partitions import enumerate_partitions
+from coalition_forge.partitions import CoalitionStructure, enumerate_partitions
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,6 +78,24 @@ def random_two_player_game(rng, max_actions=4):
         for p in itertools.product(range(len(sets[0])), range(len(sets[1])))
     }
     return CoalitionGame(2, cap, family, tuple(sets), Mechanism(), payoffs)
+
+
+def unnested_pair():
+    """A cap-1 and a cap-2 game, each valid, that do not form a nested family.
+
+    Both players desire singletons at cap 1. At cap 2 player 0's only
+    strategy desires the pair, so the cap-2 game keeps no strategy of
+    theirs under cap 1.
+    """
+    games = []
+    for cap in (1, 2):
+        family = enumerate_partitions(2, cap)
+        alone = tuple(Strategy(family.index_of(CoalitionStructure.singletons(2)), a) for a in "ab")
+        first = alone if cap == 1 else (Strategy(family.index_of(CoalitionStructure.of([[0, 1]], 2))),)
+        profiles = itertools.product(range(len(first)), range(len(alone)))
+        payoffs = {p: (Fraction(p[1]), Fraction(1)) for p in profiles}
+        games.append(CoalitionGame(2, cap, family, (first, alone), Mechanism(), payoffs))
+    return tuple(games)
 
 
 def random_exact_profile(g, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import game, lunch_claimed_profile, restricted
+from _shared import game, lunch_claimed_profile, restricted, unnested_pair
 from coalition_forge.analysis import (
     classify_stochastic,
     compare_domains,
@@ -267,6 +267,14 @@ class TestStability:
         result = first_pure_equilibrium(pd)
         with pytest.raises(ValueError):
             stability_K_star([pd, partner], 1, result)
+
+    def test_family_without_a_restriction_is_not_nested(self):
+        small, big = unnested_pair()
+        result = first_pure_equilibrium(small)
+        with pytest.raises(ValueError) as caught:
+            stability_K_star([small, big], 1, result)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "family is not nested between caps 1 and 2"
 
     def test_caps_must_be_distinct(self):
         g = game("pd-extended")

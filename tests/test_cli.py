@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from _shared import unnested_pair
 from coalition_forge import cli, solver
 from coalition_forge.catalog import build_game
 from coalition_forge.cli import SEED_ENV, _make_config, main
@@ -286,6 +287,15 @@ class TestStability:
         )
         document = run_json("stability", small, big, "--K0", "1")
         assert document["K_star"] == 2
+
+    def test_file_family_without_a_restriction(self, tmp_path):
+        small, big = (
+            write_json(tmp_path / f"{name}.json", game_to_dict(g))
+            for name, g in zip(("s1", "b2"), unnested_pair())
+        )
+        code, out, err = run("stability", small, big, "--K0", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: family is not nested between caps 1 and 2\n")
 
     def test_usage_errors(self):
         assert run("stability", "pd-extended")[0] == 2

@@ -74,6 +74,8 @@ class TestMixedProfile:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0)
+        with pytest.raises(ValueError, match="^tolerance must be positive, got nan$"):
+            SolverConfig(tolerance=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(damping=0)
         with pytest.raises(ValueError):

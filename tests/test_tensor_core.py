@@ -1,11 +1,12 @@
-"""The payoff tensor and realized-structure index against brute-force walks.
+"""The integer payoff tensor and realized-structure index against brute-force walks.
 
 Every brute-force oracle here reads the game's payoffs mapping and
 mechanism table directly, walking whole profile spaces one profile at a
 time, so it shares no code with the tensor contractions it checks. The
 one exception is the Fraction support lane, the integer support lane's
-reference, which reads the payoff tensor through the same contraction
-that the brute-force checks of verification cover.
+reference, which solves on the payoffs mapping but checks candidates
+through the same exact deviation values that the brute-force checks of
+verification cover.
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from coalition_forge.gamefile import (
     game_from_dict,
     game_to_dict,
 )
-from coalition_forge.games import TABLE, CoalitionGame, Mechanism, Strategy, ValidationError
+from coalition_forge.games import (
+    TABLE,
+    CoalitionGame,
+    Mechanism,
+    Strategy,
+    ValidationError,
+    payoff_isomorphic,
+)
 from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
 from coalition_forge.solver import (
     SUPPORT,
@@ -236,8 +244,8 @@ def fraction_indifference_weights(pay, own_support, other_support):
 def fraction_support_enum(game, max_support=None):
     sizes = [len(s) for s in game.strategy_sets]
     cap = max_support if max_support is not None else min(6, *sizes)
-    pay1 = game.payoff_tensor[..., 0].tolist()
-    pay2_t = game.payoff_tensor[..., 1].T.tolist()
+    pay1 = [[game.payoffs[i, j][0] for j in range(sizes[1])] for i in range(sizes[0])]
+    pay2_t = [[game.payoffs[i, j][1] for i in range(sizes[0])] for j in range(sizes[1])]
     supports = [
         sorted(s for k in range(1, min(cap, n) + 1) for s in itertools.combinations(range(n), k))
         for n in sizes
@@ -605,7 +613,7 @@ class TestIntegerPayoffs:
         scale = math.lcm(*(v.denominator for v in values))
         assert game.payoff_scale == scale
         ints = game.payoff_ints
-        assert ints.shape == game.payoff_tensor.shape and not ints.flags.writeable
+        assert ints.shape == (*game.shape, game.n_players) and not ints.flags.writeable
         fits = all(abs(v * scale) < 2**63 for v in values)
         assert ints.dtype == (np.int64 if fits else object)
         for profile in all_profiles(game):
@@ -672,6 +680,79 @@ def test_payoff_ints_dtype_boundary(value, other, dtype):
     game = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
     assert game.payoff_ints.dtype == dtype
     assert game.payoff_ints[0, 0, 0] == value * game.payoff_scale
+
+
+# Fictitious play on the games of the next test, as the Fraction tensor ran it.
+FLOAT_PLAY = {
+    0: (
+        "EquilibriumResult(profile=MixedProfile(weights=((0.4866749617994463, 0.5133250382005538), "
+        "(0.6375616647142222, 0.3624383352857778))), "
+        "expected_payoffs=(9.6076789363343e+16, 9.607679473779816e+16), "
+        "max_regret=103520994176.0, method='iterative', is_equilibrium=False, degenerate=False, "
+        "iterations=20)"
+    ),
+    2**63: (
+        "EquilibriumResult(profile=MixedProfile(weights=((0.4866749617994463, 0.5133250382005538), "
+        "(0.6375616647142222, 0.3624383352857778))), "
+        "expected_payoffs=(3.170534134981602e+18, 9.607679473779816e+16), "
+        "max_regret=103520993792.0, method='iterative', is_equilibrium=False, degenerate=False, "
+        "iterations=20)"
+    ),
+}
+
+
+@pytest.mark.parametrize("offset", FLOAT_PLAY)
+def test_float_payoffs_round_once_from_the_exact_value(offset):
+    """Payoffs past 2**53 as floats: each rounded from its exact value, never twice.
+
+    Matching pennies, 2**40 either side of 2**58 / 3. The +31 puts each
+    numerator above 2**58 where rounding it to float64 before dividing
+    moves the quotient by more than half a unit in its last place.
+    """
+    game = table_game()
+    payoffs = {}
+    for k, p in enumerate(sorted(game.payoffs)):
+        match = (-1) ** (p[0] + p[1]) * 2**40
+        payoffs[p] = (
+            Fraction(offset + 2**58 + match + 2 * k + 31, 3),
+            Fraction(2**58 - match + 2 * k + 31, 3),
+        )
+    game = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    assert game.payoff_ints.dtype == (np.int64 if offset == 0 else object)
+    for profile, row in payoffs.items():
+        mass = MixedProfile(tuple(tuple(float(k == j) for k in range(2)) for j in profile))
+        assert expected_utilities(game, mass) == tuple(float(v) for v in row)
+    result = mixed_nash_iterative(game, SolverConfig(max_iterations=20, rng_seed=3))
+    assert repr(result) == FLOAT_PLAY[offset]
+
+
+def test_payoff_isomorphic_compares_scales():
+    base = table_game()
+    whole, halves = (
+        CoalitionGame(
+            2, 2, base.family, base.strategy_sets, base.mechanism, dict.fromkeys(base.payoffs, row)
+        )
+        for row in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1)))
+    )
+    assert np.array_equal(whole.payoff_ints, halves.payoff_ints)
+    assert (whole.payoff_scale, halves.payoff_scale) == (1, 2)
+    assert not payoff_isomorphic(whole, halves)
+    # Every payoff with a denominator needs a player desiring the pair.
+    family = enumerate_partitions(2, 2)
+    pair = family.index_of(CoalitionStructure.of([[0, 1]], 2))
+    alone = family.index_of(CoalitionStructure.singletons(2))
+    sets = ((Strategy(alone, "x"), Strategy(alone, "y"), Strategy(pair, "x")),) * 2
+    payoffs = {
+        p: (Fraction(p[0] + 1), Fraction(p[1] + 2)) if max(p) < 2 else (Fraction(1, 2), Fraction(p[0]))
+        for p in itertools.product(range(3), repeat=2)
+    }
+    full = CoalitionGame(2, 2, family, sets, Mechanism(), payoffs)
+    kept = {p: row for p, row in payoffs.items() if max(p) < 2}
+    sets = ((Strategy(0, "x"), Strategy(0, "y")),) * 2
+    direct = CoalitionGame(2, 1, enumerate_partitions(2, 1), sets, Mechanism(), kept)
+    small = full.restrict(1)
+    assert (full.payoff_scale, small.payoff_scale, direct.payoff_scale) == (2, 1, 1)
+    assert payoff_isomorphic(small, direct)
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1), "1"])
