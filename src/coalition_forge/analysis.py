@@ -76,11 +76,22 @@ def equilibrium_partitions(
     """Push the equilibrium profile through the mechanism.
 
     Aggregates the probability of every pure profile with positive
-    weight onto its realized partition.
+    weight onto its realized partition. A point mass reads its one
+    partition from game.realized_partition instead of the support grid.
     """
     _require_equilibrium(result)
-    _check_mixed(game, result.profile)
-    masses = {s: sum(prob.tolist()) for s, prob, _ in _structure_groups(game, result.profile)}
+    mixed = result.profile
+    _check_mixed(game, mixed)
+    if mixed.is_pure:
+        # One profile carries the whole mass, the product of the players'
+        # weights taken in the support grid's arithmetic: exact weights as
+        # they are, float weights as Python floats.
+        items = mixed.support_items()
+        weights = [row[0][1] for row in items]
+        mass = math.prod(weights) if mixed.is_exact else math.prod(map(float, weights))
+        masses = {game.realized_partition(tuple(row[0][0] for row in items)): mass}
+    else:
+        masses = {s: sum(prob.tolist()) for s, prob, _ in _structure_groups(game, mixed)}
     positive = tuple(s for s, p in masses.items() if p > 0)
     return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
 

@@ -6,11 +6,19 @@ coalitions, and a family collects every structure whose blocks stay within
 a size cap. Families for growing caps are nested by inclusion, which the
 game layer builds on.
 
-Enumeration walks restricted growth strings in lexicographic order and
-prunes a branch as soon as a block would exceed the cap, so the family for
-a small cap is produced directly instead of being filtered out of the full
-partition lattice. The canonical form that falls out of this walk orders
-blocks by their smallest member, with members ascending inside each block.
+Enumeration walks restricted growth strings in lexicographic order, the
+order of Knuth's Algorithm H (TAOCP Vol. 4A, 7.2.1.5), in a loop rather
+than by recursion, so no number of players exhausts the stack. It never
+places a player in a full block, so the family for a small cap is
+produced directly instead of being filtered out of the full partition
+lattice. The canonical form that falls out of this walk orders blocks by
+their smallest member, with members ascending inside each block.
+
+One enumeration builds each distinct coalition once and lets all its
+structures share that object, and every structure, enumerated or not,
+passes the same constructor check: its members, flattened and sorted, must
+be exactly 0..n-1. Only a structure that fails it is walked block by block
+to name the overlap or the gap.
 """
 
 from __future__ import annotations
@@ -72,16 +80,19 @@ class CoalitionStructure:
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=lambda b: b.members[0]))
         object.__setattr__(self, "blocks", blocks)
+        if sorted([m for b in blocks for m in b.members]) == list(range(self.n_players)):
+            return
+        # Walk the blocks only to name the first player in two of them, or
+        # else the players covered.
         seen: set[int] = set()
         for b in blocks:
             for m in b:
                 if m in seen:
                     raise ValueError(f"player {m} appears in two blocks")
                 seen.add(m)
-        if seen != set(range(self.n_players)):
-            raise ValueError(
-                f"blocks cover {sorted(seen)}, expected all of 0..{self.n_players - 1}"
-            )
+        raise ValueError(
+            f"blocks cover {sorted(seen)}, expected all of 0..{self.n_players - 1}"
+        )
 
     @classmethod
     def of(cls, blocks, n_players: int) -> CoalitionStructure:
@@ -170,27 +181,44 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     The walk assigns players in index order. Player i may join any existing
     block that still has room or open a new block, which is exactly the
     restricted growth string order; capping happens during generation, so
-    no oversized partition is ever materialised.
+    no oversized partition is ever materialised. After each structure the
+    walk backs up to the last player with a later block to try, in a loop,
+    so any number of players fits. Equal blocks of different structures
+    are one shared Coalition, built once per call.
     """
     _check_args(n_players, max_block)
+    coalition = lru_cache(maxsize=None)(Coalition)
     out: list[CoalitionStructure] = []
     blocks: list[list[int]] = []
-
-    def walk(i: int) -> None:
-        if i == n_players:
-            out.append(CoalitionStructure.of([tuple(b) for b in blocks], n_players))
-            return
-        for b in blocks:
-            if len(b) < max_block:
-                b.append(i)
-                walk(i + 1)
-                b.pop()
-        blocks.append([i])
-        walk(i + 1)
-        blocks.pop()
-
-    walk(0)
-    return PartitionFamily(n_players, max_block, tuple(out))
+    joined = [0] * n_players  # the block each placed player is in
+    player, first_choice = 0, 0
+    while True:
+        # Place the player in the first block from first_choice on that has
+        # room, or else in a new block.
+        b = first_choice
+        while b < len(blocks) and len(blocks[b]) >= max_block:
+            b += 1
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(player)
+        joined[player] = b
+        player += 1
+        if player < n_players:
+            first_choice = 0
+            continue
+        out.append(CoalitionStructure(tuple(coalition(tuple(m)) for m in blocks), n_players))
+        # Back up to the last player who can move to a later block. A player
+        # left alone in their block opened it, the last choice they have.
+        while True:
+            player -= 1
+            b = joined[player]
+            blocks[b].pop()
+            if blocks[b]:
+                first_choice = b + 1
+                break
+            blocks.pop()
+            if player == 0:
+                return PartitionFamily(n_players, max_block, tuple(out))
 
 
 @lru_cache(maxsize=None)

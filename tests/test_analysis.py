@@ -21,6 +21,7 @@ from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
     SolverConfig,
+    _structure_groups,
     first_pure_equilibrium,
     point_mass,
     pure_nash_enumerate,
@@ -83,6 +84,30 @@ class TestPartitionDistribution:
         singles = CoalitionStructure.singletons(4)
         assert dist.probability(singles) == Fraction(10, 27)
         assert sum(dist.probability(s) for s in dist.partitions) == 1
+
+    def test_point_masses_match_the_support_grid(self):
+        near_one = 1 - 2.0**-40
+        cases = [(game("pd-extroverts"), 1), (game("pd-mixed"), 1), (restricted("lunch", 2), 97)]
+        for g, step in cases:
+            for res in pure_nash_enumerate(g)[::step]:
+                exact = res.profile.weights
+                variants = (
+                    exact,
+                    [[float(w) for w in row] for row in exact],
+                    [[near_one if w else 0.0 for w in row] for row in exact],
+                )
+                for weights in variants:
+                    mixed = MixedProfile(weights)
+                    result = EquilibriumResult(
+                        mixed, res.expected_payoffs, res.max_regret, "given", True
+                    )
+                    grid = {s: sum(p.tolist()) for s, p, _ in _structure_groups(g, mixed)}
+                    dist = equilibrium_partitions(g, result)
+                    assert dist.probabilities == grid
+                    assert [type(v) for v in dist.probabilities.values()] == [
+                        type(v) for v in grid.values()
+                    ]
+                    assert list(dist.partitions) == list(grid)
 
     def test_rejects_unverified_results(self):
         g = game("pd-standard")

@@ -63,6 +63,12 @@ class TestEnumerate:
         assert len(lines) == 6
         assert "{{1,2,3}}" in lines[1]
 
+    def test_many_players(self):
+        code, out, _ = run("enumerate", "-n", "1200", "-K", "1")
+        assert code == 0
+        singletons = ",".join(f"{{{i}}}" for i in range(1, 1201))
+        assert out.splitlines() == ["p(1200,1) = 1", f"  0  {{{singletons}}}"]
+
     def test_bad_sizes(self):
         assert run("enumerate", "-n", "0")[0] == 2
         assert run("enumerate", "-n", "4", "-K", "0")[0] == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -26,6 +27,28 @@ def all_partitions(n):
         for i in range(len(smaller)):
             yield smaller[:i] + [smaller[i] + [n - 1]] + smaller[i + 1 :]
         yield smaller + [[n - 1]]
+
+
+def reference_walk(n, cap):
+    """Recursive restricted-growth walk: player i joins each block with
+    room, in block order, and then opens a new one."""
+    out, blocks = [], []
+
+    def walk(i):
+        if i == n:
+            out.append(CoalitionStructure.of([tuple(b) for b in blocks], n))
+            return
+        for b in blocks:
+            if len(b) < cap:
+                b.append(i)
+                walk(i + 1)
+                b.pop()
+        blocks.append([i])
+        walk(i + 1)
+        blocks.pop()
+
+    walk(0)
+    return out
 
 
 def as_key(blocks):
@@ -92,6 +115,26 @@ class TestEnumeration:
             assert family.index_of(s) == i
             assert family[i] is s
 
+    def test_order_matches_reference_walk(self):
+        for n in range(1, 9):
+            for cap in range(1, n + 1):
+                family = enumerate_partitions(n, cap)
+                reference = reference_walk(n, cap)
+                assert list(family) == reference, (n, cap)
+                assert [str(s) for s in family] == [str(s) for s in reference]
+
+    def test_equal_blocks_are_one_object(self):
+        for n, cap in [(5, 5), (7, 3), (8, 2)]:
+            shared = {}
+            for s in enumerate_partitions(n, cap):
+                for block in s:
+                    assert shared.setdefault(block, block) is block
+            assert len(shared) == sum(comb(n, k) for k in range(1, cap + 1))
+
+    def test_many_players_do_not_recurse(self):
+        family = enumerate_partitions(1200, 1)
+        assert list(family) == [CoalitionStructure.singletons(1200)]
+
     def test_singleton_structure_always_first_cap_one(self):
         for n in range(1, 6):
             family = enumerate_partitions(n, 1)
@@ -136,14 +179,29 @@ class TestStructures:
         assert str(a.blocks[0]) == "{0}"
 
     def test_rejects_overlap_and_gaps(self):
-        with pytest.raises(ValueError):
-            CoalitionStructure.of([[0, 1], [1, 2]], 3)
-        with pytest.raises(ValueError):
-            CoalitionStructure.of([[0], [2]], 3)
-        with pytest.raises(ValueError):
-            Coalition.of()
-        with pytest.raises(ValueError):
-            Coalition.of(0, 0)
+        cases = [
+            ([[0, 1], [1, 2]], 3, "player 1 appears in two blocks"),
+            ([[0], [2]], 3, "blocks cover [0, 2], expected all of 0..2"),
+            ([[0, 1], [2, 3]], 3, "blocks cover [0, 1, 2, 3], expected all of 0..2"),
+            # An overlap is reported before the gap at player 2.
+            ([[0, 1], [1], [3]], 4, "player 1 appears in two blocks"),
+            ([[0, 2], [2]], 3, "player 2 appears in two blocks"),
+        ]
+        for blocks, n, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                CoalitionStructure.of(blocks, n)
+            assert str(excinfo.value) == message
+        cases = [
+            ((), "a coalition needs at least one member"),
+            ((0, 0), "duplicate members in (0, 0)"),
+            ((1, 1, 3), "duplicate members in (1, 1, 3)"),
+            ((-1,), "negative player index in (-1,)"),
+            ((2, -1, 0), "negative player index in (2, -1, 0)"),
+        ]
+        for members, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                Coalition.of(*members)
+            assert str(excinfo.value) == message
 
     def test_block_lookup(self):
         s = CoalitionStructure.of([[0, 2], [1], [3]], 4)
