@@ -6,12 +6,20 @@ the mechanism, and an exact payoff table keyed by comma-joined strategy
 indices. Every number is a rational written as a string, so documents
 round-trip without floating-point drift. Unknown keys anywhere in a
 document are rejected rather than ignored.
+
+Every document is written by dumps, whose text is exactly
+json.dumps(data, indent=2, sort_keys=True), so the format is byte
+stable. game_to_dict reads the validated payoff tensor: each payoff's
+text is str(Fraction) of its payoff_ints entry over payoff_scale, the
+text of the stored value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -253,7 +261,16 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
 
 
 def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None) -> dict:
-    """Serialize a game to a plain JSON-ready dictionary."""
+    """Serialize a game to a plain JSON-ready dictionary.
+
+    Read from the validated tensors: the payoff whose payoff_ints entry
+    is v is written as str(Fraction(v, payoff_scale)), the text
+    format_rational gives for the stored payoff, and a table mechanism
+    writes the structure realized_index names at each profile. Both
+    tables are keyed by the profiles of the space, so a missing payoff
+    raises the tensor's ValidationError, and a mechanism entry outside
+    the space is not written.
+    """
     names = _player_names(game, player_names)
     strategies = []
     for player_set in game.strategy_sets:
@@ -266,19 +283,18 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
                 entry["action"] = s.action
             entries.append(entry)
         strategies.append(entries)
+    # Keys in game.profiles() order, joined from per-player index strings.
+    keys = list(map(",".join, itertools.product(*([str(k) for k in range(m)] for m in game.shape))))
+    scale = game.payoff_scale
+    rows = game.payoff_ints.reshape(-1, game.n_players).tolist()
+    text = {v: str(Fraction(v, scale)) for v in set(itertools.chain.from_iterable(rows))}
+    payoffs = dict(zip(keys, [list(map(text.__getitem__, row)) for row in rows]))
     if game.mechanism.kind == UNANIMITY:
         mechanism: Any = UNANIMITY
     else:
-        mechanism = {
-            "table": {
-                _profile_key(p): _structure_literal(s, names)
-                for p, s in sorted(game.mechanism.table.items())
-            }
-        }
-    payoffs = {
-        _profile_key(p): [format_rational(v) for v in game.payoffs[p]]
-        for p in game.profiles()
-    }
+        index = game.realized_index.ravel().tolist()
+        literals = {s: _structure_literal(game.family[s], names) for s in set(index)}
+        mechanism = {"table": dict(zip(keys, map(literals.__getitem__, index)))}
     return {
         "schema_version": SCHEMA_VERSION,
         "players": list(names),
@@ -320,8 +336,139 @@ def save_game(game: CoalitionGame, path: str | Path, player_names: Sequence[str]
 
 
 def dumps(data: Any) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """Deterministic JSON text: exactly json.dumps(data, indent=2, sort_keys=True).
+
+    json writes indented text with its pure-Python encoder. Here the
+    containers are walked in Python, and each dict, list or tuple of
+    height 1 or 2 (see _height) is written by one call to the C
+    encoder. The encoder of a depth is built once per call, with that
+    depth's newline and indent in its item separator, so the items of
+    a height-1 container come out indented and only its brackets get
+    theirs here; _lift indents the children of a height-2 container.
+    Every other container is walked as json walks it: keys are sorted
+    and converted as json converts them, empty containers are [] and
+    {}, a cycle raises ValueError, and what JSON cannot hold raises
+    json's TypeError, with json's messages.
+    """
+    out: list[str] = []
+    encoders: dict[int, Any] = {}
+    markers: set[int] = set()
+
+    def encode(value: Any, depth: int) -> str:
+        """C text of value with the item separator of items at depth + 1."""
+        encoder = encoders.get(depth)
+        if encoder is None:
+            encoder = encoders[depth] = c_make_encoder(
+                None, _refuse, encode_basestring_ascii, None,
+                _KEY_MARK, ",\n" + "  " * (depth + 1), True, False, True,
+            )
+        return "".join(encoder(value, 0))
+
+    def write(value: Any, depth: int) -> None:
+        if not isinstance(value, (list, tuple, dict)) or not value:
+            out.extend(_compact(value, 0))  # scalars, [] and {}
+            return
+        height = _height(value)
+        indent = "\n" + "  " * depth
+        if height == 1:
+            text = encode(value, depth).replace(_KEY_MARK, ": ")
+            out.extend((text[0], indent, "  ", text[1:-1], indent, text[-1]))
+            return
+        if height == 2:
+            out.append(_lift(encode(value, depth + 1), depth))
+            return
+        if id(value) in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(id(value))
+        if isinstance(value, dict):
+            # Each key is converted just before its value is written, as json does.
+            brackets, items = "{}", ((_key_text(k), v) for k, v in sorted(value.items()))
+        else:
+            brackets, items = "[]", (("", v) for v in value)
+        separator = brackets[0] + indent + "  "
+        for key, item in items:
+            out.extend((separator, key))
+            write(item, depth + 1)
+            separator = "," + indent + "  "
+        out.append(indent + brackets[1])
+        markers.remove(id(value))
+
+    write(data, 0)
+    return "".join(out)
+
+
+def _refuse(value: Any) -> Any:
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# Writes a scalar, [] or {} as json writes it at any indent.
+_compact = c_make_encoder(
+    None, _refuse, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({list, tuple, dict})
+# The key separator of the per-depth encoders. json escapes every control
+# character inside a string, so raw "\x02" and "\x03" (and the newline of
+# an item separator) never occur in the C text except where put there.
+_KEY_MARK = ":\x02"
+
+
+def _height(value: Any) -> int:
+    """1 for a container of scalars, 2 for one of non-empty containers of scalars, else 0.
+
+    Types are matched exactly (a subclass may change how it iterates),
+    and the keys of a dict count as its items.
+    """
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        return 0
+    if kind is dict:
+        if not _SCALARS.issuperset(map(type, value)):
+            return 0
+        value = value.values()
+    kinds = set(map(type, value))
+    if kinds <= _SCALARS:
+        return 1
+    if not (kinds <= _CONTAINERS and all(value)):
+        return 0
+    items = itertools.chain.from_iterable(value)
+    if dict in kinds:
+        items = itertools.chain(items, *(v.values() for v in value if type(v) is dict))
+    return 2 if _SCALARS.issuperset(map(type, items)) else 0
+
+
+def _lift(text: str, depth: int) -> str:
+    r"""The indented text of a height-2 container at depth, from its C text.
+
+    The C text was written with the item separator of depth + 2, right
+    between scalars, and _KEY_MARK between keys and values. No scalar's
+    text ends with "]" or "}", so a separator right after one of those
+    lies between two children: it takes the indent of depth + 1, and
+    the child before it the newline before its closing bracket. "\x03"
+    then marks where each child starts, after the container's opening
+    bracket or a separator between children, so that each child's
+    opening bracket, after that mark or after its key, gets its newline.
+    """
+    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    separator = "," + inner
+    text = f"{text[0]}\x03{text[1:-2]}{outer}{text[-2]}\n{'  ' * depth}{text[-1]}"
+    text = text.replace("]" + separator, outer + "],\x03")
+    text = text.replace("}" + separator, outer + "},\x03")
+    if text[0] == "{":  # each child follows its key
+        text = text.replace("\x03", outer)
+        text = text.replace(_KEY_MARK + "[", ": [" + inner).replace(_KEY_MARK + "{", ": {" + inner)
+    else:
+        text = text.replace("\x03[", outer + "[" + inner).replace("\x03{", outer + "{" + inner)
+    return text.replace(_KEY_MARK, ": ")
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json writes it, quoted and followed by the key separator."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + "".join(_compact(key, 0)) + '": '
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def profile_to_dict(mixed: MixedProfile) -> dict:

@@ -35,6 +35,8 @@ from coalition_forge.gamefile import (
     format_rational,
     game_from_dict,
     game_to_dict,
+    load_game,
+    save_game,
 )
 from coalition_forge.games import (
     TABLE,
@@ -918,3 +920,101 @@ def test_noncanonical_key_exits_with_usage_code(tmp_path):
         code = main(["solve", str(path)])
     assert code == 2
     assert "not canonical" in err.getvalue()
+
+
+def mapping_game_to_dict(game, names=None):
+    """game_to_dict as written before it read the tensors.
+
+    It reads the payoffs mapping, one format_rational per payoff, and
+    writes the mechanism table as stored, entry by entry.
+    """
+    names = tuple(names) if names is not None else tuple(str(i + 1) for i in range(game.n_players))
+
+    def literal(structure):
+        return [[names[i] for i in block] for block in structure.blocks]
+
+    def key(profile):
+        return ",".join(str(i) for i in profile)
+
+    strategies = [
+        [
+            {
+                "partition": literal(game.family[s.desired_partition]),
+                **({"action": s.action} if s.action else {}),
+            }
+            for s in player_set
+        ]
+        for player_set in game.strategy_sets
+    ]
+    mechanism = "unanimity"
+    if game.mechanism.kind == TABLE:
+        mechanism = {"table": {key(p): literal(s) for p, s in sorted(game.mechanism.table.items())}}
+    return {
+        "schema_version": 1,
+        "players": list(names),
+        "K": game.max_coalition,
+        "strategies": strategies,
+        "mechanism": mechanism,
+        "payoffs": {key(p): [format_rational(v) for v in game.payoffs[p]] for p in game.profiles()},
+    }
+
+
+@st.composite
+def games_with_payoff_types(draw):
+    """An exact game whose payoffs are, each at random, Fraction, int, np.int64 or bool.
+
+    Only whole payoffs change type: np.int64 where they fit and bool for
+    0 and 1.
+    """
+    game = draw(exact_games)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def recast(value):
+        kinds = [Fraction]
+        if value.denominator == 1:
+            kinds += [int, np.int64] if abs(value) < 2**63 else [int]
+            kinds += [bool] if value in (0, 1) else []
+        kind = rng.choice(kinds)
+        return value if kind is Fraction else kind(int(value))
+
+    payoffs = {p: tuple(map(recast, row)) for p, row in game.payoffs.items()}
+    return CoalitionGame(
+        game.n_players, game.max_coalition, game.family, game.strategy_sets, game.mechanism, payoffs
+    )
+
+
+@DIFFERENTIAL
+@given(games_with_payoff_types(), st.booleans())
+def test_game_to_dict_matches_the_mapping_writer(game, named):
+    names = tuple("PQRS"[: game.n_players]) if named else None
+    game.validate_domains()
+    document = game_to_dict(game, names)
+    expected = mapping_game_to_dict(game, names)
+    assert document == expected
+    assert dumps(document) == dumps(expected)
+
+
+def test_table_entry_outside_the_profile_space_is_not_written(tmp_path):
+    base = catalog_game("pd-mixed")
+    table = {p: base.realized_partition(p) for p in base.profiles()}
+    # A table may hold more than the profile space; the game still validates.
+    game = CoalitionGame(
+        2, 2, base.family, base.strategy_sets,
+        Mechanism(TABLE, {**table, (9, 9): base.family[0]}), dict(base.payoffs),
+    )
+    game.validate_domains()
+    path = tmp_path / "pd-mixed-table.json"
+    save_game(game, path, ("1", "2"))
+    back, names = load_game(path)
+    assert names == ("1", "2")
+    assert payoff_isomorphic(back, game)
+    assert back.mechanism.table == table
+
+
+def test_game_to_dict_names_a_missing_payoff():
+    game = table_game()
+    payoffs = dict(game.payoffs)
+    del payoffs[(1, 0)]
+    broken = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    with pytest.raises(ValidationError, match=r"^payoff table has no entry for profile \(1, 0\)$"):
+        game_to_dict(broken)
