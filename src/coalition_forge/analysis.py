@@ -254,8 +254,7 @@ def _pareto_dominating_pures(
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
     for profile in map(tuple, np.argwhere(dominating).tolist()):
         if is_pure_equilibrium(game, profile):
-            payoffs = tuple(game.payoffs[profile])
-            yield StabilityDiagnostic(game.max_coalition, profile, payoffs)
+            yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))
 
 
 def stability_K_star(

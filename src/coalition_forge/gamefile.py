@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 from .games import (
     TABLE,
@@ -137,28 +137,26 @@ def _structure_literal(structure: CoalitionStructure, names: Sequence[str]) -> l
     return [[names[i] for i in block] for block in structure.blocks]
 
 
-def _parse_profile_key(key: Any, digits: Sequence[Mapping[str, int]], where: str) -> Profile:
-    """The profile a key of comma-joined indices names.
+def _profile_keys(shape: Sequence[int]) -> dict[str, Profile]:
+    """Each profile of the space by its canonical key, in CoalitionGame.profiles() order."""
+    keys = map(",".join, itertools.product(*([str(k) for k in range(m)] for m in shape)))
+    return dict(zip(keys, itertools.product(*map(range, shape))))
 
-    digits[i] maps the canonical text of each of player i's indices to
-    the index, so a canonical key is read by lookups alone; any other
-    key is parsed part by part to say what is wrong with it.
-    """
+
+def _reject_profile_key(key: Any, shape: Sequence[int], where: str) -> NoReturn:
+    """Raise the error that says why a key is not the canonical key of a profile."""
     if not isinstance(key, str):
         raise GameFileError(f"{where} keys must be strings of comma-joined indices")
     parts = key.split(",")
-    if len(parts) != len(digits):
-        raise GameFileError(f"{where} key {key!r} must have {len(digits)} indices")
-    profile = tuple(map(dict.get, digits, parts))
-    if None not in profile:
-        return profile
+    if len(parts) != len(shape):
+        raise GameFileError(f"{where} key {key!r} must have {len(shape)} indices")
     indices = []
     for i, part in enumerate(parts):
         try:
             idx = int(part)
         except ValueError:
             raise GameFileError(f"{where} key {key!r} has a non-integer index") from None
-        if not 0 <= idx < len(digits[i]):
+        if not 0 <= idx < shape[i]:
             raise GameFileError(
                 f"{where} key {key!r}: index {idx} out of range for player {i}"
             )
@@ -166,12 +164,8 @@ def _parse_profile_key(key: Any, digits: Sequence[Mapping[str, int]], where: str
     # int() also reads "00", " 1" and "+0"; such a key could name the same
     # profile as a canonical one and silently replace its entry.
     raise GameFileError(
-        f"{where} key {key!r} is not canonical, expected {_profile_key(indices)!r}"
+        f"{where} key {key!r} is not canonical, expected {','.join(map(str, indices))!r}"
     )
-
-
-def _profile_key(profile: Profile) -> str:
-    return ",".join(str(i) for i in profile)
 
 
 def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
@@ -213,7 +207,8 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
                 raise GameFileError(f"{where}.action must be a string")
             strategies.append(Strategy(desired, action))
         strategy_sets.append(tuple(strategies))
-    digits = [{str(k): k for k in range(len(s))} for s in strategy_sets]
+    shape = [len(s) for s in strategy_sets]
+    profiles = _profile_keys(shape)
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
@@ -223,7 +218,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         raw_table = _require_mapping(raw_mech["table"], "mechanism.table")
         table = {}
         for key, literal in raw_table.items():
-            profile = _parse_profile_key(key, digits, "mechanism.table")
+            profile = profiles.get(key) or _reject_profile_key(key, shape, "mechanism.table")
             table[profile] = _parse_structure(
                 literal, by_name, n, f"mechanism.table[{key!r}]"
             )
@@ -240,7 +235,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     # where it failed before.
     decoded: dict[str, Fraction] = {}
     for key, row in raw_payoffs.items():
-        profile = _parse_profile_key(key, digits, "payoffs")
+        profile = profiles.get(key) or _reject_profile_key(key, shape, "payoffs")
         if not isinstance(row, list) or len(row) != n:
             raise GameFileError(f"payoffs[{key!r}] must list {n} rationals")
         try:
@@ -283,8 +278,7 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
                 entry["action"] = s.action
             entries.append(entry)
         strategies.append(entries)
-    # Keys in game.profiles() order, joined from per-player index strings.
-    keys = list(map(",".join, itertools.product(*([str(k) for k in range(m)] for m in game.shape))))
+    keys = _profile_keys(game.shape)
     scale = game.payoff_scale
     rows = game.payoff_ints.reshape(-1, game.n_players).tolist()
     text = {v: str(Fraction(v, scale)) for v in set(itertools.chain.from_iterable(rows))}

@@ -16,8 +16,8 @@ tie, so comparisons (best-reply counts, payoff peaks, the group-redesire
 screen, the Pareto filter of the stability scan) read the integers as
 they are; exact values divide a contraction of them by payoff_scale
 once per value, and float values read each payoff rounded once from
-its exact value. Single payoffs are read from the mapping once the
-table is valid, so they keep their objects.
+its exact value. A single payoff is its integer over payoff_scale, and
+restrict slices both arrays into a game that adopts them with no pass.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
@@ -27,12 +27,12 @@ iteration order used everywhere deterministic output is promised.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm, prod
+from math import gcd, lcm, prod
 from numbers import Rational
-from typing import Mapping
 
 import numpy as np
 
@@ -112,7 +112,8 @@ class CoalitionGame:
         strategy_sets: per player, an ordered tuple of strategies.
         mechanism: how desires turn into one realized structure.
         payoffs: total map from profile (tuple of strategy indices, one per
-            player) to a tuple of exact rational payoffs.
+            player) to a tuple of exact rational payoffs, read once into
+            payoff_ints; a restriction holds a read-only view of its tensor.
     """
 
     n_players: int
@@ -144,6 +145,10 @@ class CoalitionGame:
                         f"player {i} desires partition index {s.desired_partition}, "
                         f"family has {len(self.family)}"
                     )
+        if isinstance(self.payoffs, _TensorPayoffs):
+            if self.payoffs.ints.shape != (*self.shape, self.n_players):
+                raise ValidationError(f"payoff tensor shape {self.payoffs.ints.shape} does not fit {self.shape}")
+            self.__dict__["_tensor"] = self.payoffs
 
     # -- basic accessors -------------------------------------------------
 
@@ -182,11 +187,12 @@ class CoalitionGame:
     # -- exact tensors ---------------------------------------------------
 
     @cached_property
-    def _scaled_payoffs(self) -> tuple[np.ndarray, int]:
-        """payoff_ints and payoff_scale, from one pass over the payoffs mapping.
+    def _tensor(self) -> _TensorPayoffs:
+        """payoff_ints over payoff_scale, from one pass over the payoffs mapping.
 
         Built on first use, so a builder may fill the mapping after
-        constructing the game. Every payoff must be an exact rational
+        constructing the game; a tensor view given as payoffs is adopted
+        at construction instead. Every payoff must be an exact rational
         (a numbers.Rational, such as int or Fraction).
         """
         values = []
@@ -210,12 +216,12 @@ class CoalitionGame:
         ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
         fits = max(map(abs, ints)) < 2**63
         array = np.array(ints, dtype=np.int64 if fits else object)[inverse]
-        return _frozen(array.reshape(*self.shape, self.n_players)), scale
+        return _TensorPayoffs(_frozen(array.reshape(*self.shape, self.n_players)), scale)
 
     @property
     def payoff_scale(self) -> int:
         """The lcm of every payoff's denominator, so payoff_ints are whole."""
-        return self._scaled_payoffs[1]
+        return self._tensor.scale
 
     @property
     def payoff_ints(self) -> np.ndarray:
@@ -227,7 +233,7 @@ class CoalitionGame:
         consumers need not know which. The positive scale keeps every
         order and tie of the payoffs.
         """
-        return self._scaled_payoffs[0]
+        return self._tensor.ints
 
     @cached_property
     def realized_index(self) -> np.ndarray:
@@ -303,8 +309,7 @@ class CoalitionGame:
 
     def payoff(self, profile: Profile) -> tuple[Fraction, ...]:
         self._check_profile(profile)
-        self.payoff_ints  # the mapping is read only once the table is valid
-        return tuple(self.payoffs[tuple(profile)])
+        return self._tensor[tuple(profile)]
 
     def coalition_value(self, profile: Profile, coalition: Coalition) -> Fraction:
         """Sum of members' payoffs at a profile, if the coalition is realized there."""
@@ -339,9 +344,9 @@ class CoalitionGame:
         """The nested game with desires capped at a smaller block size.
 
         Keeps, per player and in the original order, exactly the strategies
-        whose desired structure survives the cap, and copies payoffs from
-        the corresponding parent profiles. The restricted game is validated
-        before being returned.
+        whose desired structure survives the cap: a slice of payoff_ints, at
+        its own scale and int64 when it fits, and of a table's realized_index,
+        of which only the blocks are checked again, against the new cap.
         """
         if not 1 <= max_coalition <= self.max_coalition:
             raise ValueError(
@@ -372,24 +377,33 @@ class CoalitionGame:
                     for idx in rows
                 )
             )
-        profiles = list(itertools.product(*(range(len(r)) for r in kept)))
-        self.payoff_ints  # the mapping is read only once the table is valid
-        new_payoffs = dict(zip(profiles, map(self.payoffs.__getitem__, itertools.product(*kept))))
+        ints = self.payoff_ints[np.ix_(*kept)]
+        divisor = gcd(self.payoff_scale, int(np.gcd.reduce(ints, axis=None)))
+        ints = ints // divisor
+        if ints.dtype == object and np.abs(ints).max() < 2**63:
+            ints = ints.astype(np.int64)
         mechanism = Mechanism()
         if self.mechanism.kind == TABLE:
-            index = self.realized_index[np.ix_(*kept)].ravel().tolist()
-            structures = [self.family[s] for s in index]
+            index = self.realized_index[np.ix_(*kept)]
+            too_big = np.array([s.max_block_size > max_coalition for s in self.family])
+            outside = np.argwhere(too_big[index])
+            if outside.size:
+                profile = tuple(outside[0].tolist())
+                raise ValidationError(
+                    f"profile {profile} realizes {self.family[index[profile]]}, "
+                    f"outside the family cap {max_coalition}"
+                )
+            profiles = itertools.product(*map(range, index.shape))
+            structures = map(self.family.__getitem__, index.ravel().tolist())
             mechanism = Mechanism(TABLE, dict(zip(profiles, structures)))
-        game = CoalitionGame(
+        return CoalitionGame(
             n_players=self.n_players,
             max_coalition=max_coalition,
             family=sub_family,
             strategy_sets=tuple(new_sets),
             mechanism=mechanism,
-            payoffs=new_payoffs,
+            payoffs=_TensorPayoffs(_frozen(ints), self.payoff_scale // divisor),
         )
-        game.validate_domains()
-        return game
 
 
 def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
@@ -419,3 +433,26 @@ def restrict_game(game: CoalitionGame, max_coalition: int) -> CoalitionGame:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+@dataclass(frozen=True, eq=False)
+class _TensorPayoffs(Mapping):
+    """Read-only map from profile to its row of ints over scale, as Fractions.
+
+    A key outside the profile space is missing: numpy would wrap a negative index.
+    """
+
+    ints: np.ndarray
+    scale: int
+
+    def __getitem__(self, profile: Profile) -> tuple[Fraction, ...]:
+        shape = self.ints.shape[:-1]
+        if len(profile) != len(shape) or not all(0 <= k < m for k, m in zip(profile, shape)):
+            raise KeyError(profile)
+        return tuple(Fraction(v, self.scale) for v in self.ints[tuple(profile)].tolist())
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.ints.shape[:-1]))
+
+    def __len__(self) -> int:
+        return prod(self.ints.shape[:-1])

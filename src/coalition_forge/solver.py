@@ -366,7 +366,7 @@ def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
 def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=0):
     return EquilibriumResult(
         profile=point_mass(game, profile),
-        expected_payoffs=tuple(game.payoffs[profile]),
+        expected_payoffs=game.payoff(profile),
         max_regret=Fraction(0),
         method=method,
         is_equilibrium=True,

@@ -274,6 +274,24 @@ class TestValidation:
             game.validate_domains()
         assert "realized_index" not in game.__dict__
 
+    def test_restrict_slices_without_rebuilding_or_revalidating(self):
+        small = build_game("lunch").restrict(3)
+        assert "realized_index" not in small.__dict__
+        assert not isinstance(small.payoffs, dict)
+        # A table may still realize a block larger than the new cap.
+        family = enumerate_partitions(2, 2)
+        strategies = tuple(
+            Strategy(family.index_of(s), a) for s, a in [(SPLIT, "x"), (SPLIT, "y"), (PAIR, "x")]
+        )
+        profiles = [(i, j) for i in range(3) for j in range(3)]
+        table = {p: PAIR if p == (0, 1) else SPLIT for p in profiles}
+        game = CoalitionGame(
+            2, 2, family, (strategies,) * 2, Mechanism("table", table), dict.fromkeys(profiles, (0, 0))
+        )
+        with pytest.raises(ValidationError) as caught:
+            game.restrict(1)
+        assert str(caught.value) == "profile (0, 1) realizes {{0,1}}, outside the family cap 1"
+
     def test_family_dimensions_must_match(self):
         family = enumerate_partitions(3, 2)
         with pytest.raises(ValidationError):

@@ -728,7 +728,12 @@ def test_float_payoffs_round_once_from_the_exact_value(offset):
     assert repr(result) == FLOAT_PLAY[offset]
 
 
-def test_payoff_isomorphic_compares_scales():
+@pytest.mark.parametrize(
+    "dropped, full_scale, full_dtype",
+    [(Fraction(1, 2), 2, np.int64), (Fraction(2**63), 1, object)],
+    ids=["half", "huge"],
+)
+def test_payoff_isomorphic_compares_scales(dropped, full_scale, full_dtype):
     base = table_game()
     whole, halves = (
         CoalitionGame(
@@ -739,13 +744,14 @@ def test_payoff_isomorphic_compares_scales():
     assert np.array_equal(whole.payoff_ints, halves.payoff_ints)
     assert (whole.payoff_scale, halves.payoff_scale) == (1, 2)
     assert not payoff_isomorphic(whole, halves)
-    # Every payoff with a denominator needs a player desiring the pair.
+    # Every dropped payoff, with a denominator or at 2**63, needs a player
+    # desiring the pair; restricting it away leaves int64 at scale 1.
     family = enumerate_partitions(2, 2)
     pair = family.index_of(CoalitionStructure.of([[0, 1]], 2))
     alone = family.index_of(CoalitionStructure.singletons(2))
     sets = ((Strategy(alone, "x"), Strategy(alone, "y"), Strategy(pair, "x")),) * 2
     payoffs = {
-        p: (Fraction(p[0] + 1), Fraction(p[1] + 2)) if max(p) < 2 else (Fraction(1, 2), Fraction(p[0]))
+        p: (Fraction(p[0] + 1), Fraction(p[1] + 2)) if max(p) < 2 else (dropped, Fraction(p[0]))
         for p in itertools.product(range(3), repeat=2)
     }
     full = CoalitionGame(2, 2, family, sets, Mechanism(), payoffs)
@@ -753,8 +759,25 @@ def test_payoff_isomorphic_compares_scales():
     sets = ((Strategy(0, "x"), Strategy(0, "y")),) * 2
     direct = CoalitionGame(2, 1, enumerate_partitions(2, 1), sets, Mechanism(), kept)
     small = full.restrict(1)
-    assert (full.payoff_scale, small.payoff_scale, direct.payoff_scale) == (2, 1, 1)
+    assert (full.payoff_scale, small.payoff_scale, direct.payoff_scale) == (full_scale, 1, 1)
+    assert (full.payoff_ints.dtype, small.payoff_ints.dtype) == (full_dtype, np.int64)
     assert payoff_isomorphic(small, direct)
+
+
+def test_restricted_payoffs_read_as_a_read_only_mapping():
+    game = catalog_game("pd-extended")
+    small = game.restrict(1)
+    view = small.payoffs
+    # Plain numpy indexing would wrap the negative index.
+    assert [view.get(p) for p in [(-1, 0), (0, 2), (0,), (0, 0, 0)]] == [None] * 4
+    assert (-1, 0) not in view and (1, 1) in view
+    assert list(view) == list(small.profiles()) and len(view) == small.n_profiles == 4
+    assert [view[p] for p in view] == [small.payoff(p) for p in small.profiles()]
+    assert all(type(v) is Fraction for p in view for v in view[p])
+    with pytest.raises(TypeError):
+        view[(0, 0)] = (Fraction(0), Fraction(0))
+    with pytest.raises(ValidationError, match="shape"):
+        CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, view)
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1), "1"])
