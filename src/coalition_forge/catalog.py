@@ -65,6 +65,11 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
     return game
 
 
+def _joint_bonus(where: str, bonus: Fraction):
+    """The adjust that adds bonus to both payoffs where both players choose where."""
+    return lambda pay, c1, c2: (pay[0] + bonus, pay[1] + bonus) if c1[1] == c2[1] == where else pay
+
+
 def build_pd_standard() -> CoalitionGame:
     """Two-player dilemma where staying alone is the only option (cap K=1)."""
     return build_pd_extended().restrict(1)
@@ -80,13 +85,7 @@ def build_pd_extroverts(eps: Fraction) -> CoalitionGame:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-
-    def adjust(pay, c1, c2):
-        if c1[1] == c2[1] == TOGETHER:
-            return (pay[0] + eps, pay[1] + eps)
-        return pay
-
-    return _two_player_game(("L", "H"), _PD_BASE, adjust)
+    return _two_player_game(("L", "H"), _PD_BASE, _joint_bonus(TOGETHER, eps))
 
 
 def build_pd_introverts(delta: Fraction) -> CoalitionGame:
@@ -99,13 +98,7 @@ def build_pd_introverts(delta: Fraction) -> CoalitionGame:
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-
-    def adjust(pay, c1, c2):
-        if c1[1] == c2[1] == ALONE:
-            return (pay[0] + delta, pay[1] + delta)
-        return pay
-
-    return _two_player_game(("L", "H"), _PD_BASE, adjust)
+    return _two_player_game(("L", "H"), _PD_BASE, _joint_bonus(ALONE, delta))
 
 
 def build_pd_mixed_types(eps: Fraction, delta: Fraction) -> CoalitionGame:
@@ -144,13 +137,7 @@ def build_bos(eps: Fraction) -> CoalitionGame:
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-
-    def adjust(pay, c1, c2):
-        if c1[1] == c2[1] == TOGETHER:
-            return (pay[0] + eps, pay[1] + eps)
-        return pay
-
-    return _two_player_game(("B", "O"), _BOS_BASE, adjust)
+    return _two_player_game(("B", "O"), _BOS_BASE, _joint_bonus(TOGETHER, eps))
 
 
 def build_stag_hare() -> CoalitionGame:

@@ -11,7 +11,9 @@ Every document is written by dumps, whose text is exactly
 json.dumps(data, indent=2, sort_keys=True), so the format is byte
 stable. game_to_dict reads the validated payoff tensor: each payoff's
 text is str(Fraction) of its payoff_ints entry over payoff_scale, the
-text of the stored value.
+text of the stored value. game_from_dict reads the table the other way,
+straight into that tensor: each distinct payoff text becomes one
+Fraction, and no profile-keyed payoff mapping is built.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .games import (
     UNANIMITY,
     CoalitionGame,
     Mechanism,
-    Profile,
     Strategy,
     ValidationError,
+    _read_payoffs,
 )
 from .partitions import CoalitionStructure, enumerate_partitions
 from .solver import MixedProfile
@@ -82,15 +84,6 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise GameFileError(f"{where} must be a rational string, got {type(value).__name__}")
 
 
-def _parse_once(value: Any, decoded: dict[str, Fraction], where: str) -> Fraction:
-    """parse_rational, keeping each string's value in decoded to parse it once."""
-    if type(value) is not str:
-        return parse_rational(value, where)
-    if value not in decoded:
-        decoded[value] = parse_rational(value, where)
-    return decoded[value]
-
-
 def format_rational(value: Fraction) -> str:
     """Exact "p/q" text of a number; floats convert without rounding."""
     if type(value) in (Fraction, int):
@@ -137,10 +130,9 @@ def _structure_literal(structure: CoalitionStructure, names: Sequence[str]) -> l
     return [[names[i] for i in block] for block in structure.blocks]
 
 
-def _profile_keys(shape: Sequence[int]) -> dict[str, Profile]:
-    """Each profile of the space by its canonical key, in CoalitionGame.profiles() order."""
-    keys = map(",".join, itertools.product(*([str(k) for k in range(m)] for m in shape)))
-    return dict(zip(keys, itertools.product(*map(range, shape))))
+def _profile_keys(shape: Sequence[int]) -> list[str]:
+    """The canonical key of each profile of the space, in CoalitionGame.profiles() order."""
+    return list(map(",".join, itertools.product(*([str(k) for k in range(m)] for m in shape))))
 
 
 def _reject_profile_key(key: Any, shape: Sequence[int], where: str) -> NoReturn:
@@ -208,7 +200,8 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
             strategies.append(Strategy(desired, action))
         strategy_sets.append(tuple(strategies))
     shape = [len(s) for s in strategy_sets]
-    profiles = _profile_keys(shape)
+    keys = _profile_keys(shape)
+    canonical = set(keys)
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
@@ -218,8 +211,9 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         raw_table = _require_mapping(raw_mech["table"], "mechanism.table")
         table = {}
         for key, literal in raw_table.items():
-            profile = profiles.get(key) or _reject_profile_key(key, shape, "mechanism.table")
-            table[profile] = _parse_structure(
+            if key not in canonical:
+                _reject_profile_key(key, shape, "mechanism.table")
+            table[tuple(map(int, key.split(",")))] = _parse_structure(
                 literal, by_name, n, f"mechanism.table[{key!r}]"
             )
         mechanism = Mechanism(TABLE, table)
@@ -229,29 +223,23 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         )
 
     raw_payoffs = _require_mapping(data["payoffs"], "payoffs")
-    payoffs = {}
-    # decoded holds strings only, so a row with anything else (a JSON
-    # number, a boolean) or a new string is read value by value and fails
-    # where it failed before.
-    decoded: dict[str, Fraction] = {}
+    # Each distinct string or integer, read once. Only strings are looked
+    # up before reading: True and 1.0 would find the entry of 1.
+    decoded: dict[Any, Fraction] = {}
     for key, row in raw_payoffs.items():
-        profile = profiles.get(key) or _reject_profile_key(key, shape, "payoffs")
+        if key not in canonical:
+            _reject_profile_key(key, shape, "payoffs")
         if not isinstance(row, list) or len(row) != n:
             raise GameFileError(f"payoffs[{key!r}] must list {n} rationals")
-        try:
-            payoffs[profile] = tuple(map(decoded.__getitem__, row))
-        except (KeyError, TypeError):
-            payoffs[profile] = tuple(
-                _parse_once(v, decoded, f"payoffs[{key!r}][{i}]") for i, v in enumerate(row)
-            )
+        for i, v in enumerate(row):
+            if type(v) is not str or v not in decoded:
+                decoded[v] = parse_rational(v, f"payoffs[{key!r}][{i}]")
+    rows = [row and tuple(map(decoded.__getitem__, row)) for row in map(raw_payoffs.get, keys)]
+    payoffs = _read_payoffs(rows, (*shape, n))
 
-    try:
-        game = CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs)
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise GameFileError(str(exc)) from None
-    game.validate_domains()
+    game = CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs)
+    if mechanism.kind == TABLE:
+        game.realized_index  # every profile realizes a structure of the family
     return game, names
 
 

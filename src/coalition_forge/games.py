@@ -4,9 +4,9 @@ A strategy is a (desired partition, action) pair. A mechanism maps every
 profile of desires to one realized coalition structure, which splits the
 profile space into disjoint domains, one per reachable structure.
 
-Payoffs come in as a mapping from profile to exact rationals, the form
-game files hold. On first use a game turns it, in one pass, into its
-one payoff tensor, payoff_ints: shape (*strategy counts, n_players),
+Payoffs come in as a mapping from profile to exact rationals. On first
+use a game reads it, in one pass, into its one payoff tensor,
+payoff_ints: shape (*strategy counts, n_players),
 every payoff times payoff_scale (the lcm of every payoff's denominator)
 as an exact integer, int64 when every value fits and Python ints
 otherwise. The mechanism becomes a realized-structure index: the family
@@ -16,8 +16,9 @@ tie, so comparisons (best-reply counts, payoff peaks, the group-redesire
 screen, the Pareto filter of the stability scan) read the integers as
 they are; exact values divide a contraction of them by payoff_scale
 once per value, and float values read each payoff rounded once from
-its exact value. A single payoff is its integer over payoff_scale, and
-restrict slices both arrays into a game that adopts them with no pass.
+its exact value. A single payoff is its integer over payoff_scale. A
+game file is read straight into the payoff tensor, and restrict slices
+both arrays; either game adopts its tensor with no pass.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
@@ -113,7 +114,8 @@ class CoalitionGame:
         mechanism: how desires turn into one realized structure.
         payoffs: total map from profile (tuple of strategy indices, one per
             player) to a tuple of exact rational payoffs, read once into
-            payoff_ints; a restriction holds a read-only view of its tensor.
+            payoff_ints; a restricted or loaded game holds a read-only view
+            of its tensor.
     """
 
     n_players: int
@@ -192,31 +194,10 @@ class CoalitionGame:
 
         Built on first use, so a builder may fill the mapping after
         constructing the game; a tensor view given as payoffs is adopted
-        at construction instead. Every payoff must be an exact rational
-        (a numbers.Rational, such as int or Fraction).
+        at construction instead.
         """
-        values = []
-        for profile in self.profiles():
-            row = self.payoffs.get(profile)
-            if row is None:
-                raise ValidationError(f"payoff table has no entry for profile {profile}")
-            if len(row) != self.n_players:
-                raise ValidationError(f"payoff entry for {profile} has the wrong arity")
-            values.extend(row)
-        # Tables repeat a few payoff objects many times (builders and game
-        # files share them), so each distinct object is read once.
-        ids = np.fromiter(map(id, values), np.uint64, len(values))
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        bad = next((k for k in sorted(first.tolist()) if not isinstance(values[k], Rational)), None)
-        if bad is not None:
-            profile = next(itertools.islice(self.profiles(), bad // self.n_players, None))
-            raise ValidationError(f"payoff entry for {profile} holds {values[bad]!r}, not an exact rational")
-        distinct = [values[k] for k in first.tolist()]
-        scale = lcm(*{int(v.denominator) for v in distinct})
-        ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
-        fits = max(map(abs, ints)) < 2**63
-        array = np.array(ints, dtype=np.int64 if fits else object)[inverse]
-        return _TensorPayoffs(_frozen(array.reshape(*self.shape, self.n_players)), scale)
+        rows = list(map(self.payoffs.get, self.profiles()))
+        return _read_payoffs(rows, (*self.shape, self.n_players))
 
     @property
     def payoff_scale(self) -> int:
@@ -309,7 +290,7 @@ class CoalitionGame:
 
     def payoff(self, profile: Profile) -> tuple[Fraction, ...]:
         self._check_profile(profile)
-        return self._tensor[tuple(profile)]
+        return self._tensor.row(tuple(profile))
 
     def coalition_value(self, profile: Profile, coalition: Coalition) -> Fraction:
         """Sum of members' payoffs at a profile, if the coalition is realized there."""
@@ -435,6 +416,36 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _read_payoffs(rows: list, shape: tuple[int, ...]) -> _TensorPayoffs:
+    """The tensor view of payoff rows listed in profile order, None for a missing row.
+
+    shape is (*strategy counts, n_players). Every row must hold n_players
+    exact rationals (numbers.Rational, such as int or Fraction). Tables
+    repeat a few payoff objects many times (builders and game files share
+    them), so each distinct object is read once.
+    """
+    n = shape[-1]
+    bad = next((k for k, row in enumerate(rows) if row is None or len(row) != n), None)
+    if bad is not None:
+        profile = tuple(map(int, np.unravel_index(bad, shape[:-1])))
+        if rows[bad] is None:
+            raise ValidationError(f"payoff table has no entry for profile {profile}")
+        raise ValidationError(f"payoff entry for {profile} has the wrong arity")
+    values = list(itertools.chain.from_iterable(rows))
+    ids = np.fromiter(map(id, values), np.uint64, len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    bad = next((k for k in sorted(first.tolist()) if not isinstance(values[k], Rational)), None)
+    if bad is not None:
+        profile = tuple(map(int, np.unravel_index(bad // n, shape[:-1])))
+        raise ValidationError(f"payoff entry for {profile} holds {values[bad]!r}, not an exact rational")
+    distinct = [values[k] for k in first.tolist()]
+    scale = lcm(*{int(v.denominator) for v in distinct})
+    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
+    fits = max(map(abs, ints)) < 2**63
+    array = np.array(ints, dtype=np.int64 if fits else object)[inverse]
+    return _TensorPayoffs(_frozen(array.reshape(shape)), scale)
+
+
 @dataclass(frozen=True, eq=False)
 class _TensorPayoffs(Mapping):
     """Read-only map from profile to its row of ints over scale, as Fractions.
@@ -449,7 +460,11 @@ class _TensorPayoffs(Mapping):
         shape = self.ints.shape[:-1]
         if len(profile) != len(shape) or not all(0 <= k < m for k, m in zip(profile, shape)):
             raise KeyError(profile)
-        return tuple(Fraction(v, self.scale) for v in self.ints[tuple(profile)].tolist())
+        return self.row(tuple(profile))
+
+    def row(self, profile: Profile) -> tuple[Fraction, ...]:
+        """The payoffs at a profile known to lie in the space, unchecked."""
+        return tuple(Fraction(v, self.scale) for v in self.ints[profile].tolist())
 
     def __iter__(self):
         return itertools.product(*map(range, self.ints.shape[:-1]))

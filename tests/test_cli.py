@@ -15,7 +15,8 @@ from _shared import unnested_pair
 from coalition_forge import cli, solver
 from coalition_forge.catalog import build_game
 from coalition_forge.cli import SEED_ENV, _make_config, main
-from coalition_forge.gamefile import dumps, game_to_dict, profile_to_dict
+from coalition_forge.gamefile import dumps, game_to_dict, profile_to_dict, save_game
+from coalition_forge.games import TABLE, CoalitionGame, Mechanism
 from coalition_forge.solver import MixedProfile
 
 
@@ -306,6 +307,36 @@ class TestStability:
     def test_usage_errors(self):
         assert run("stability", "pd-extended")[0] == 2
         assert run("stability", "pd-extended", "--K0", "3")[0] == 2
+
+
+class TestTableFiles:
+    """Game files whose mechanism is an explicit table, read by the commands."""
+
+    @pytest.mark.parametrize("game_id", ["stag-hare", "bos", "pd-extended"])
+    def test_table_copied_from_unanimity_gives_the_same_results(self, tmp_path, game_id):
+        game = build_game(game_id)
+        table = {p: game.realized_partition(p) for p in game.profiles()}
+        copied = CoalitionGame(
+            game.n_players, game.max_coalition, game.family, game.strategy_sets,
+            Mechanism(TABLE, table), game.payoffs,
+        )
+        paths = {}
+        for kind, source in (("unanimity", game), ("table", copied)):
+            for cap in (1, 2):
+                paths[kind, cap] = tmp_path / f"{kind}_K{cap}.json"
+                save_game(source.restrict(cap), paths[kind, cap])
+        assert "table" in json.loads(paths["table", 1].read_text())["mechanism"]
+
+        def documents(kind):
+            solved = [run_json("solve", str(paths[kind, cap])) for cap in (1, 2)]
+            stable = run_json("stability", str(paths[kind, 1]), str(paths[kind, 2]), "--K0", "1")
+            for document in (*solved, stable):
+                document.pop("source")
+            return solved, stable
+
+        expected = documents("unanimity")
+        assert expected[1]["K_star"] == 2
+        assert documents("table") == expected
 
 
 class TestCatalogCommand:

@@ -1030,6 +1030,10 @@ def test_table_entry_outside_the_profile_space_is_not_written(tmp_path):
     save_game(game, path, ("1", "2"))
     back, names = load_game(path)
     assert names == ("1", "2")
+    # The file is read straight into the tensor, which the game adopts.
+    assert type(back.payoffs) is not dict
+    assert "_tensor" in vars(back)
+    assert dict(back.payoffs) == dict(game.payoffs)
     assert payoff_isomorphic(back, game)
     assert back.mechanism.table == table
 
@@ -1041,3 +1045,78 @@ def test_game_to_dict_names_a_missing_payoff():
     broken = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
     with pytest.raises(ValidationError, match=r"^payoff table has no entry for profile \(1, 0\)$"):
         game_to_dict(broken)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({(1, 0): None}, "payoff table has no entry for profile (1, 0)"),
+        ({(1, 0): (Fraction(1),)}, "payoff entry for (1, 0) has the wrong arity"),
+        ({(1, 0): (0.5, 1)}, "payoff entry for (1, 0) holds 0.5, not an exact rational"),
+        ({(1, 1): None, (1, 0): (1, 2, 3)}, "payoff entry for (1, 0) has the wrong arity"),
+        # Every row is checked for presence and arity before any value is read.
+        ({(0, 1): (1, "1"), (1, 0): None}, "payoff table has no entry for profile (1, 0)"),
+    ],
+)
+def test_mapping_faults_name_the_first_faulty_profile(faults, message):
+    game = table_game()
+    payoffs = dict(game.payoffs)
+    for profile, row in faults.items():
+        if row is None:
+            del payoffs[profile]
+        else:
+            payoffs[profile] = row
+    broken = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    with pytest.raises(ValidationError) as caught:
+        broken.payoff_ints
+    assert str(caught.value) == message
+
+
+def drop_payoff(document):
+    del document["payoffs"]["1,0"]
+
+
+def drop_table_entry(document):
+    del document["mechanism"]["table"]["1,0"]
+
+
+def pair_above_the_cap(document):
+    document["K"] = 1
+    for player in document["strategies"]:
+        for strategy in player:
+            strategy["partition"] = [["1"], ["2"]]
+    table = document["mechanism"]["table"]
+    for key in table:
+        table[key] = [["1"], ["2"]]
+    table["0,1"] = [["1", "2"]]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (drop_payoff, "payoff table has no entry for profile (1, 0)"),
+        (drop_table_entry, "mechanism table has no entry for profile (1, 0)"),
+        (pair_above_the_cap, "profile (0, 1) realizes {{0,1}}, outside the family cap 1"),
+    ],
+)
+def test_load_faults_keep_their_message_and_exit_code(tmp_path, fault, message):
+    document = game_to_dict(table_game())
+    fault(document)
+    with pytest.raises(ValidationError) as caught:
+        game_from_dict(copy.deepcopy(document))
+    assert str(caught.value) == message
+    path = tmp_path / "broken.json"
+    path.write_text(dumps(document) + "\n")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["solve", str(path)])
+    assert (code, err.getvalue()) == (3, f"coalition-forge: invalid game: {message}\n")
+
+
+def test_integer_and_string_payoffs_load_alike():
+    document = game_to_dict(table_game())
+    numbers = copy.deepcopy(document)
+    numbers["payoffs"] = {key: [int(v) for v in row] for key, row in document["payoffs"].items()}
+    numbers["payoffs"]["1,1"][0] = "1"
+    game, _ = game_from_dict(document)
+    assert payoff_isomorphic(game_from_dict(numbers)[0], game)
