@@ -1,6 +1,7 @@
 """Built-in example games.
 
-Each builder returns a fully validated game with exact rational payoffs.
+Each builder returns a game with exact rational payoffs and a payoff
+table complete by construction, which the game reads on first use.
 The two-player variants share one base payoff pattern on their two actions
 and differ only in which cells get a partition-dependent markup. Strategy
 order follows the source tables: alone strategies first, together
@@ -53,7 +54,7 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
         for j, c2 in enumerate(choices):
             cell = adjust(base[(c1[0], c2[0])], c1, c2)
             payoffs[(i, j)] = (Fraction(cell[0]), Fraction(cell[1]))
-    game = CoalitionGame(
+    return CoalitionGame(
         n_players=2,
         max_coalition=2,
         family=family,
@@ -61,8 +62,6 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
         mechanism=Mechanism(),
         payoffs=payoffs,
     )
-    game.validate_domains()
-    return game
 
 
 def _joint_bonus(where: str, bonus: Fraction):
@@ -186,7 +185,6 @@ def build_lunch() -> CoalitionGame:
     payoffs.update(
         zip(game.profiles(), (by_structure[s] for s in game.realized_index.ravel().tolist()))
     )
-    game.validate_domains()
     return game
 
 

@@ -10,8 +10,9 @@ payoff_ints: shape (*strategy counts, n_players),
 every payoff times payoff_scale (the lcm of every payoff's denominator)
 as an exact integer, int64 when every value fits and Python ints
 otherwise. The mechanism becomes a realized-structure index: the family
-index of the structure each profile realizes. Every consumer reads
-these two arrays. Scaling by a positive integer keeps every order and
+index of the structure each profile realizes, which under unanimity
+depends only on own desired blocks. Every consumer reads these two
+arrays. Scaling by a positive integer keeps every order and
 tie, so comparisons (best-reply counts, payoff peaks, the group-redesire
 screen, the Pareto filter of the stability scan) read the integers as
 they are; exact values divide a contraction of them by payoff_scale
@@ -31,7 +32,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm, prod
 from numbers import Rational
 
@@ -220,9 +221,10 @@ class CoalitionGame:
     def realized_index(self) -> np.ndarray:
         """Family index of the structure each profile realizes, as a read-only array.
 
-        Under unanimity a block forms exactly where every member's own
-        desired block equals it, which each strategy's own-block bitmask
-        gives for all profiles at once.
+        Under unanimity a block forms exactly when every member desires
+        it, so the structure depends only on own desired blocks: the rule
+        runs once per combination of each player's distinct own blocks,
+        and np.ix_ gathers that table onto the profile space.
         """
         if self.mechanism.kind == TABLE:
             index = []
@@ -238,29 +240,25 @@ class CoalitionGame:
             return _frozen(np.array(index, dtype=np.int64).reshape(self.shape))
         n = self.n_players
         own = [
-            np.array(
-                [sum(1 << m for m in self.desired_structure(i, k).block_of(i)) for k in range(size)],
-                dtype=np.int64,
-            ).reshape([size if j == i else 1 for j in range(n)])
+            [self.desired_structure(i, k).block_of(i).members for k in range(size)]
             for i, size in enumerate(self.shape)
         ]
-        realized = []
-        for i in range(n):
-            formed = reduce(
-                np.logical_and,
-                (((own[i] >> j) & 1 == 0) | (own[j] == own[i]) for j in range(n)),
+        blocks = [list(dict.fromkeys(row)) for row in own]
+        codes: dict[tuple, int] = {}
+        table = []
+        for combo in itertools.product(*blocks):
+            # A block forms when every member desires it; its first member checks.
+            formed = tuple(
+                b for i, b in enumerate(combo) if b[0] == i and all(combo[m] == b for m in b)
             )
-            realized.append(np.broadcast_to(np.where(formed, own[i], 1 << i), self.shape))
-        rows, inverse = np.unique(
-            np.stack(realized, axis=-1).reshape(-1, n), axis=0, return_inverse=True
-        )
-        codes = np.array([
-            self.family.index_of(
-                CoalitionStructure.of([[m for m in range(n) if mask >> m & 1] for mask in set(row)], n)
-            )
-            for row in rows.tolist()
-        ])
-        return _frozen(codes[inverse.reshape(-1)].reshape(self.shape))
+            if formed not in codes:
+                covered = {m for b in formed for m in b}
+                alone = [(m,) for m in range(n) if m not in covered]
+                codes[formed] = self.family.index_of(CoalitionStructure.of([*formed, *alone], n))
+            table.append(codes[formed])
+        table = np.array(table, dtype=np.int64).reshape([len(b) for b in blocks])
+        picks = [list(map(b.index, row)) for b, row in zip(blocks, own)]
+        return _frozen(table[np.ix_(*picks)])
 
     @cached_property
     def best_reply_counts(self) -> np.ndarray:
@@ -312,8 +310,8 @@ class CoalitionGame:
         right arity. Grouping a total function cannot overlap, so the
         decomposition is disjoint and covering by construction.
         """
-        # Payoffs first: under unanimity the structure index allocates
-        # arrays the size of the whole profile space.
+        # Payoffs first: the structure index is an array the size of the
+        # whole profile space.
         self.payoff_ints
         index = self.realized_index.ravel().tolist()
         domains: dict[int, list[Profile]] = {}

@@ -193,6 +193,30 @@ class TestAnalyze:
         assert document["verification"]["regrets"] == ["0", "0"]
         assert document["stochastic"] is False
 
+    def test_default_route_falls_back_to_the_support_lane(self, tmp_path):
+        # Matching pennies at cap 2: player 1 wins when the actions match,
+        # player 2 when they differ, wherever either eats. No pure equilibrium.
+        alone, together = [["1"], ["2"]], [["1", "2"]]
+        strategies = [{"partition": p, "action": a} for p in (alone, together) for a in "HT"]
+        payoffs = {
+            f"{i},{j}": ["1", "-1"] if i % 2 == j % 2 else ["-1", "1"]
+            for i in range(4)
+            for j in range(4)
+        }
+        path = write_json(tmp_path / "pennies.json", {
+            "schema_version": 1,
+            "players": ["1", "2"],
+            "K": 2,
+            "strategies": [strategies, strategies],
+            "mechanism": "unanimity",
+            "payoffs": payoffs,
+        })
+        document = run_json("analyze", path)
+        assert document["equilibrium"]["method"] == "support-enum"
+        assert document["equilibrium"]["weights"] == [["1/2", "1/2", "0", "0"]] * 2
+        assert document["verification"]["passed"] is True
+        assert run_json("stability", path, "--K0", "1")["K_star"] == 2
+
     def test_cooperation_flags(self):
         document = run_json("analyze", "pd-extroverts", "--coalition", "1,2")
         assert document["cooperation"] == {

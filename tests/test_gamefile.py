@@ -1,10 +1,11 @@
-"""The JSON writer against the json module, and the byte pins of the format.
+"""The JSON writer against the json module, the format's byte pins and the loader's refusals.
 
 gamefile.dumps must return exactly json.dumps(data, indent=2,
 sort_keys=True), failures included, while it writes containers of
 scalars through the C encoder. The pins fix the bytes of the lunch game
 files and of two CLI documents, as the writer gave them before it
-stopped using json's pure-Python encoder.
+stopped using json's pure-Python encoder. The loader must refuse each
+malformed document with its own message, and the CLI with exit code 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import collections
 import decimal
 import enum
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +24,15 @@ from hypothesis import strategies as st
 
 from _shared import restricted
 from coalition_forge.cli import main
-from coalition_forge.gamefile import dumps, save_game
+from coalition_forge.gamefile import (
+    GameFileError,
+    dumps,
+    game_from_dict,
+    load_game,
+    load_profile,
+    profile_from_dict,
+    save_game,
+)
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -203,3 +214,162 @@ def test_cli_document_bytes_are_pinned(lunch_folder, command, monkeypatch, capsy
     monkeypatch.chdir(lunch_folder)  # the documents name their source files
     assert main(command.split()) == 0
     assert sha256(capsys.readouterr().out.encode()) == CLI_DOCUMENTS[command]
+
+
+# -- the loader's rejections ---------------------------------------------------
+
+
+def small_document():
+    """A valid two-player game document at cap 2 with a table mechanism."""
+    pair, split = [["A", "B"]], [["A"], ["B"]]
+    strategies = [{"partition": pair, "action": "x"}, {"partition": split}]
+    # Through JSON, so that no two entries share a list and an edit changes one entry.
+    return json.loads(json.dumps({
+        "schema_version": 1,
+        "players": ["A", "B"],
+        "K": 2,
+        "strategies": [strategies, strategies],
+        "mechanism": {"table": {"0,0": pair, "0,1": split, "1,0": split, "1,1": split}},
+        "payoffs": {"0,0": ["1", "1"], "0,1": ["0", "2/3"], "1,0": ["2/3", "0"], "1,1": [0, 0]},
+    }))
+
+
+DROP = object()
+
+# (path to one entry of small_document(), its new value or DROP, the message)
+LOADER_REJECTIONS = [
+    (("schema_version",), 2, "game document schema_version must be 1, got 2"),
+    (("K",), DROP, "game document is missing keys: K"),
+    (("colour",), "red", "game document has unknown keys: colour"),
+    (("players",), [], "players must be a non-empty list of names"),
+    (("players", 1), 2, "players[1] must be a non-empty string"),
+    (("players", 1), "A", "player names must be distinct"),
+    (("K",), 3, "K must be an integer in 1..2, got 3"),
+    (("K",), 1, "strategies[0][0].partition has a block larger than K=1"),
+    (("strategies", 1), DROP, "strategies must be a list with one entry per player (2)"),
+    (("strategies", 1), [], "strategies[1] must be a non-empty list"),
+    (("strategies", 0, 1), "split", "strategies[0][1] must be an object, got str"),
+    (("strategies", 0, 1, "colour"), "red", "strategies[0][1] has unknown keys: colour"),
+    (("strategies", 0, 1, "partition"), DROP, "strategies[0][1] is missing keys: partition"),
+    (("strategies", 0, 0, "action"), 1, "strategies[0][0].action must be a string"),
+    (("strategies", 0, 1, "partition"), "A|B", "strategies[0][1].partition must be a list of blocks"),
+    (
+        ("strategies", 0, 1, "partition", 1),
+        [],
+        "strategies[0][1].partition block 1 must be a non-empty list of names",
+    ),
+    (
+        ("strategies", 0, 1, "partition", 1, 0),
+        "C",
+        "strategies[0][1].partition block 1 names unknown player 'C'",
+    ),
+    (
+        ("strategies", 0, 1, "partition", 1, 0),
+        "A",
+        "strategies[0][1].partition assigns a player to two blocks",
+    ),
+    (
+        ("strategies", 0, 1, "partition", 1),
+        DROP,
+        "strategies[0][1].partition does not cover every player exactly once",
+    ),
+    (
+        ("mechanism",),
+        "majority",
+        "mechanism must be \"unanimity\" or an object with a table, got 'majority'",
+    ),
+    (("mechanism", "rule"), "majority", "mechanism has unknown keys: rule"),
+    (("mechanism", "table"), DROP, "mechanism is missing keys: table"),
+    (("mechanism", "table"), [], "mechanism.table must be an object, got list"),
+    (
+        ("mechanism", "table", "1,1", 1),
+        DROP,
+        "mechanism.table['1,1'] does not cover every player exactly once",
+    ),
+    (("payoffs",), [], "payoffs must be an object, got list"),
+    (("payoffs", 0), ["0", "0"], "payoffs keys must be strings of comma-joined indices"),
+    (("payoffs", "0,1", 1), DROP, "payoffs['0,1'] must list 2 rationals"),
+    (("payoffs", "1,0", 0), 0.5, "payoffs['1,0'][0] must be a rational string, got float"),
+]
+# Rejections also run through the CLI, one from each part of the document.
+CLI_REJECTIONS = {
+    "game document is missing keys: K",
+    "players[1] must be a non-empty string",
+    "strategies[0][0].partition has a block larger than K=1",
+    "payoffs['0,1'] must list 2 rationals",
+}
+
+
+def one_edit(path, value):
+    """small_document() with the entry at path replaced by value, or dropped."""
+    document = small_document()
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return document
+
+
+def test_the_small_document_loads():
+    game, names = game_from_dict(small_document())
+    assert names == ("A", "B") and game.shape == (2, 2)
+    assert str(game.payoff((1, 0))[0]) == "2/3"
+
+
+@pytest.mark.parametrize(
+    "path, value, message", LOADER_REJECTIONS, ids=[m for _, _, m in LOADER_REJECTIONS]
+)
+def test_loader_rejects_each_malformed_document_with_its_message(tmp_path, path, value, message):
+    document = one_edit(path, value)
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message
+    if message in CLI_REJECTIONS:
+        file = tmp_path / "game.json"
+        file.write_text(dumps(document) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", str(file)])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().endswith(f"error: {message}\n")
+
+
+def test_unreadable_files_are_rejected(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(GameFileError) as caught:
+        load_game(missing)
+    assert str(caught.value) == (
+        f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
+    )
+    noise = tmp_path / "noise.json"
+    noise.write_text("not json {")
+    with pytest.raises(GameFileError) as caught:
+        load_game(noise)
+    assert str(caught.value) == (
+        f"{noise} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            {"schema_version": 0, "weights": [["1", "0"], ["0", "1"]]},
+            "profile document schema_version must be 1, got 0",
+        ),
+        ({"schema_version": 1, "weights": [["1", "0"]]}, "weights must list one row per player (2)"),
+        ({"schema_version": 1, "weights": [["1", "0"], ["1"]]}, "weights[1] must list 2 rationals"),
+    ],
+)
+def test_profile_loader_rejects_rows_that_do_not_fit(tmp_path, document, message):
+    game, _ = game_from_dict(small_document())
+    file = tmp_path / "profile.json"
+    file.write_text(dumps(document) + "\n")
+    for load in (lambda: profile_from_dict(document, game), lambda: load_profile(file, game)):
+        with pytest.raises(GameFileError) as caught:
+            load()
+        assert str(caught.value) == message

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _shared import game as catalog_game
-from _shared import random_two_player_game
+from _shared import random_two_player_game, restricted
 from coalition_forge.cli import main
 from coalition_forge.gamefile import (
     GameFileError,
@@ -46,7 +46,12 @@ from coalition_forge.games import (
     ValidationError,
     payoff_isomorphic,
 )
-from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
+from coalition_forge.partitions import (
+    Coalition,
+    CoalitionStructure,
+    PartitionFamily,
+    enumerate_partitions,
+)
 from coalition_forge.solver import (
     SUPPORT,
     EquilibriumResult,
@@ -427,18 +432,51 @@ def games_with_profiles(draw):
 # -- differential checks ------------------------------------------------------
 
 
+def hand_built_game():
+    """A 4-player unanimity game at cap 2 over a family built by hand, in reverse order.
+
+    Each structure is built on its own, so equal blocks of different
+    structures, such as {0,1} in {{0,1},{2,3}} and in {{0,1},{2},{3}},
+    are different Coalition objects.
+    """
+    structures = tuple(
+        CoalitionStructure.of([b.members for b in s], 4)
+        for s in reversed(enumerate_partitions(4, 2).structures)
+    )
+    own = [s.block_of(0) for s in structures]
+    assert len(set(own)) < len(own) == len(set(map(id, own)))
+    strategies = tuple(Strategy(k) for k in range(len(structures)))
+    profiles = itertools.product(range(len(strategies)), repeat=4)
+    return CoalitionGame(
+        4, 2, PartitionFamily(4, 2, structures), (strategies,) * 4,
+        payoffs=dict.fromkeys(profiles, (0, 0, 0, 0)),
+    )
+
+
 class TestAgainstBruteForce:
-    @DIFFERENTIAL
-    @given(coalition_games())
-    def test_realized_structures_and_domains(self, game):
+    @staticmethod
+    def check_realized_structures_and_domains(game):
         expected = {p: brute_realized(game, p) for p in all_profiles(game)}
         for profile, structure in expected.items():
             assert game.realized_partition(profile) == structure
-        domains = game.validate_domains()
-        listed = [structure for structure, _ in domains]
-        assert listed == [s for s in game.family if s in set(expected.values())]
-        for structure, profiles in domains:
-            assert list(profiles) == [p for p, s in expected.items() if s == structure]
+        grouped = {}
+        for profile, structure in expected.items():
+            grouped.setdefault(structure, []).append(profile)
+        domains = [(structure, list(profiles)) for structure, profiles in game.validate_domains()]
+        assert domains == [(s, grouped[s]) for s in game.family if s in grouped]
+
+    @DIFFERENTIAL
+    @given(coalition_games(players=(1, 5)))
+    def test_realized_structures_and_domains(self, game):
+        self.check_realized_structures_and_domains(game)
+
+    @pytest.mark.parametrize(
+        "build",
+        [hand_built_game, lambda: restricted("lunch", 2), lambda: catalog_game("lunch")],
+        ids=["hand-built", "lunch-K2", "lunch-K4"],
+    )
+    def test_realized_structures_and_domains_of_built_games(self, build):
+        self.check_realized_structures_and_domains(build())
 
     @DIFFERENTIAL
     @given(games_with_profiles())
