@@ -4,10 +4,13 @@ Three solvers cover the usual cases: an exhaustive pure profile search
 with a group redesire screen, exact support enumeration for two player
 games, and damped fictitious play for everything else. The exact lanes
 compare payoffs, and the support lane also solves, in the game's integer
-units (payoff_ints), with Fractions only in their results. The iterative
-lane runs on floats and reports the residual regret it achieved,
-snapping to an exactly verified pure profile when best responses lock
-in.
+units (payoff_ints), with Fractions only in their results. The support
+lane skips support pairs that conditional strict dominance rules out
+and reads uniform candidates from one value vector per opponent
+support, so it solves only the equal-size pairs that survive. The
+iterative lane runs on floats and reports the residual regret it
+achieved, snapping to an exactly verified pure profile when best
+responses lock in.
 
 Verification, expected utilities and fictitious play read the game's
 one payoff tensor, payoff_ints, through one contraction: a player's
@@ -464,6 +467,27 @@ def _indifference_weights(pay, own_support, other_support):
     return solution[0][:k], solution[1]
 
 
+def _against_supports(pay, supports):
+    """What a player's integer rows say about each opponent support T.
+
+    pay[own][other] is oriented as in _indifference_weights. For each T
+    in supports, in order: the own strategies some other own strategy
+    beats strictly on every column of T, the best value of the uniform
+    mix on T (times len(T)), and the own strategies that reach it.
+    """
+    # beats[k][r]: the columns where own strategy r pays strictly more than k.
+    beats = [
+        [{j for j, (a, b) in enumerate(zip(row, rival)) if b > a} for rival in pay] for row in pay
+    ]
+    out = []
+    for t in supports:
+        dominated = {k for k, wins in enumerate(beats) if any(w.issuperset(t) for w in wins)}
+        values = [sum(row[j] for j in t) for row in pay]
+        best = max(values)
+        out.append((dominated, best, {k for k, v in enumerate(values) if v == best}))
+    return out
+
+
 def mixed_nash_2p_support_enum(
     game: CoalitionGame, config: SolverConfig | None = None
 ) -> SupportEnumeration:
@@ -476,9 +500,26 @@ def mixed_nash_2p_support_enum(
     zero-regret rule of verify_epsilon_nash. Weights, values and the
     check are integers in payoff_ints units; only accepted candidates
     become Fractions. Every result is an exact equilibrium, and results
-    come sorted by support. The lane is not complete on degenerate
-    games: it misses every equilibrium that is neither a square system's
-    solution nor uniform on its supports, and can miss whole components.
+    come sorted by support.
+
+    Before the pair loop, each player's rows are read once per opponent
+    support T: which own strategies another own strategy beats strictly
+    on every column of T, and the values of the uniform mix on T with
+    their best-reply set. A pair is skipped when either support holds a
+    strategy dominated given the other support (conditional dominance,
+    Porter, Nudelman & Shoham 2008). That drops no result: solved and
+    uniform weights are both strictly positive on T, so the dominating
+    strategy's value is strictly higher, and the candidate would fail
+    the check whatever its weights. Ties prune nothing, since degenerate
+    games put tied strategies into equilibria. A uniform candidate
+    passes when each player's support lies inside their best-reply set
+    against the other support; a solved candidate is checked on values
+    computed for its pair. As the prune only skips candidates that fail,
+    the completeness caveat is unchanged.
+
+    The lane is not complete on degenerate games: it misses every
+    equilibrium that is neither a square system's solution nor uniform
+    on its supports, and can miss whole components.
     Two games from random_two_player_game(random.Random(7), 4), payoffs
     shifted by +6: trial 278, A = [[6,10],[11,6],[4,11],[7,2]],
     B = [[8,8],[8,10],[7,11],[1,7]], where pure row 0 against column
@@ -502,33 +543,43 @@ def mixed_nash_2p_support_enum(
         )
         for n in sizes
     ]
+    # facing[i][t]: player i against the opponent's t-th support.
+    facing = [_against_supports(pay[i], supports[1 - i]) for i in range(2)]
+
+    def result(pair, weights, best, degenerate):
+        rows = [[_ZERO] * size for size in sizes]
+        for row, support, (numerators, denominator) in zip(rows, pair, weights):
+            for k, w in zip(support, numerators):
+                row[k] = Fraction(w, denominator)
+        expected = tuple(Fraction(b, d * scale) for b, (_, d) in zip(best, weights[::-1]))
+        return EquilibriumResult(MixedProfile(rows), expected, _ZERO, SUPPORT, True, degenerate)
+
     found = []
-    for pair in itertools.product(*supports):
-        weights = [([1] * len(s), len(s)) for s in pair]
-        if len(pair[0]) == len(pair[1]):
-            solved = [
-                _indifference_weights(pay[1], pair[1], pair[0]),
-                _indifference_weights(pay[0], pair[0], pair[1]),
-            ]
-            if None not in solved:
-                weights = solved
-        # Each player's value of every own strategy, times the opponent's denominator.
-        best, ties = [], []
-        for i, (other, (q, _)) in enumerate(zip(pair[::-1], weights[::-1])):
-            v = [sum(row[j] * w for j, w in zip(other, q)) for row in pay[i]]
-            best.append(max(v))
-            if any(v[k] != best[i] for k in pair[i]):
-                break
-            ties.append(v.count(best[i]) > len(pair[i]))
-        else:
-            rows = [[_ZERO] * size for size in sizes]
-            for row, support, (numerators, denominator) in zip(rows, pair, weights):
-                for k, w in zip(support, numerators):
-                    row[k] = Fraction(w, denominator)
-            expected = tuple(Fraction(b, d * scale) for b, (_, d) in zip(best, weights[::-1]))
-            found.append(
-                EquilibriumResult(MixedProfile(rows), expected, _ZERO, SUPPORT, True, any(ties))
-            )
+    for s0, (dominated1, best1, replies1) in zip(supports[0], facing[1]):
+        for s1, (dominated0, best0, replies0) in zip(supports[1], facing[0]):
+            if not (dominated0.isdisjoint(s0) and dominated1.isdisjoint(s1)):
+                continue
+            pair = (s0, s1)
+            if len(s0) == len(s1):
+                q0 = _indifference_weights(pay[1], s1, s0)
+                q1 = None if q0 is None else _indifference_weights(pay[0], s0, s1)
+                if q1 is not None:
+                    # Each player's value of every own strategy, times the
+                    # opponent's denominator.
+                    best, ties = [], []
+                    for own, other, (q, _), rows in zip(pair, (s1, s0), (q1, q0), pay):
+                        v = [sum(row[j] * w for j, w in zip(other, q)) for row in rows]
+                        best.append(max(v))
+                        if any(v[k] != best[-1] for k in own):
+                            break
+                        ties.append(v.count(best[-1]) > len(own))
+                    else:
+                        found.append(result(pair, (q0, q1), best, any(ties)))
+                    continue
+            if replies0.issuperset(s0) and replies1.issuperset(s1):
+                degenerate = len(replies0) > len(s0) or len(replies1) > len(s1)
+                uniform = [([1] * len(s), len(s)) for s in pair]
+                found.append(result(pair, uniform, (best0, best1), degenerate))
     return SupportEnumeration(equilibria=tuple(found), truncated=cap < max(sizes))
 
 

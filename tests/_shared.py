@@ -57,17 +57,22 @@ def lunch_claimed_profile(lunch_game):
 
 
 def random_two_player_game(rng, max_actions=4):
-    """Random small 2-player game with exact integer payoffs."""
+    """Random small 2-player game with exact integer payoffs.
+
+    Each player gets 2 to max_actions distinct (desire, action)
+    strategies, at most as many as exist: 4 at cap 1, 8 at cap 2.
+    """
+    actions = "abcd"
     cap = rng.choice([1, 2])
     family = enumerate_partitions(2, cap)
     sets = []
     for _ in range(2):
-        count = rng.randint(2, max_actions)
+        count = min(rng.randint(2, max_actions), len(family) * len(actions))
         seen = set()
         strategies = []
         while len(strategies) < count:
             desire = rng.randrange(len(family))
-            action = rng.choice("abcd")
+            action = rng.choice(actions)
             if (desire, action) in seen:
                 continue
             seen.add((desire, action))

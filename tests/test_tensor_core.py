@@ -12,6 +12,7 @@ verification cover.
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import itertools
 import math
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _shared import game as catalog_game
@@ -385,6 +386,8 @@ exact_payoffs = [
     for numerators in (small_numerators, big_numerators)
 ]
 exact_games = st.one_of(coalition_games(payoff_values=values) for values in exact_payoffs)
+# Payoffs in {0, 1}: ties, weak dominance and degenerate equilibria are common.
+binary_payoffs = st.builds(Fraction, st.integers(0, 1))
 
 
 @st.composite
@@ -396,6 +399,20 @@ def two_player_games(draw, payoff_values):
     profiles = list(itertools.product(*(range(len(s)) for s in sets)))
     values = draw(st.lists(payoff_values, min_size=2 * len(profiles), max_size=2 * len(profiles)))
     payoffs = {p: (values[2 * k], values[2 * k + 1]) for k, p in enumerate(profiles)}
+    return CoalitionGame(2, 2, family, sets, Mechanism(), payoffs)
+
+
+def tied_game():
+    """A 2 x 2 game whose rows tie on column 0, the column player's only best reply.
+
+    Its equilibria are both pure rows and their uniform mix, each
+    against column 0. A dominance prune that counted ties as wins would
+    drop all three; row 1 beats row 0 strictly only on column 1.
+    """
+    family = enumerate_partitions(2, 2)
+    sets = ((Strategy(0, "a"), Strategy(1, "a")), (Strategy(0, "b"), Strategy(1, "b")))
+    rows = {(0, 0): (1, 1), (0, 1): (0, 0), (1, 0): (1, 1), (1, 1): (2, 0)}
+    payoffs = {p: tuple(map(Fraction, v)) for p, v in rows.items()}
     return CoalitionGame(2, 2, family, sets, Mechanism(), payoffs)
 
 
@@ -568,8 +585,10 @@ class TestSolverLanes:
                 pure[tuple(row.index(1) for row in mixed.weights)] = result.degenerate
         assert pure == brute_nash(game)
 
-    @DIFFERENTIAL
-    @given(st.one_of(two_player_games(values) for values in exact_payoffs))
+    # 90 examples over three payoff draws keep about 60 on the first two.
+    @settings(DIFFERENTIAL, max_examples=90)
+    @given(st.one_of(two_player_games(values) for values in (*exact_payoffs, binary_payoffs)))
+    @example(tied_game())
     def test_support_lane_matches_the_fraction_lane(self, game):
         for max_support in (None, 1, 2, 3):
             found = mixed_nash_2p_support_enum(game, SolverConfig(max_support=max_support))
@@ -622,11 +641,30 @@ class TestSolverLanes:
             assert not result.degenerate
             assert verify_epsilon_nash(games[trial], MixedProfile(missed)).passed
 
-    @pytest.mark.parametrize("seed, m", [(6, 6), (8, 8)])
-    def test_larger_games_reach_zero_regret(self, seed, m):
+    def test_random_games_draw_at_most_the_distinct_strategies(self):
+        # At cap 1 only 4 distinct (desire, action) strategies exist.
+        rng = random.Random(3)
+        for _ in range(50):
+            game = random_two_player_game(rng, 6)
+            for strategies in game.strategy_sets:
+                assert 2 <= len(strategies) <= min(6, 4 * len(game.family))
+                assert len(set(strategies)) == len(strategies)
+
+    @pytest.mark.parametrize(
+        "seed, m, count, degenerate, digest",
+        [
+            (6, 6, 6, 3, "3e7609e9f57c88b240cf90a845edfc59c66f45e7051aa3b155ccb60df6206b9b"),
+            (8, 8, 3, 1, "17a368f4258d7a2848d462a57fbfd7829d651ba16858541269c23d7b190d296e"),
+        ],
+        ids=["6-6", "8-8"],
+    )
+    def test_larger_games_reach_zero_regret(self, seed, m, count, degenerate, digest):
         game = square_game(seed, m)
         found = mixed_nash_2p_support_enum(game)
-        assert found.equilibria and found.truncated == (m > 6)
+        assert found.truncated == (m > 6)
+        assert len(found.equilibria) == count
+        assert sum(r.degenerate for r in found.equilibria) == degenerate
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
         for result in found.equilibria:
             values = [brute_deviation_values(game, result.profile, i) for i in range(2)]
             assert [max(v) for v in values] == list(brute_expected(game, result.profile))
