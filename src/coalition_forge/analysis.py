@@ -52,7 +52,7 @@ class EquilibriumPartitionSet:
         if exact:
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1) > _FLOAT_SUM_SLACK:
+        elif not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
     def probability(self, structure: CoalitionStructure):
@@ -268,9 +268,11 @@ def stability_K_star(
     The family is a nested sequence of games differing only in the cap.
     For each cap from K0 upward the profile is embedded with zero weight
     on new strategies and must stay a verified equilibrium with an
-    unchanged support; the scan stops at the first failure. Every level
-    visited is also scanned for Pareto-dominating pure equilibria, which
-    are reported as diagnostics without affecting the verdict.
+    unchanged support; the scan stops at the first failure. The K0 level
+    passes by the base verification, so only larger caps are lifted and
+    verified. Every level visited is also scanned for Pareto-dominating
+    pure equilibria, which are reported as diagnostics without affecting
+    the verdict.
     """
     config = config or SolverConfig()
     games = sorted(family, key=lambda g: g.max_coalition)
@@ -304,11 +306,11 @@ def stability_K_star(
             f"profile fails verification in the cap {K0} game "
             f"(max regret {base_report.max_regret})"
         )
-    checks: list[StabilityCheck] = []
-    diagnostics: list[StabilityDiagnostic] = []
+    checks = [StabilityCheck(K0, True, True)]
+    diagnostics = list(_pareto_dominating_pures(base, base_report.expected))
     K_star = K0
     for game in games:
-        if game.max_coalition < K0:
+        if game.max_coalition <= K0:
             continue
         lifted = lift_profile(base, result.profile, game)
         payoff_ok = verify_epsilon_nash(game, lifted, tolerance).passed

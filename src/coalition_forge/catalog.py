@@ -1,7 +1,11 @@
 """Built-in example games.
 
-Each builder returns a game with exact rational payoffs and a payoff
-table complete by construction, which the game reads on first use.
+Each builder hands its game the payoff tensor, read from exact rational
+payoff rows by the one payoff reader games._read_payoffs: a two-player
+game's cells in profile order, and lunch's one row per realized
+structure, gathered onto the profile space by its realized-structure
+index. No profile-keyed payoff mapping is built.
+
 The two-player variants share one base payoff pattern on their two actions
 and differ only in which cells get a partition-dependent markup. Strategy
 order follows the source tables: alone strategies first, together
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .games import CoalitionGame, Mechanism, Strategy
+from .games import CoalitionGame, Strategy, _frozen, _read_payoffs, _TensorPayoffs
 from .partitions import CoalitionStructure, enumerate_partitions
 
 _PD_BASE = {
@@ -49,18 +53,13 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
     }
     choices = [(a, w) for w in (ALONE, TOGETHER) for a in actions]
     strategies = tuple(Strategy(where_index[w], a) for a, w in choices)
-    payoffs = {}
-    for i, c1 in enumerate(choices):
-        for j, c2 in enumerate(choices):
-            cell = adjust(base[(c1[0], c2[0])], c1, c2)
-            payoffs[(i, j)] = (Fraction(cell[0]), Fraction(cell[1]))
+    cells = [adjust(base[(c1[0], c2[0])], c1, c2) for c1 in choices for c2 in choices]
     return CoalitionGame(
         n_players=2,
         max_coalition=2,
         family=family,
         strategy_sets=(strategies, strategies),
-        mechanism=Mechanism(),
-        payoffs=payoffs,
+        payoffs=_read_payoffs(cells, (len(choices), len(choices), 2)),
     )
 
 
@@ -168,24 +167,22 @@ def build_lunch() -> CoalitionGame:
     A player eats well (10) when part of the only realized pair, eats fine
     (3) when alone or when two pairs form, and gets nothing whenever a
     realized block has three or more members. Strategies carry no action
-    component.
+    component. Payoffs depend only on the realized structure, so the
+    rows of the family's structures are gathered by realized_index, which
+    a payoff-less game with the same strategies computes.
     """
     n = 4
     family = enumerate_partitions(n, n)
-    strategies = tuple(Strategy(k) for k in range(len(family)))
-    payoffs = {}
-    game = CoalitionGame(
+    strategy_sets = (tuple(Strategy(k) for k in range(len(family))),) * n
+    index = CoalitionGame(n, n, family, strategy_sets).realized_index
+    rows = _read_payoffs([_lunch_payoffs(s) for s in family], (len(family), n))
+    return CoalitionGame(
         n_players=n,
         max_coalition=n,
         family=family,
-        strategy_sets=(strategies,) * n,
-        payoffs=payoffs,
+        strategy_sets=strategy_sets,
+        payoffs=_TensorPayoffs(_frozen(rows.ints[index]), rows.scale),
     )
-    by_structure = [_lunch_payoffs(s) for s in family]
-    payoffs.update(
-        zip(game.profiles(), (by_structure[s] for s in game.realized_index.ravel().tolist()))
-    )
-    return game
 
 
 def _lunch_payoffs(structure: CoalitionStructure) -> tuple[Fraction, ...]:

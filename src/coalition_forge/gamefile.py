@@ -11,9 +11,11 @@ Every document is written by dumps, whose text is exactly
 json.dumps(data, indent=2, sort_keys=True), so the format is byte
 stable. game_to_dict reads the validated payoff tensor: each payoff's
 text is str(Fraction) of its payoff_ints entry over payoff_scale, the
-text of the stored value. game_from_dict reads the table the other way,
-straight into that tensor: each distinct payoff text becomes one
-Fraction, and no profile-keyed payoff mapping is built.
+text of the stored value. game_from_dict reads the tables the other
+way, straight into the game's two arrays: each distinct payoff text
+becomes one Fraction, the payoff rows and the mechanism's structures
+are listed in canonical key order for the payoff and table readers of
+games, and no profile-keyed mapping is built.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .games import (
     Strategy,
     ValidationError,
     _read_payoffs,
+    _read_table,
+    _TableView,
 )
 from .partitions import CoalitionStructure, enumerate_partitions
 from .solver import MixedProfile
@@ -205,7 +209,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
-        mechanism = Mechanism()
+        table = None
     elif isinstance(raw_mech, Mapping):
         _check_keys(raw_mech, _MECHANISM_KEYS, _MECHANISM_KEYS, "mechanism")
         raw_table = _require_mapping(raw_mech["table"], "mechanism.table")
@@ -213,10 +217,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         for key, literal in raw_table.items():
             if key not in canonical:
                 _reject_profile_key(key, shape, "mechanism.table")
-            table[tuple(map(int, key.split(",")))] = _parse_structure(
-                literal, by_name, n, f"mechanism.table[{key!r}]"
-            )
-        mechanism = Mechanism(TABLE, table)
+            table[key] = _parse_structure(literal, by_name, n, f"mechanism.table[{key!r}]")
     else:
         raise GameFileError(
             f'mechanism must be "{UNANIMITY}" or an object with a table, got {raw_mech!r}'
@@ -236,11 +237,12 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
                 decoded[v] = parse_rational(v, f"payoffs[{key!r}][{i}]")
     rows = [row and tuple(map(decoded.__getitem__, row)) for row in map(raw_payoffs.get, keys)]
     payoffs = _read_payoffs(rows, (*shape, n))
-
-    game = CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs)
-    if mechanism.kind == TABLE:
-        game.realized_index  # every profile realizes a structure of the family
-    return game, names
+    mechanism = Mechanism()
+    if table is not None:
+        # After the payoffs, so a payoff fault is named first.
+        index = _read_table(list(map(table.get, keys)), family, shape)
+        mechanism = Mechanism(TABLE, _TableView(index, family))
+    return CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs), names
 
 
 def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None) -> dict:

@@ -4,22 +4,25 @@ A strategy is a (desired partition, action) pair. A mechanism maps every
 profile of desires to one realized coalition structure, which splits the
 profile space into disjoint domains, one per reachable structure.
 
-Payoffs come in as a mapping from profile to exact rationals. On first
-use a game reads it, in one pass, into its one payoff tensor,
-payoff_ints: shape (*strategy counts, n_players),
-every payoff times payoff_scale (the lcm of every payoff's denominator)
-as an exact integer, int64 when every value fits and Python ints
-otherwise. The mechanism becomes a realized-structure index: the family
-index of the structure each profile realizes, which under unanimity
-depends only on own desired blocks. Every consumer reads these two
-arrays. Scaling by a positive integer keeps every order and
-tie, so comparisons (best-reply counts, payoff peaks, the group-redesire
-screen, the Pareto filter of the stability scan) read the integers as
-they are; exact values divide a contraction of them by payoff_scale
-once per value, and float values read each payoff rounded once from
-its exact value. A single payoff is its integer over payoff_scale. A
-game file is read straight into the payoff tensor, and restrict slices
-both arrays; either game adopts its tensor with no pass.
+A game is two arrays. Its one payoff tensor, payoff_ints, has shape
+(*strategy counts, n_players) and holds every payoff times payoff_scale
+(the lcm of every payoff's denominator) as an exact integer, int64 when
+every value fits and Python ints otherwise. Its realized-structure
+index holds the family index of the structure each profile realizes,
+which under unanimity depends only on own desired blocks. Every
+consumer reads these two arrays. Scaling by a positive integer keeps
+every order and tie, so comparisons (best-reply counts, payoff peaks,
+the group-redesire screen, the Pareto filter of the stability scan)
+read the integers as they are; exact values divide a contraction of
+them by payoff_scale once per value, and float values read each payoff
+rounded once from its exact value. A single payoff is its integer over
+payoff_scale.
+
+The public inputs stay mappings: profile-keyed payoffs, and a table
+mechanism's profile-keyed table, each read in one pass on first use.
+The catalog builders, restrict and the game file loader hand a game
+its arrays instead, as read-only mapping views (_TensorPayoffs and
+_TableView) that the game adopts at construction with no pass.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
@@ -112,11 +115,13 @@ class CoalitionGame:
         max_coalition: block size cap K of the partition family.
         family: all structures the players may desire.
         strategy_sets: per player, an ordered tuple of strategies.
-        mechanism: how desires turn into one realized structure.
+        mechanism: how desires turn into one realized structure; a
+            table is read once into realized_index, and a built,
+            restricted or loaded game holds a read-only view of its index.
         payoffs: total map from profile (tuple of strategy indices, one per
             player) to a tuple of exact rational payoffs, read once into
-            payoff_ints; a restricted or loaded game holds a read-only view
-            of its tensor.
+            payoff_ints; a built, restricted or loaded game holds a
+            read-only view of its tensor.
     """
 
     n_players: int
@@ -152,6 +157,14 @@ class CoalitionGame:
             if self.payoffs.ints.shape != (*self.shape, self.n_players):
                 raise ValidationError(f"payoff tensor shape {self.payoffs.ints.shape} does not fit {self.shape}")
             self.__dict__["_tensor"] = self.payoffs
+        table = self.mechanism.table
+        if isinstance(table, _TableView):
+            if table.index.shape != self.shape or table.family != self.family:
+                raise ValidationError(
+                    f"mechanism table of shape {table.index.shape} does not fit {self.shape} "
+                    f"under cap {self.max_coalition}"
+                )
+            self.__dict__["realized_index"] = table.index
 
     # -- basic accessors -------------------------------------------------
 
@@ -193,9 +206,10 @@ class CoalitionGame:
     def _tensor(self) -> _TensorPayoffs:
         """payoff_ints over payoff_scale, from one pass over the payoffs mapping.
 
-        Built on first use, so a builder may fill the mapping after
-        constructing the game; a tensor view given as payoffs is adopted
-        at construction instead.
+        Built on first use, so a user may fill the mapping after
+        constructing the game; a tensor view given as payoffs, as the
+        package's own builders, restrict and loader give, is adopted at
+        construction instead.
         """
         rows = list(map(self.payoffs.get, self.profiles()))
         return _read_payoffs(rows, (*self.shape, self.n_players))
@@ -224,20 +238,13 @@ class CoalitionGame:
         Under unanimity a block forms exactly when every member desires
         it, so the structure depends only on own desired blocks: the rule
         runs once per combination of each player's distinct own blocks,
-        and np.ix_ gathers that table onto the profile space.
+        and np.ix_ gathers that table onto the profile space. A table
+        mapping is read in one pass; a table view is adopted at
+        construction instead.
         """
         if self.mechanism.kind == TABLE:
-            index = []
-            for profile in self.profiles():
-                structure = self.mechanism.table.get(profile)
-                if structure is None:
-                    raise ValidationError(f"mechanism table has no entry for profile {profile}")
-                if structure not in self.family:
-                    raise ValidationError(
-                        f"profile {profile} realizes {structure}, outside the family cap {self.max_coalition}"
-                    )
-                index.append(self.family.index_of(structure))
-            return _frozen(np.array(index, dtype=np.int64).reshape(self.shape))
+            entries = list(map(self.mechanism.table.get, self.profiles()))
+            return _read_table(entries, self.family, self.shape)
         n = self.n_players
         own = [
             [self.desired_structure(i, k).block_of(i).members for k in range(size)]
@@ -325,7 +332,8 @@ class CoalitionGame:
         Keeps, per player and in the original order, exactly the strategies
         whose desired structure survives the cap: a slice of payoff_ints, at
         its own scale and int64 when it fits, and of a table's realized_index,
-        of which only the blocks are checked again, against the new cap.
+        mapped onto the smaller family, of which only the blocks are checked
+        again, against the new cap.
         """
         if not 1 <= max_coalition <= self.max_coalition:
             raise ValueError(
@@ -363,18 +371,18 @@ class CoalitionGame:
             ints = ints.astype(np.int64)
         mechanism = Mechanism()
         if self.mechanism.kind == TABLE:
-            index = self.realized_index[np.ix_(*kept)]
-            too_big = np.array([s.max_block_size > max_coalition for s in self.family])
-            outside = np.argwhere(too_big[index])
+            sliced = self.realized_index[np.ix_(*kept)]
+            # The new family code of each old one, -1 for a block above the cap.
+            codes = np.array([sub_family._index.get(s, -1) for s in self.family], dtype=np.int64)
+            index = codes[sliced]
+            outside = np.argwhere(index < 0)
             if outside.size:
                 profile = tuple(outside[0].tolist())
                 raise ValidationError(
-                    f"profile {profile} realizes {self.family[index[profile]]}, "
+                    f"profile {profile} realizes {self.family[sliced[profile]]}, "
                     f"outside the family cap {max_coalition}"
                 )
-            profiles = itertools.product(*map(range, index.shape))
-            structures = map(self.family.__getitem__, index.ravel().tolist())
-            mechanism = Mechanism(TABLE, dict(zip(profiles, structures)))
+            mechanism = Mechanism(TABLE, _TableView(_frozen(index), sub_family))
         return CoalitionGame(
             n_players=self.n_players,
             max_coalition=max_coalition,
@@ -444,28 +452,71 @@ def _read_payoffs(rows: list, shape: tuple[int, ...]) -> _TensorPayoffs:
     return _TensorPayoffs(_frozen(array.reshape(shape)), scale)
 
 
-@dataclass(frozen=True, eq=False)
-class _TensorPayoffs(Mapping):
-    """Read-only map from profile to its row of ints over scale, as Fractions.
+def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) -> np.ndarray:
+    """The realized-structure index of table entries listed in profile order, None for a gap.
 
-    A key outside the profile space is missing: numpy would wrap a negative index.
+    Every entry must be a structure of the family; the first faulty
+    profile is named.
     """
+    codes = list(map(family._index.get, entries))
+    if None in codes:
+        bad = codes.index(None)
+        profile = tuple(map(int, np.unravel_index(bad, shape)))
+        if entries[bad] is None:
+            raise ValidationError(f"mechanism table has no entry for profile {profile}")
+        raise ValidationError(
+            f"profile {profile} realizes {entries[bad]}, outside the family cap {family.max_block}"
+        )
+    return _frozen(np.array(codes, dtype=np.int64).reshape(shape))
+
+
+class _ProfileView(Mapping):
+    """Read-only map over the profiles of a space, in profile order.
+
+    A subclass gives space, the shape of the profile space, and row, the
+    value at a profile. A key outside the space is missing: numpy would
+    wrap a negative index.
+    """
+
+    def __getitem__(self, profile: Profile):
+        if len(profile) != len(self.space) or not all(0 <= k < m for k, m in zip(profile, self.space)):
+            raise KeyError(profile)
+        return self.row(tuple(profile))
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.space))
+
+    def __len__(self) -> int:
+        return prod(self.space)
+
+
+@dataclass(frozen=True, eq=False)
+class _TensorPayoffs(_ProfileView):
+    """The payoffs of ints over scale: each profile's row as Fractions."""
 
     ints: np.ndarray
     scale: int
 
-    def __getitem__(self, profile: Profile) -> tuple[Fraction, ...]:
-        shape = self.ints.shape[:-1]
-        if len(profile) != len(shape) or not all(0 <= k < m for k, m in zip(profile, shape)):
-            raise KeyError(profile)
-        return self.row(tuple(profile))
+    @property
+    def space(self) -> tuple[int, ...]:
+        return self.ints.shape[:-1]
 
     def row(self, profile: Profile) -> tuple[Fraction, ...]:
         """The payoffs at a profile known to lie in the space, unchecked."""
         return tuple(Fraction(v, self.scale) for v in self.ints[profile].tolist())
 
-    def __iter__(self):
-        return itertools.product(*map(range, self.ints.shape[:-1]))
 
-    def __len__(self) -> int:
-        return prod(self.ints.shape[:-1])
+@dataclass(frozen=True, eq=False)
+class _TableView(_ProfileView):
+    """The table of a realized-structure index: each profile's structure of the family."""
+
+    index: np.ndarray
+    family: PartitionFamily
+
+    @property
+    def space(self) -> tuple[int, ...]:
+        return self.index.shape
+
+    def row(self, profile: Profile) -> CoalitionStructure:
+        """The structure realized at a profile known to lie in the space, unchecked."""
+        return self.family[int(self.index[profile])]

@@ -100,7 +100,7 @@ class MixedProfile:
             if self.is_exact:
                 if total != 1:
                     raise ValueError(f"player {i} weights sum to {total}, expected 1")
-            elif abs(total - 1) > _FLOAT_SUM_SLACK:
+            elif not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
                 raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
 
     @cached_property
@@ -258,7 +258,8 @@ def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
     """Expected payoff of one player under independent mixing."""
     if not 0 <= player < game.n_players:
         raise ValueError(f"player index {player} out of range")
-    return expected_utilities(game, mixed)[player]
+    _check_mixed(game, mixed)
+    return _expected(mixed, player, _deviation_values(game, player, mixed))
 
 
 def _structure_groups(game: CoalitionGame, mixed: MixedProfile):

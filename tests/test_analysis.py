@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _shared import game, lunch_claimed_profile, restricted, unnested_pair
+from coalition_forge import analysis
 from coalition_forge.analysis import (
     classify_stochastic,
     compare_domains,
@@ -285,6 +286,26 @@ class TestStability:
         assert [c.K for c in report.per_K_checks] == [2, 3, 4]
         assert all(c.passed for c in report.per_K_checks)
         assert report.diagnostics == ()
+
+    @pytest.mark.parametrize("lunch", [False, True])
+    def test_each_cap_is_verified_once(self, monkeypatch, lunch):
+        if lunch:
+            family = [restricted("lunch", 2), restricted("lunch", 3), game("lunch")]
+            result = supplied(family[0], lunch_claimed_profile(family[0]))
+        else:
+            family = [game("pd-standard"), game("pd-extended")]
+            result = first_pure_equilibrium(family[0])
+        verified = []
+
+        def counted(g, mixed, tolerance=None):
+            verified.append(g.max_coalition)
+            return verify_epsilon_nash(g, mixed, tolerance)
+
+        monkeypatch.setattr(analysis, "verify_epsilon_nash", counted)
+        report = stability_K_star(family, family[0].max_coalition, result)
+        # The base verification, then one per level above K0 visited.
+        assert verified == [c.K for c in report.per_K_checks]
+        assert all(c.passed for c in report.per_K_checks)
 
     def test_family_must_nest(self):
         pd = game("pd-standard")

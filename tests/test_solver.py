@@ -15,6 +15,7 @@ from _shared import (
     random_two_player_game,
     restricted,
 )
+from coalition_forge import solver
 from coalition_forge.games import CoalitionGame, Mechanism, Strategy
 from coalition_forge.partitions import enumerate_partitions
 from coalition_forge.solver import (
@@ -24,6 +25,7 @@ from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
     SolverConfig,
+    _deviation_values,
     best_response_value,
     expected_utilities,
     expected_utility,
@@ -104,6 +106,21 @@ class TestExpectedUtility:
         )
         assert expected_utilities(g, uniform) == (-1, -1)
         assert expected_utility(g, uniform, 0) == -1
+
+    def test_one_player_reads_only_their_deviation_values(self, monkeypatch):
+        g = game("lunch")
+        mixed = lunch_claimed_profile(g)
+        players = []
+
+        def counted(game_, player, mixed_):
+            players.append(player)
+            return _deviation_values(game_, player, mixed_)
+
+        monkeypatch.setattr(solver, "_deviation_values", counted)
+        values = [expected_utility(g, mixed, i) for i in range(g.n_players)]
+        assert players == list(range(g.n_players))
+        monkeypatch.undo()
+        assert tuple(values) == expected_utilities(g, mixed)
 
     def test_lunch_claimed_profile_sum(self):
         g = game("lunch")

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from _shared import game as catalog_game
 from _shared import random_two_player_game, restricted
+from coalition_forge.catalog import CATALOG, _lunch_payoffs
 from coalition_forge.cli import main
 from coalition_forge.gamefile import (
     GameFileError,
@@ -73,6 +74,7 @@ from coalition_forge.solver import (
     verify_epsilon_nash,
 )
 from coalition_forge.analysis import (
+    EquilibriumPartitionSet,
     _pareto_dominating_pures,
     equilibrium_partitions,
     stability_K_star,
@@ -856,6 +858,74 @@ def test_restricted_payoffs_read_as_a_read_only_mapping():
         CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, view)
 
 
+def table_copy(game):
+    """The game with its mechanism written out as a profile-keyed table."""
+    table = {p: game.realized_partition(p) for p in game.profiles()}
+    return CoalitionGame(
+        game.n_players, game.max_coalition, game.family, game.strategy_sets,
+        Mechanism(TABLE, table), game.payoffs,
+    )
+
+
+def test_restricted_table_reads_as_a_read_only_mapping():
+    game = table_copy(catalog_game("pd-extended"))
+    small = game.restrict(1)
+    view = small.mechanism.table
+    assert [view.get(p) for p in [(-1, 0), (0, 2), (0,), (0, 0, 0)]] == [None] * 4
+    assert (-1, 0) not in view and (1, 1) in view
+    assert list(view) == list(small.profiles()) and len(view) == small.n_profiles == 4
+    assert [view[p] for p in view] == [restricted("pd-extended", 1).realized_partition(p) for p in view]
+    assert all(type(view[p]) is CoalitionStructure for p in view)
+    with pytest.raises(TypeError):
+        view[(0, 0)] = small.family[0]
+    # A view must fit both the shape and the family of the game.
+    with pytest.raises(ValidationError, match="does not fit"):
+        CoalitionGame(2, 2, game.family, game.strategy_sets, Mechanism(TABLE, view), game.payoffs)
+    pairs = (game.strategy_sets[0][:2],) * 2
+    with pytest.raises(ValidationError, match="does not fit"):
+        CoalitionGame(2, 2, game.family, pairs, Mechanism(TABLE, view), small.payoffs)
+
+
+def test_restricted_and_loaded_tables_adopt_their_index(tmp_path):
+    game = table_copy(restricted("lunch", 3))
+    small = game.restrict(2)
+    assert "realized_index" in vars(small) and "_tensor" in vars(small)
+    path = tmp_path / "lunch-table.json"
+    save_game(small, path)
+    loaded, _ = load_game(path)
+    assert "realized_index" in vars(loaded) and "_tensor" in vars(loaded)
+    expected = restricted("lunch", 2)
+    for adopted in (small, loaded):
+        assert dict(adopted.mechanism.table) == {
+            p: expected.realized_partition(p) for p in expected.profiles()
+        }
+        assert payoff_isomorphic(adopted, expected)
+
+
+def mapping_filled_lunch():
+    """The lunch builder that fills a payoff mapping after constructing the game."""
+    n = 4
+    family = enumerate_partitions(n, n)
+    strategies = tuple(Strategy(k) for k in range(len(family)))
+    payoffs = {}
+    game = CoalitionGame(n, n, family, (strategies,) * n, payoffs=payoffs)
+    by_structure = [_lunch_payoffs(s) for s in family]
+    payoffs.update(
+        zip(game.profiles(), (by_structure[s] for s in game.realized_index.ravel().tolist()))
+    )
+    return game
+
+
+def test_builders_hand_over_the_tensor():
+    built, reference = catalog_game("lunch"), mapping_filled_lunch()
+    assert (built.payoff_scale, built.payoff_ints.dtype) == (reference.payoff_scale, reference.payoff_ints.dtype)
+    assert np.array_equal(built.payoff_ints, reference.payoff_ints)
+    assert np.array_equal(built.realized_index, reference.realized_index)
+    for game_id in CATALOG:
+        game = catalog_game(game_id)
+        assert type(game.payoffs) is not dict and "_tensor" in vars(game)
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1), "1"])
 def test_inexact_payoff_is_rejected_naming_the_profile(bad):
     game = table_game()
@@ -875,11 +945,20 @@ def test_inexact_payoff_is_rejected_naming_the_profile(bad):
         (((Fraction(3, 2), Fraction(0), Fraction(-1, 2)),), "player 0 has a negative weight"),
         (((1.5, 0.0, -0.5),), "player 0 has a negative weight"),
         (((0.25, 0.0, 0.5),), "player 0 weights sum to 0.75, expected 1"),
+        (((float("nan"), 1.0),), "player 0 weights sum to nan, expected 1"),
+        (((1.0,), (0.5, float("nan"))), "player 1 weights sum to nan, expected 1"),
     ],
 )
 def test_mixed_profile_messages(weights, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         MixedProfile(weights)
+
+
+@pytest.mark.parametrize("masses", [(float("nan"),), (float("nan"), 1.0), (0.5, float("nan"))])
+def test_lottery_rejects_a_nan_probability(masses):
+    structures = enumerate_partitions(2, 2).structures[: len(masses)]
+    with pytest.raises(ValueError, match="^probabilities sum to nan, expected 1$"):
+        EquilibriumPartitionSet(structures, dict(zip(structures, masses)))
 
 
 @pytest.mark.parametrize("value", [Fraction(-7, 3), Fraction(4), 5, -2, 0.1, 2.0, True])
