@@ -37,16 +37,24 @@ _FLOAT_SUM_SLACK = 1e-9
 class EquilibriumPartitionSet:
     """Distribution over the partitions an equilibrium realizes.
 
-    partitions lists only structures with positive probability, in
-    family enumeration order; probabilities maps each to its mass.
+    partitions lists exactly the structures with positive probability,
+    once each, in family enumeration order; probabilities maps each to
+    its mass.
     """
 
     partitions: tuple[CoalitionStructure, ...]
     probabilities: dict
 
     def __post_init__(self):
+        listed = set(self.partitions)
+        if len(listed) != len(self.partitions):
+            raise ValueError("a partition is listed twice")
+        if not listed <= self.probabilities.keys():
+            raise ValueError("every listed partition needs a probability")
         if any(self.probabilities[p] <= 0 for p in self.partitions):
             raise ValueError("every listed partition needs positive probability")
+        if any(v > 0 and p not in listed for p, v in self.probabilities.items()):
+            raise ValueError("every partition with positive probability must be listed")
         total = sum(self.probabilities.values())
         exact = all(isinstance(v, (Fraction, int)) for v in self.probabilities.values())
         if exact:
@@ -119,6 +127,8 @@ def is_complete_cooperation(
     """
     _require_equilibrium(result)
     _check_mixed(game, result.profile)
+    if coalition.members[-1] >= game.n_players:
+        raise ValueError(f"coalition {coalition} out of range for n={game.n_players}")
     ex_ante = all(
         game.desired_structure(member, k).contains_block(coalition)
         for member in coalition

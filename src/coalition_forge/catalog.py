@@ -1,10 +1,10 @@
 """Built-in example games.
 
-Each builder hands its game the payoff tensor, read from exact rational
-payoff rows by the one payoff reader games._read_payoffs: a two-player
-game's cells in profile order, and lunch's one row per realized
-structure, gathered onto the profile space by its realized-structure
-index. No profile-keyed payoff mapping is built.
+Each builder hands its game, through games._handed, the payoff tensor
+read by the one payoff reader games._read_payoffs from exact rational
+rows: a two-player game's cells in profile order, and lunch's one row
+per realized structure, gathered by the realized-structure index that
+lunch hands over too. No profile-keyed payoff mapping is built.
 
 The two-player variants share one base payoff pattern on their two actions
 and differ only in which cells get a partition-dependent markup. Strategy
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .games import CoalitionGame, Strategy, _frozen, _read_payoffs, _TensorPayoffs
+from .games import CoalitionGame, Strategy, _frozen, _handed, _read_payoffs, _TensorPayoffs, _unanimity_index
 from .partitions import CoalitionStructure, enumerate_partitions
 
 _PD_BASE = {
@@ -54,13 +54,7 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
     choices = [(a, w) for w in (ALONE, TOGETHER) for a in actions]
     strategies = tuple(Strategy(where_index[w], a) for a, w in choices)
     cells = [adjust(base[(c1[0], c2[0])], c1, c2) for c1 in choices for c2 in choices]
-    return CoalitionGame(
-        n_players=2,
-        max_coalition=2,
-        family=family,
-        strategy_sets=(strategies, strategies),
-        payoffs=_read_payoffs(cells, (len(choices), len(choices), 2)),
-    )
+    return _handed(family, (strategies, strategies), _read_payoffs(cells, (len(choices), len(choices), 2)))
 
 
 def _joint_bonus(where: str, bonus: Fraction):
@@ -168,21 +162,15 @@ def build_lunch() -> CoalitionGame:
     (3) when alone or when two pairs form, and gets nothing whenever a
     realized block has three or more members. Strategies carry no action
     component. Payoffs depend only on the realized structure, so the
-    rows of the family's structures are gathered by realized_index, which
-    a payoff-less game with the same strategies computes.
+    rows of the family's structures are gathered by the unanimity index,
+    which the game is handed with its payoffs.
     """
     n = 4
     family = enumerate_partitions(n, n)
     strategy_sets = (tuple(Strategy(k) for k in range(len(family))),) * n
-    index = CoalitionGame(n, n, family, strategy_sets).realized_index
+    index = _unanimity_index(family, strategy_sets)
     rows = _read_payoffs([_lunch_payoffs(s) for s in family], (len(family), n))
-    return CoalitionGame(
-        n_players=n,
-        max_coalition=n,
-        family=family,
-        strategy_sets=strategy_sets,
-        payoffs=_TensorPayoffs(_frozen(rows.ints[index]), rows.scale),
-    )
+    return _handed(family, strategy_sets, _TensorPayoffs(_frozen(rows.ints[index]), rows.scale), index)
 
 
 def _lunch_payoffs(structure: CoalitionStructure) -> tuple[Fraction, ...]:

@@ -28,15 +28,13 @@ from pathlib import Path
 from typing import Any, Mapping, NoReturn, Sequence
 
 from .games import (
-    TABLE,
     UNANIMITY,
     CoalitionGame,
-    Mechanism,
     Strategy,
     ValidationError,
+    _handed,
     _read_payoffs,
     _read_table,
-    _TableView,
 )
 from .partitions import CoalitionStructure, enumerate_partitions
 from .solver import MixedProfile
@@ -237,12 +235,11 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
                 decoded[v] = parse_rational(v, f"payoffs[{key!r}][{i}]")
     rows = [row and tuple(map(decoded.__getitem__, row)) for row in map(raw_payoffs.get, keys)]
     payoffs = _read_payoffs(rows, (*shape, n))
-    mechanism = Mechanism()
+    index = None
     if table is not None:
         # After the payoffs, so a payoff fault is named first.
         index = _read_table(list(map(table.get, keys)), family, shape)
-        mechanism = Mechanism(TABLE, _TableView(index, family))
-    return CoalitionGame(n, cap, family, tuple(strategy_sets), mechanism, payoffs), names
+    return _handed(family, strategy_sets, payoffs, index, table is not None), names
 
 
 def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None) -> dict:

@@ -20,9 +20,11 @@ payoff_scale.
 
 The public inputs stay mappings: profile-keyed payoffs, and a table
 mechanism's profile-keyed table, each read in one pass on first use.
-The catalog builders, restrict and the game file loader hand a game
-its arrays instead, as read-only mapping views (_TensorPayoffs and
-_TableView) that the game adopts at construction with no pass.
+The catalog builders, restrict and the game file loader make each game
+through _handed from its arrays instead: the payoff tensor as a
+read-only mapping view (_TensorPayoffs) and, where the maker has it,
+the index, which a unanimity game adopts as it is and a table game as
+its mechanism's view (_TableView), neither read in a pass.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
@@ -47,6 +49,12 @@ Profile = tuple[int, ...]
 
 UNANIMITY = "unanimity"
 TABLE = "table"
+
+# The most entries a dense payoff tensor or realized-structure index may
+# hold: 1 GiB as int64. The largest table in the tests and the benchmark
+# holds 3.24 million entries; 5 players over all 52 partitions would need
+# 380 million profiles.
+_DENSE_LIMIT = 2**27
 
 
 class ValidationError(ValueError):
@@ -115,9 +123,9 @@ class CoalitionGame:
         max_coalition: block size cap K of the partition family.
         family: all structures the players may desire.
         strategy_sets: per player, an ordered tuple of strategies.
-        mechanism: how desires turn into one realized structure; a
-            table is read once into realized_index, and a built,
-            restricted or loaded game holds a read-only view of its index.
+        mechanism: how desires turn into one realized structure, read
+            once into realized_index, which a game the package makes is
+            handed instead where its maker has it.
         payoffs: total map from profile (tuple of strategy indices, one per
             player) to a tuple of exact rational payoffs, read once into
             payoff_ints; a built, restricted or loaded game holds a
@@ -202,6 +210,14 @@ class CoalitionGame:
 
     # -- exact tensors ---------------------------------------------------
 
+    def _require_dense(self, width: int) -> None:
+        """Refuse a table of width entries per profile above _DENSE_LIMIT, before it is read."""
+        if self.n_profiles * width > _DENSE_LIMIT:
+            raise ValidationError(
+                f"{self.n_profiles} profiles of {width} entries each exceed "
+                f"the dense table limit of {_DENSE_LIMIT} entries"
+            )
+
     @cached_property
     def _tensor(self) -> _TensorPayoffs:
         """payoff_ints over payoff_scale, from one pass over the payoffs mapping.
@@ -211,6 +227,7 @@ class CoalitionGame:
         package's own builders, restrict and loader give, is adopted at
         construction instead.
         """
+        self._require_dense(self.n_players)
         rows = list(map(self.payoffs.get, self.profiles()))
         return _read_payoffs(rows, (*self.shape, self.n_players))
 
@@ -235,37 +252,16 @@ class CoalitionGame:
     def realized_index(self) -> np.ndarray:
         """Family index of the structure each profile realizes, as a read-only array.
 
-        Under unanimity a block forms exactly when every member desires
-        it, so the structure depends only on own desired blocks: the rule
-        runs once per combination of each player's distinct own blocks,
-        and np.ix_ gathers that table onto the profile space. A table
-        mapping is read in one pass; a table view is adopted at
-        construction instead.
+        Under unanimity, _unanimity_index runs the rule on first use; a
+        table mapping is read in one pass. A game the package builds,
+        restricts or loads adopts its index at construction instead,
+        under either mechanism, where it has one.
         """
+        self._require_dense(1)
         if self.mechanism.kind == TABLE:
             entries = list(map(self.mechanism.table.get, self.profiles()))
             return _read_table(entries, self.family, self.shape)
-        n = self.n_players
-        own = [
-            [self.desired_structure(i, k).block_of(i).members for k in range(size)]
-            for i, size in enumerate(self.shape)
-        ]
-        blocks = [list(dict.fromkeys(row)) for row in own]
-        codes: dict[tuple, int] = {}
-        table = []
-        for combo in itertools.product(*blocks):
-            # A block forms when every member desires it; its first member checks.
-            formed = tuple(
-                b for i, b in enumerate(combo) if b[0] == i and all(combo[m] == b for m in b)
-            )
-            if formed not in codes:
-                covered = {m for b in formed for m in b}
-                alone = [(m,) for m in range(n) if m not in covered]
-                codes[formed] = self.family.index_of(CoalitionStructure.of([*formed, *alone], n))
-            table.append(codes[formed])
-        table = np.array(table, dtype=np.int64).reshape([len(b) for b in blocks])
-        picks = [list(map(b.index, row)) for b, row in zip(blocks, own)]
-        return _frozen(table[np.ix_(*picks)])
+        return _unanimity_index(self.family, self.strategy_sets)
 
     @cached_property
     def best_reply_counts(self) -> np.ndarray:
@@ -331,9 +327,9 @@ class CoalitionGame:
 
         Keeps, per player and in the original order, exactly the strategies
         whose desired structure survives the cap: a slice of payoff_ints, at
-        its own scale and int64 when it fits, and of a table's realized_index,
-        mapped onto the smaller family, of which only the blocks are checked
-        again, against the new cap.
+        its own scale and int64 when it fits, and of realized_index, mapped
+        onto the smaller family under either mechanism, of which only the
+        blocks are checked again, against the new cap.
         """
         if not 1 <= max_coalition <= self.max_coalition:
             raise ValueError(
@@ -342,55 +338,38 @@ class CoalitionGame:
         if max_coalition == self.max_coalition:
             return self
         sub_family = enumerate_partitions(self.n_players, max_coalition)
+        # The new family code of each old one, -1 for a block above the cap.
+        codes = [sub_family._index.get(s, -1) for s in self.family]
         kept: list[list[int]] = []
         new_sets: list[tuple[Strategy, ...]] = []
-        for i in range(self.n_players):
-            rows = [
-                idx
-                for idx in range(len(self.strategy_sets[i]))
-                if self.desired_structure(i, idx) in sub_family
-            ]
+        for i, strategies in enumerate(self.strategy_sets):
+            rows = [k for k, s in enumerate(strategies) if codes[s.desired_partition] >= 0]
             if not rows:
                 raise ValidationError(
                     f"player {i} has no strategy left under cap {max_coalition}"
                 )
             kept.append(rows)
             new_sets.append(
-                tuple(
-                    Strategy(
-                        sub_family.index_of(self.desired_structure(i, idx)),
-                        self.strategy_sets[i][idx].action,
-                    )
-                    for idx in rows
-                )
+                tuple(Strategy(codes[strategies[k].desired_partition], strategies[k].action) for k in rows)
             )
         ints = self.payoff_ints[np.ix_(*kept)]
         divisor = gcd(self.payoff_scale, int(np.gcd.reduce(ints, axis=None)))
         ints = ints // divisor
         if ints.dtype == object and np.abs(ints).max() < 2**63:
             ints = ints.astype(np.int64)
-        mechanism = Mechanism()
-        if self.mechanism.kind == TABLE:
-            sliced = self.realized_index[np.ix_(*kept)]
-            # The new family code of each old one, -1 for a block above the cap.
-            codes = np.array([sub_family._index.get(s, -1) for s in self.family], dtype=np.int64)
-            index = codes[sliced]
-            outside = np.argwhere(index < 0)
-            if outside.size:
-                profile = tuple(outside[0].tolist())
-                raise ValidationError(
-                    f"profile {profile} realizes {self.family[sliced[profile]]}, "
-                    f"outside the family cap {max_coalition}"
-                )
-            mechanism = Mechanism(TABLE, _TableView(_frozen(index), sub_family))
-        return CoalitionGame(
-            n_players=self.n_players,
-            max_coalition=max_coalition,
-            family=sub_family,
-            strategy_sets=tuple(new_sets),
-            mechanism=mechanism,
-            payoffs=_TensorPayoffs(_frozen(ints), self.payoff_scale // divisor),
-        )
+        sliced = self.realized_index[np.ix_(*kept)]
+        index = np.array(codes, dtype=np.int64)[sliced]
+        # Under unanimity a formed block is one every member desired, so
+        # only a table can realize a block above the cap.
+        outside = np.argwhere(index < 0)
+        if outside.size:
+            profile = tuple(outside[0].tolist())
+            raise ValidationError(
+                f"profile {profile} realizes {self.family[sliced[profile]]}, "
+                f"outside the family cap {max_coalition}"
+            )
+        payoffs = _TensorPayoffs(_frozen(ints), self.payoff_scale // divisor)
+        return _handed(sub_family, new_sets, payoffs, _frozen(index), self.mechanism.kind == TABLE)
 
 
 def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
@@ -415,6 +394,53 @@ def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
 def restrict_game(game: CoalitionGame, max_coalition: int) -> CoalitionGame:
     """Functional form of CoalitionGame.restrict."""
     return game.restrict(max_coalition)
+
+
+def _handed(
+    family: PartitionFamily, strategy_sets, payoffs: _TensorPayoffs, index=None, table=False
+) -> CoalitionGame:
+    """The game at the family's cap with a payoff tensor view and, if given, its index.
+
+    A table game holds the index as its mechanism's view, which
+    construction checks; a unanimity game adopts it as it is, or runs
+    the rule on first use without one.
+    """
+    mechanism = Mechanism(TABLE, _TableView(index, family)) if table else Mechanism()
+    game = CoalitionGame(family.n_players, family.max_block, family, tuple(strategy_sets), mechanism, payoffs)
+    if index is not None:
+        game.__dict__["realized_index"] = index
+    return game
+
+
+def _unanimity_index(family: PartitionFamily, strategy_sets) -> np.ndarray:
+    """The realized-structure index of the unanimity rule, read-only.
+
+    A block forms exactly when every member desires it, so the structure
+    depends only on own desired blocks: the rule runs once per
+    combination of each player's distinct own blocks, and np.ix_ gathers
+    that table onto the profile space.
+    """
+    n = len(strategy_sets)
+    own = [
+        [family[s.desired_partition].block_of(i).members for s in strategies]
+        for i, strategies in enumerate(strategy_sets)
+    ]
+    blocks = [list(dict.fromkeys(row)) for row in own]
+    codes: dict[tuple, int] = {}
+    table = []
+    for combo in itertools.product(*blocks):
+        # A block forms when every member desires it; its first member checks.
+        formed = tuple(
+            b for i, b in enumerate(combo) if b[0] == i and all(combo[m] == b for m in b)
+        )
+        if formed not in codes:
+            covered = {m for b in formed for m in b}
+            alone = [(m,) for m in range(n) if m not in covered]
+            codes[formed] = family.index_of(CoalitionStructure.of([*formed, *alone], n))
+        table.append(codes[formed])
+    table = np.array(table, dtype=np.int64).reshape([len(b) for b in blocks])
+    picks = [list(map(b.index, row)) for b, row in zip(blocks, own)]
+    return _frozen(table[np.ix_(*picks)])
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from _shared import game, lunch_claimed_profile, restricted, unnested_pair
 from coalition_forge import analysis
 from coalition_forge.analysis import (
+    EquilibriumPartitionSet,
     classify_stochastic,
     compare_domains,
     equilibrium_partitions,
@@ -17,7 +19,7 @@ from coalition_forge.analysis import (
     stability_K_star,
 )
 from coalition_forge.games import Strategy
-from coalition_forge.partitions import Coalition, CoalitionStructure
+from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
 from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
@@ -31,6 +33,7 @@ from coalition_forge.solver import (
 
 PAIR = CoalitionStructure.of([[0, 1]], 2)
 SPLIT = CoalitionStructure.singletons(2)
+UNLISTED = "every partition with positive probability must be listed"
 
 
 def supplied(g, mixed):
@@ -117,6 +120,27 @@ class TestPartitionDistribution:
         with pytest.raises(ValueError):
             equilibrium_partitions(g, bad)
 
+    @pytest.mark.parametrize(
+        "listed, masses, message",
+        [
+            ((0,), {1: Fraction(1)}, "every listed partition needs a probability"),
+            ((0, 0), {0: Fraction(1)}, "a partition is listed twice"),
+            ((0,), {0: Fraction(1, 2), 1: Fraction(1, 2)}, UNLISTED),
+            ((0,), {0: 0.5, 1: 0.5}, UNLISTED),
+        ],
+    )
+    def test_lottery_must_list_exactly_its_positive_partitions(self, listed, masses, message):
+        structures = enumerate_partitions(2, 2).structures
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EquilibriumPartitionSet(
+                tuple(structures[k] for k in listed), {structures[k]: v for k, v in masses.items()}
+            )
+
+    def test_lottery_may_carry_a_zero_mass_it_does_not_list(self):
+        s0, s1 = enumerate_partitions(2, 2).structures
+        lottery = EquilibriumPartitionSet((s0,), {s0: Fraction(1), s1: Fraction(0)})
+        assert list(lottery) == [s0] and lottery.probability(s1) == 0
+
 
 class TestCooperation:
     def test_bonus_pair_cooperates_completely(self):
@@ -146,6 +170,13 @@ class TestCooperation:
         res = supplied(g, point_mass(g, (3, 3)))
         report = is_complete_cooperation(g, res, Coalition.of(0, 1))
         assert report.ex_ante and report.ex_post and report.complete
+
+    @pytest.mark.parametrize("members", [(3,), (0, 5), (2, 0)])
+    def test_coalition_out_of_range_is_named(self, members):
+        g = game("pd-extended")
+        coalition = Coalition.of(*members)
+        with pytest.raises(ValueError, match=f"^coalition {re.escape(str(coalition))} out of range for n=2$"):
+            is_complete_cooperation(g, first_pure_equilibrium(g), coalition)
 
     def test_lunch_rotation_never_commits_to_one_pair(self):
         g = game("lunch")

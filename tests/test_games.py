@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _shared import game as build_game, restricted
+from coalition_forge import catalog, games
 from coalition_forge.games import (
     CoalitionGame,
     Mechanism,
@@ -231,6 +233,21 @@ class TestRestriction:
             )
             assert low.payoff(small_profile) == game.payoff(parent_profile)
 
+    def test_lunch_and_its_restrictions_run_the_rule_once(self, monkeypatch):
+        rule, calls = games._unanimity_index, []
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(games, "_unanimity_index", counted)
+        monkeypatch.setattr(catalog, "_unanimity_index", counted)
+        lunch = catalog.build_game("lunch")
+        lunch.realized_index
+        for cap in (2, 3):
+            lunch.restrict(cap).realized_index
+        assert len(calls) == 1
+
     def test_restrict_rejects_bad_caps(self):
         game = build_game("pd-extended")
         with pytest.raises(ValueError):
@@ -274,9 +291,19 @@ class TestValidation:
             game.validate_domains()
         assert "realized_index" not in game.__dict__
 
-    def test_restrict_slices_without_rebuilding_or_revalidating(self):
-        small = build_game("lunch").restrict(3)
-        assert "realized_index" not in small.__dict__
+    def test_restrict_slices_without_rebuilding_or_revalidating(self, monkeypatch):
+        lunch = build_game("lunch")
+        lunch.realized_index
+        calls = []
+        monkeypatch.setattr(games, "_unanimity_index", lambda *args: calls.append(args))
+        small = lunch.restrict(3)
+        monkeypatch.undo()
+        assert calls == []
+        # The unanimity game holds the slice of its parent's index.
+        assert "realized_index" in vars(small)
+        assert np.array_equal(
+            small.realized_index, games._unanimity_index(small.family, small.strategy_sets)
+        )
         assert not isinstance(small.payoffs, dict)
         # A table may still realize a block larger than the new cap.
         family = enumerate_partitions(2, 2)
@@ -291,6 +318,40 @@ class TestValidation:
         with pytest.raises(ValidationError) as caught:
             game.restrict(1)
         assert str(caught.value) == "profile (0, 1) realizes {{0,1}}, outside the family cap 1"
+
+    def test_a_profile_space_too_large_for_a_dense_table_is_refused(self, monkeypatch):
+        # 52**5 = 380,204,032 profiles: refused before anything walks them.
+        def walked(*args):
+            raise AssertionError("the profile space was walked")
+
+        monkeypatch.setattr(CoalitionGame, "profiles", walked)
+        monkeypatch.setattr(games, "_unanimity_index", walked)
+        family = enumerate_partitions(5, 5)
+        strategy_sets = (tuple(Strategy(k) for k in range(len(family))),) * 5
+        unanimity = CoalitionGame(5, 5, family, strategy_sets)
+        table = CoalitionGame(5, 5, family, strategy_sets, Mechanism("table", {}))
+        for game, read, width in [
+            (unanimity, "payoff_ints", 5),
+            (unanimity, "realized_index", 1),
+            (table, "realized_index", 1),
+        ]:
+            with pytest.raises(ValidationError) as caught:
+                getattr(game, read)
+            assert str(caught.value) == (
+                f"380204032 profiles of {width} entries each exceed "
+                "the dense table limit of 134217728 entries"
+            )
+        with pytest.raises(ValidationError, match="dense table limit"):
+            unanimity.validate_domains()
+
+    def test_the_dense_limit_counts_entries(self, monkeypatch):
+        # 16 profiles of 2 payoffs each, but one structure index each.
+        monkeypatch.setattr(games, "_DENSE_LIMIT", 16)
+        pd = build_game("pd-extended")
+        game = CoalitionGame(2, 2, pd.family, pd.strategy_sets, payoffs=dict(pd.payoffs))
+        assert np.array_equal(game.realized_index, pd.realized_index)
+        with pytest.raises(ValidationError, match="^16 profiles of 2 entries each exceed the dense"):
+            game.payoff_ints
 
     def test_family_dimensions_must_match(self):
         family = enumerate_partitions(3, 2)

@@ -559,6 +559,7 @@ class TestAgainstBruteForce:
                 game.restrict(cap)
             return
         small = game.restrict(cap)
+        assert small.mechanism.kind == game.mechanism.kind and "realized_index" in vars(small)
         for i in range(game.n_players):
             assert [small.strategy_key(i, k) for k in range(len(small.strategy_sets[i]))] == [
                 game.strategy_key(i, k) for k in kept[i]
