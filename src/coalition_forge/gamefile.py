@@ -12,10 +12,12 @@ json.dumps(data, indent=2, sort_keys=True), so the format is byte
 stable. game_to_dict reads the validated payoff tensor: each payoff's
 text is str(Fraction) of its payoff_ints entry over payoff_scale, the
 text of the stored value. game_from_dict reads the tables the other
-way, straight into the game's two arrays: each distinct payoff text
-becomes one Fraction, the payoff rows and the mechanism's structures
-are listed in canonical key order for the payoff and table readers of
-games, and no profile-keyed mapping is built.
+way, straight into the game's two arrays: one reader, _by_profile,
+serves both profile-keyed tables, reads each distinct entry once and
+lists the payoff rows and the mechanism's structures in canonical key
+order for the payoff and table readers of games. Each distinct payoff
+text becomes one Fraction and each distinct partition literal of the
+strategy lists one structure, and no profile-keyed mapping is built.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _parse_players(raw: Any) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_structure(literal: Any, by_name: Mapping[str, int], n: int, where: str) -> CoalitionStructure:
+def _parse_structure(literal: Any, where: str, by_name: Mapping[str, int], n: int) -> CoalitionStructure:
     if not isinstance(literal, list):
         raise GameFileError(f"{where} must be a list of blocks")
     blocks = []
@@ -121,6 +123,9 @@ def _parse_structure(literal: Any, by_name: Mapping[str, int], n: int, where: st
             members.append(by_name[name])
         if seen & set(members):
             raise GameFileError(f"{where} assigns a player to two blocks")
+        if len(set(members)) < len(members):
+            twice = next(name for k, name in enumerate(block) if name in block[:k])
+            raise GameFileError(f"{where} block {b} names player {twice!r} twice")
         seen.update(members)
         blocks.append(sorted(members))
     if seen != set(range(n)):
@@ -162,6 +167,48 @@ def _reject_profile_key(key: Any, shape: Sequence[int], where: str) -> NoReturn:
     )
 
 
+def _known_as(entry: Any, fallback: Any) -> Any:
+    """The repr of a parsed JSON entry, fallback if it is nested too deeply for repr.
+
+    The repr tells apart any two JSON values that differ, such as True, 1
+    and 1.0, or ["AB"] and [["A", "B"]].
+    """
+    try:
+        return repr(entry)
+    except RecursionError:
+        return fallback
+
+
+def _by_profile(
+    raw: Any, position: Mapping[str, int], shape: Sequence[int], where: str, read, *args
+) -> list:
+    """The entries of a profile-keyed table in canonical key order, None for a gap.
+
+    Keys are checked in document order, and read(entry, where, *args) reads
+    each distinct entry once (see _known_as).
+    """
+    entries: list = [None] * len(position)
+    done: dict[Any, Any] = {}
+    for key, entry in _require_mapping(raw, where).items():
+        if key not in position:
+            _reject_profile_key(key, shape, where)
+        text = _known_as(entry, (key,))
+        if text not in done:
+            done[text] = read(entry, f"{where}[{key!r}]", *args)
+        entries[position[key]] = done[text]
+    return entries
+
+
+def _rationals(row: Any, where: str, size: int, decoded: dict[Any, Fraction]) -> tuple[Fraction, ...]:
+    if not isinstance(row, list) or len(row) != size:
+        raise GameFileError(f"{where} must list {size} rationals")
+    for i, v in enumerate(row):
+        # Strings are read once each; True and 1.0 would find the entry of 1.
+        if type(v) is not str or v not in decoded:
+            decoded[v] = parse_rational(v, f"{where}[{i}]")
+    return tuple(map(decoded.__getitem__, row))
+
+
 def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     """Build a validated game and its player names from a parsed document."""
     data = _require_mapping(data, "game document")
@@ -181,6 +228,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     if not isinstance(raw_sets, list) or len(raw_sets) != n:
         raise GameFileError(f"strategies must be a list with one entry per player ({n})")
     strategy_sets = []
+    structures: dict[Any, CoalitionStructure] = {}  # each distinct partition parsed once
     for i, raw_list in enumerate(raw_sets):
         if not isinstance(raw_list, list) or not raw_list:
             raise GameFileError(f"strategies[{i}] must be a non-empty list")
@@ -189,9 +237,11 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
             where = f"strategies[{i}][{j}]"
             raw = _require_mapping(raw, where)
             _check_keys(raw, _STRATEGY_KEYS, {"partition"}, where)
-            structure = _parse_structure(raw["partition"], by_name, n, f"{where}.partition")
+            text = _known_as(raw["partition"], (i, j))
+            if text not in structures:
+                structures[text] = _parse_structure(raw["partition"], f"{where}.partition", by_name, n)
             try:
-                desired = family.index_of(structure)
+                desired = family.index_of(structures[text])
             except ValueError:
                 raise GameFileError(
                     f"{where}.partition has a block larger than K={cap}"
@@ -202,43 +252,26 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
             strategies.append(Strategy(desired, action))
         strategy_sets.append(tuple(strategies))
     shape = [len(s) for s in strategy_sets]
-    keys = _profile_keys(shape)
-    canonical = set(keys)
+    position = {key: k for k, key in enumerate(_profile_keys(shape))}
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
         table = None
     elif isinstance(raw_mech, Mapping):
         _check_keys(raw_mech, _MECHANISM_KEYS, _MECHANISM_KEYS, "mechanism")
-        raw_table = _require_mapping(raw_mech["table"], "mechanism.table")
-        table = {}
-        for key, literal in raw_table.items():
-            if key not in canonical:
-                _reject_profile_key(key, shape, "mechanism.table")
-            table[key] = _parse_structure(literal, by_name, n, f"mechanism.table[{key!r}]")
+        table = _by_profile(
+            raw_mech["table"], position, shape, "mechanism.table", _parse_structure, by_name, n
+        )
     else:
         raise GameFileError(
             f'mechanism must be "{UNANIMITY}" or an object with a table, got {raw_mech!r}'
         )
 
-    raw_payoffs = _require_mapping(data["payoffs"], "payoffs")
-    # Each distinct string or integer, read once. Only strings are looked
-    # up before reading: True and 1.0 would find the entry of 1.
-    decoded: dict[Any, Fraction] = {}
-    for key, row in raw_payoffs.items():
-        if key not in canonical:
-            _reject_profile_key(key, shape, "payoffs")
-        if not isinstance(row, list) or len(row) != n:
-            raise GameFileError(f"payoffs[{key!r}] must list {n} rationals")
-        for i, v in enumerate(row):
-            if type(v) is not str or v not in decoded:
-                decoded[v] = parse_rational(v, f"payoffs[{key!r}][{i}]")
-    rows = [row and tuple(map(decoded.__getitem__, row)) for row in map(raw_payoffs.get, keys)]
+    # One memo for the document: each distinct payoff string is read once.
+    rows = _by_profile(data["payoffs"], position, shape, "payoffs", _rationals, n, {})
     payoffs = _read_payoffs(rows, (*shape, n))
-    index = None
-    if table is not None:
-        # After the payoffs, so a payoff fault is named first.
-        index = _read_table(list(map(table.get, keys)), family, shape)
+    # After the payoffs, so a payoff fault is named first.
+    index = None if table is None else _read_table(table, family, shape)
     return _handed(family, strategy_sets, payoffs, index, table is not None), names
 
 
@@ -471,14 +504,11 @@ def profile_from_dict(data: Any, game: CoalitionGame) -> MixedProfile:
         raise GameFileError(
             f"weights must list one row per player ({game.n_players})"
         )
-    rows = []
-    for i, row in enumerate(raw):
-        wanted = len(game.strategy_sets[i])
-        if not isinstance(row, list) or len(row) != wanted:
-            raise GameFileError(f"weights[{i}] must list {wanted} rationals")
-        rows.append(tuple(parse_rational(v, f"weights[{i}][{j}]") for j, v in enumerate(row)))
+    rows = tuple(
+        _rationals(row, f"weights[{i}]", len(game.strategy_sets[i]), {}) for i, row in enumerate(raw)
+    )
     try:
-        return MixedProfile(tuple(rows))
+        return MixedProfile(rows)
     except ValueError as exc:
         raise GameFileError(str(exc)) from None
 

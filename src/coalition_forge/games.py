@@ -327,9 +327,10 @@ class CoalitionGame:
 
         Keeps, per player and in the original order, exactly the strategies
         whose desired structure survives the cap: a slice of payoff_ints, at
-        its own scale and int64 when it fits, and of realized_index, mapped
-        onto the smaller family under either mechanism, of which only the
-        blocks are checked again, against the new cap.
+        its own scale and int64 when it fits, and, when the game holds its
+        index or has a table, of realized_index, mapped onto the smaller
+        family, of which only the blocks are checked again, against the new
+        cap.
         """
         if not 1 <= max_coalition <= self.max_coalition:
             raise ValueError(
@@ -357,6 +358,11 @@ class CoalitionGame:
         ints = ints // divisor
         if ints.dtype == object and np.abs(ints).max() < 2**63:
             ints = ints.astype(np.int64)
+        payoffs = _TensorPayoffs(_frozen(ints), self.payoff_scale // divisor)
+        table = self.mechanism.kind == TABLE
+        # A unanimity game without its index leaves the rule to the new game.
+        if not table and "realized_index" not in vars(self):
+            return _handed(sub_family, new_sets, payoffs)
         sliced = self.realized_index[np.ix_(*kept)]
         index = np.array(codes, dtype=np.int64)[sliced]
         # Under unanimity a formed block is one every member desired, so
@@ -368,8 +374,7 @@ class CoalitionGame:
                 f"profile {profile} realizes {self.family[sliced[profile]]}, "
                 f"outside the family cap {max_coalition}"
             )
-        payoffs = _TensorPayoffs(_frozen(ints), self.payoff_scale // divisor)
-        return _handed(sub_family, new_sets, payoffs, _frozen(index), self.mechanism.kind == TABLE)
+        return _handed(sub_family, new_sets, payoffs, _frozen(index), table)
 
 
 def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:

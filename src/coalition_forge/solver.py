@@ -29,6 +29,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class SolverConfig:
     max_support caps the support sizes tried by enumeration (None picks
     min(6, the smaller strategy count)). damping scales the fictitious
     play step damping / (t + 2); rng_seed 0 means a uniform start,
-    anything else seeds a Dirichlet draw.
+    anything else seeds a Dirichlet draw. The three counts must be
+    integers (numpy's too, not bool).
     """
 
     tolerance: float = 1e-9
@@ -62,6 +64,12 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_support", "max_iterations", "rng_seed"):
+            value = getattr(self, name)
+            if value is None and name == "max_support":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_support is not None and self.max_support < 1:

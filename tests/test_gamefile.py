@@ -18,16 +18,19 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _shared import restricted
+from coalition_forge import gamefile, games
 from coalition_forge.cli import main
 from coalition_forge.gamefile import (
     GameFileError,
     dumps,
     game_from_dict,
+    game_to_dict,
     load_game,
     load_profile,
     profile_from_dict,
@@ -290,6 +293,16 @@ LOADER_REJECTIONS = [
     (("payoffs", 0), ["0", "0"], "payoffs keys must be strings of comma-joined indices"),
     (("payoffs", "0,1", 1), DROP, "payoffs['0,1'] must list 2 rationals"),
     (("payoffs", "1,0", 0), 0.5, "payoffs['1,0'][0] must be a rational string, got float"),
+    (
+        ("strategies", 0, 1, "partition"),
+        [["A", "A"], ["B"]],
+        "strategies[0][1].partition block 0 names player 'A' twice",
+    ),
+    (
+        ("mechanism", "table", "0,1"),
+        [["A"], ["B", "B"]],
+        "mechanism.table['0,1'] block 1 names player 'B' twice",
+    ),
 ]
 # Rejections also run through the CLI, one from each part of the document.
 CLI_REJECTIONS = {
@@ -297,6 +310,7 @@ CLI_REJECTIONS = {
     "players[1] must be a non-empty string",
     "strategies[0][0].partition has a block larger than K=1",
     "payoffs['0,1'] must list 2 rationals",
+    "strategies[0][1].partition block 0 names player 'A' twice",
 }
 
 
@@ -373,3 +387,122 @@ def test_profile_loader_rejects_rows_that_do_not_fit(tmp_path, document, message
         with pytest.raises(GameFileError) as caught:
             load()
         assert str(caught.value) == message
+
+
+# -- one reader for both profile-keyed tables ----------------------------------
+
+
+def lunch_table_document():
+    """The cap 3 lunch game with its unanimity index written out as a table."""
+    lunch = restricted("lunch", 3)
+    table = games._handed(lunch.family, lunch.strategy_sets, lunch.payoffs, lunch.realized_index, True)
+    return table, game_to_dict(table, ("A", "B", "C", "D"))
+
+
+def counted(monkeypatch, name):
+    """Calls of the gamefile function name, counted per first argument."""
+    function, calls = getattr(gamefile, name), collections.Counter()
+
+    def wrapper(value, *args, **kwargs):
+        calls[repr(value)] += 1
+        return function(value, *args, **kwargs)
+
+    monkeypatch.setattr(gamefile, name, wrapper)
+    return calls
+
+
+def test_each_distinct_entry_of_a_table_file_is_read_once(monkeypatch):
+    table, document = lunch_table_document()
+    literals = collections.Counter(map(repr, document["mechanism"]["table"].values()))
+    partitions = {repr(s["partition"]) for strategies in document["strategies"] for s in strategies}
+    texts = {v for row in document["payoffs"].values() for v in row}
+    assert (len(document["mechanism"]["table"]), len(literals)) == (38_416, 14)
+    structures = counted(monkeypatch, "_parse_structure")
+    rationals = counted(monkeypatch, "parse_rational")
+    game, _ = game_from_dict(document)
+    # Once per distinct literal of the strategy lists and of the table.
+    assert sum(structures.values()) == len(partitions) + len(literals)
+    assert len(partitions) < sum(table.shape)
+    assert rationals == collections.Counter(map(repr, texts))
+    # The cap 3 lunch table file round-trips.
+    assert game.mechanism.kind == "table"
+    assert game.payoff_scale == table.payoff_scale
+    assert np.array_equal(game.payoff_ints, table.payoff_ints)
+    assert np.array_equal(game.realized_index, table.realized_index)
+    assert game_to_dict(game, ("A", "B", "C", "D")) == document
+
+
+def test_a_repeated_faulty_literal_is_named_at_its_first_key():
+    document = small_document()
+    bad, table = [["A"], ["A", "B"]], document["mechanism"]["table"]
+    # Document order differs from the canonical order of the keys.
+    document["mechanism"]["table"] = {"1,1": bad, "0,0": table["0,0"], "0,1": bad, "1,0": table["1,0"]}
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "mechanism.table['1,1'] assigns a player to two blocks"
+
+
+def test_a_player_in_two_blocks_is_named_before_a_player_named_twice():
+    document = one_edit(("mechanism", "table", "0,1"), [["A", "B"], ["B", "B"]])
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "mechanism.table['0,1'] assigns a player to two blocks"
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ([1, 1], [True, True], "payoffs['1,1'][0] must be a rational, got True"),
+        ([1, 1], [1.0, 1.0], "payoffs['1,1'][0] must be a rational string, got float"),
+        ([1, "1"], [1, True], "payoffs['1,1'][1] must be a rational, got True"),
+        (["1", 1], ["1", 1.0], "payoffs['1,1'][1] must be a rational string, got float"),
+    ],
+)
+def test_values_that_compare_equal_are_read_apart(first, second, message):
+    document = small_document()
+    document["payoffs"]["0,0"], document["payoffs"]["1,1"] = first, second
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message
+
+
+def test_a_name_is_not_a_block_of_names():
+    document = small_document()
+    document["mechanism"]["table"]["0,0"] = [["A", "B"]]
+    document["mechanism"]["table"]["1,1"] = ["AB"]
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "mechanism.table['1,1'] block 0 must be a non-empty list of names"
+
+
+def deeper(frames, call):
+    """call() run frames Python frames further down the stack."""
+    return call() if frames == 0 else deeper(frames - 1, call)
+
+
+def deepest(template):
+    """template with its {} replaced by the most deeply nested list json.loads reads."""
+    depth = 1
+    while True:
+        try:
+            json.loads(template.replace("{}", "[" * (depth + 1) + "]" * (depth + 1)))
+        except RecursionError:
+            return template.replace("{}", "[" * depth + "]" * depth)
+        depth += 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{}", "payoffs['0,0'] must list 2 rationals"),
+        ('["1", {}]', "payoffs['0,0'][1] must be a rational string, got list"),
+    ],
+)
+def test_deeply_nested_payoff_rows_are_refused_with_their_message(row, message):
+    document = small_document()
+    document["payoffs"]["0,0"] = "ROW"
+    document = json.loads(deepest(json.dumps(document).replace('"ROW"', row)))
+    # Refused whatever the depth of the caller's stack.
+    with pytest.raises(GameFileError) as caught:
+        deeper(50, lambda: game_from_dict(document))
+    assert str(caught.value) == message

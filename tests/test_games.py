@@ -10,6 +10,8 @@ import pytest
 
 from _shared import game as build_game, restricted
 from coalition_forge import catalog, games
+from coalition_forge.analysis import stability_K_star
+from coalition_forge.gamefile import load_game, save_game
 from coalition_forge.games import (
     CoalitionGame,
     Mechanism,
@@ -23,6 +25,7 @@ from coalition_forge.partitions import (
     CoalitionStructure,
     enumerate_partitions,
 )
+from coalition_forge.solver import first_pure_equilibrium
 
 PAIR = CoalitionStructure.of([[0, 1]], 2)
 SPLIT = CoalitionStructure.singletons(2)
@@ -247,6 +250,32 @@ class TestRestriction:
         for cap in (2, 3):
             lunch.restrict(cap).realized_index
         assert len(calls) == 1
+
+    def test_loaded_unanimity_files_restrict_without_the_rule(self, monkeypatch, tmp_path):
+        for cap in (2, 3):
+            save_game(restricted("lunch", cap), tmp_path / f"lunch_K{cap}.json")
+        small, _ = load_game(tmp_path / "lunch_K2.json")
+        big, _ = load_game(tmp_path / "lunch_K3.json")
+        result = first_pure_equilibrium(small)
+        rule, calls = games._unanimity_index, []
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(games, "_unanimity_index", counted)
+        sliced = big.restrict(2)
+        assert calls == [] and "realized_index" not in vars(sliced)
+        # The nesting check of the stability scan restricts the cap 3 game.
+        assert stability_K_star([small, big], 2, result).K_star == 3
+        assert calls == []
+        # Read afterwards, the index is the rule's, and the slice of the
+        # larger game's once that game holds its own.
+        expected = rule(sliced.family, sliced.strategy_sets)
+        assert np.array_equal(sliced.realized_index, expected)
+        big.realized_index
+        assert np.array_equal(big.restrict(2).realized_index, expected)
+        assert len(calls) == 2
 
     def test_restrict_rejects_bad_caps(self):
         game = build_game("pd-extended")

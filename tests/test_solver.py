@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _shared import (
@@ -82,6 +83,32 @@ class TestMixedProfile:
             SolverConfig(damping=0)
         with pytest.raises(ValueError):
             SolverConfig(rng_seed=-1)
+
+    @pytest.mark.parametrize("field", ["max_support", "max_iterations", "rng_seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", Fraction(3), np.float64(2.0)])
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError) as caught:
+            SolverConfig(**{field: value})
+        assert str(caught.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_config_counts_keep_their_range_checks(self):
+        for field, value, message in [
+            ("max_support", 0, "max_support must be at least 1, got 0"),
+            ("max_iterations", np.int64(0), "max_iterations must be at least 1, got 0"),
+            ("rng_seed", -1, "rng_seed must be non-negative, got -1"),
+            ("max_iterations", None, "max_iterations must be an integer, got None"),
+            ("rng_seed", None, "rng_seed must be an integer, got None"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                SolverConfig(**{field: value})
+            assert str(caught.value) == message
+
+    def test_config_accepts_numpy_integers(self):
+        g = game("pd-standard")
+        config = SolverConfig(max_support=np.int64(1), max_iterations=np.int32(50), rng_seed=np.uint8(3))
+        assert SolverConfig(max_support=None).max_support is None
+        assert mixed_nash_2p_support_enum(g, config)
+        assert mixed_nash_iterative(g, config).iterations <= 50
 
 
 class TestExpectedUtility:

@@ -558,8 +558,14 @@ class TestAgainstBruteForce:
             with pytest.raises(ValidationError):
                 game.restrict(cap)
             return
+        # Either path of restrict: the slice of an index the game holds, or
+        # a unanimity game that never read its index hands none on.
+        held = data.draw(st.booleans(), label="index read before restricting")
+        if held:
+            game.realized_index
         small = game.restrict(cap)
-        assert small.mechanism.kind == game.mechanism.kind and "realized_index" in vars(small)
+        assert small.mechanism.kind == game.mechanism.kind
+        assert ("realized_index" in vars(small)) == (held or game.mechanism.kind == TABLE)
         for i in range(game.n_players):
             assert [small.strategy_key(i, k) for k in range(len(small.strategy_sets[i]))] == [
                 game.strategy_key(i, k) for k in kept[i]
