@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -119,7 +120,8 @@ def _parse_structure(literal: Any, where: str, by_name: Mapping[str, int], n: in
         members = []
         for name in block:
             if not isinstance(name, str) or name not in by_name:
-                raise GameFileError(f"{where} block {b} names unknown player {name!r}")
+                # Depth-bounded, so a deeply nested name cannot exhaust the stack.
+                raise GameFileError(f"{where} block {b} names unknown player {reprlib.repr(name)}")
             members.append(by_name[name])
         if seen & set(members):
             raise GameFileError(f"{where} assigns a player to two blocks")

@@ -43,7 +43,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .partitions import Coalition, CoalitionStructure, PartitionFamily, enumerate_partitions
+from .partitions import Coalition, CoalitionStructure, PartitionFamily, _row, enumerate_partitions
 
 Profile = tuple[int, ...]
 
@@ -340,7 +340,7 @@ class CoalitionGame:
             return self
         sub_family = enumerate_partitions(self.n_players, max_coalition)
         # The new family code of each old one, -1 for a block above the cap.
-        codes = [sub_family._index.get(s, -1) for s in self.family]
+        codes = [sub_family._position.get(row, -1) for row in self.family._rows]
         kept: list[list[int]] = []
         new_sets: list[tuple[Strategy, ...]] = []
         for i, strategies in enumerate(self.strategy_sets):
@@ -489,7 +489,7 @@ def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) 
     Every entry must be a structure of the family; the first faulty
     profile is named.
     """
-    codes = list(map(family._index.get, entries))
+    codes = list(map(family._position.get, map(_row, entries)))
     if None in codes:
         bad = codes.index(None)
         profile = tuple(map(int, np.unravel_index(bad, shape)))

@@ -14,18 +14,26 @@ produced directly instead of being filtered out of the full partition
 lattice. The canonical form that falls out of this walk orders blocks by
 their smallest member, with members ascending inside each block.
 
-One enumeration builds each distinct coalition once and lets all its
-structures share that object, and every structure, enumerated or not,
-passes the same constructor check: its members, flattened and sorted, must
-be exactly 0..n-1. Only a structure that fails it is walked block by block
-to name the overlap or the gap.
+The walk keeps each open block as a member tuple, one object for all equal
+tuples of a call, and each leaf records a row: the tuple of these member
+tuples, in one C call. A family answers its count, membership, positions,
+equality and nesting from its rows, and a structure's key is
+tuple(b.members for b in s.blocks), so no lookup hashes a structure. It
+builds its structures only when they are read, all at once, with one
+Coalition per distinct block shared by all its structures. Every
+structure, enumerated or not, passes the same constructor check: its
+members, flattened and sorted, must be exactly 0..n-1. Only a structure
+that fails it is walked block by block to name the overlap or the gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
+from itertools import chain
 from math import comb
+from numbers import Integral
+from operator import attrgetter
 
 
 @dataclass(frozen=True, order=True)
@@ -132,43 +140,123 @@ class CoalitionStructure:
         return "{" + ",".join(str(b) for b in self.blocks) + "}"
 
 
-@dataclass(frozen=True)
+class _once:
+    """A method whose value is stored in the instance on first read and read from there after.
+
+    functools.cached_property does the same, but takes a lock on every
+    first read, which costs small families, built by the thousand, a few
+    microseconds each.
+    """
+
+    def __init__(self, method) -> None:
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 class PartitionFamily:
     """All coalition structures of n players with blocks of size <= max_block.
 
-    Structures are stored in the deterministic enumeration order, and
-    index_of gives each structure a stable position used by the game layer
-    to reference desired partitions.
+    Structures come in the deterministic enumeration order, and index_of
+    gives each structure a stable position used by the game layer to
+    reference desired partitions.
+
+    A family keeps one row per structure, the tuple of its blocks' member
+    tuples, and answers len, in, index_of, == and hash, and is_nested from
+    these rows alone: two families are equal when their n, K and rows, in
+    order, are. An enumerated family builds its structures on the first
+    read of structures, of an iterator or of family[i], all in one pass; a
+    family built by hand from structures keeps those objects and takes its
+    rows from them.
     """
 
-    n_players: int
-    max_block: int
-    structures: tuple[CoalitionStructure, ...]
+    def __init__(self, n_players: int, max_block: int, structures) -> None:
+        structures = tuple(structures)
+        self.__dict__.update(
+            n_players=n_players, max_block=max_block, structures=structures,
+            _rows=tuple(map(_row, structures)),
+        )
 
-    @cached_property
-    def _index(self) -> dict[CoalitionStructure, int]:
-        return {s: i for i, s in enumerate(self.structures)}
+    @classmethod
+    def _of_rows(cls, n_players: int, max_block: int, rows: tuple) -> PartitionFamily:
+        """A family over canonical rows, whose structures are built on first read."""
+        family = cls.__new__(cls)
+        family.__dict__.update(n_players=n_players, max_block=max_block, _rows=rows)
+        return family
+
+    @_once
+    def structures(self) -> tuple[CoalitionStructure, ...]:
+        # Each distinct block becomes one Coalition, shared by its structures.
+        coalition = {m: Coalition(m) for m in set(chain.from_iterable(self._rows))}.__getitem__
+        n = self.n_players
+        return tuple([CoalitionStructure(tuple(map(coalition, row)), n) for row in self._rows])
+
+    @_once
+    def _position(self) -> dict[tuple, int]:
+        return dict(zip(self._rows, range(len(self._rows))))
 
     def index_of(self, structure: CoalitionStructure) -> int:
-        try:
-            return self._index[structure]
-        except KeyError:
-            raise ValueError(f"{structure} is not in the family (n={self.n_players}, cap={self.max_block})") from None
+        i = self._position.get(_row(structure))
+        if i is None:
+            raise ValueError(f"{structure} is not in the family (n={self.n_players}, cap={self.max_block})")
+        return i
 
     def __contains__(self, structure) -> bool:
-        return structure in self._index
+        return _row(structure) in self._position
 
     def __iter__(self):
         return iter(self.structures)
 
     def __len__(self) -> int:
-        return len(self.structures)
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> CoalitionStructure:
         return self.structures[i]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_players, self.max_block, self._rows) == (other.n_players, other.max_block, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n_players, self.max_block, self._rows))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"PartitionFamily(n_players={self.n_players!r}, max_block={self.max_block!r}, "
+            f"structures={self.structures!r})"
+        )
+
+
+_members = attrgetter("members")
+
+
+def _row(structure) -> tuple[tuple[int, ...], ...] | None:
+    """A structure's key in a family, its blocks' member tuples; None for a non-structure."""
+    if isinstance(structure, CoalitionStructure):
+        return tuple(map(_members, structure.blocks))
+    return None
+
 
 def _check_args(n_players: int, max_block: int) -> None:
+    for name, value in (("n_players", n_players), ("max_block", max_block)):
+        # An exact int passes at once, without the abstract-class check.
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_players < 1:
         raise ValueError(f"need at least one player, got n={n_players}")
     if not 1 <= max_block <= n_players:
@@ -183,14 +271,18 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     restricted growth string order; capping happens during generation, so
     no oversized partition is ever materialised. After each structure the
     walk backs up to the last player with a later block to try, in a loop,
-    so any number of players fits. Equal blocks of different structures
-    are one shared Coalition, built once per call.
+    so any number of players fits. A player that joins a block replaces
+    its member tuple by a longer one, looked up in one dict for the call so
+    that equal blocks are one object, and backing up restores the tuple
+    from before. Each leaf records the tuple of the open blocks as its row
+    (see PartitionFamily).
     """
     _check_args(n_players, max_block)
-    coalition = lru_cache(maxsize=None)(Coalition)
-    out: list[CoalitionStructure] = []
-    blocks: list[list[int]] = []
+    shared = {}.setdefault  # the first of equal member tuples, for all of them
+    rows: list[tuple[tuple[int, ...], ...]] = []
+    blocks: list[tuple[int, ...]] = []  # the open blocks' member tuples
     joined = [0] * n_players  # the block each placed player is in
+    before = [()] * n_players  # that block's members before the player joined
     player, first_choice = 0, 0
     while True:
         # Place the player in the first block from first_choice on that has
@@ -199,29 +291,31 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
         while b < len(blocks) and len(blocks[b]) >= max_block:
             b += 1
         if b == len(blocks):
-            blocks.append([])
-        blocks[b].append(player)
+            blocks.append(())
+        before[player] = blocks[b]
+        members = blocks[b] + (player,)
+        blocks[b] = shared(members, members)
         joined[player] = b
         player += 1
         if player < n_players:
             first_choice = 0
             continue
-        out.append(CoalitionStructure(tuple(coalition(tuple(m)) for m in blocks), n_players))
+        rows.append(tuple(blocks))
         # Back up to the last player who can move to a later block. A player
         # left alone in their block opened it, the last choice they have.
         while True:
             player -= 1
             b = joined[player]
-            blocks[b].pop()
+            blocks[b] = before[player]
             if blocks[b]:
                 first_choice = b + 1
                 break
             blocks.pop()
             if player == 0:
-                return PartitionFamily(n_players, max_block, tuple(out))
+                return PartitionFamily._of_rows(n_players, max_block, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def restricted_bell(n_players: int, max_block: int) -> int:
     """Count partitions of n players with all blocks of size <= max_block.
 
@@ -245,8 +339,7 @@ def is_nested(smaller: PartitionFamily, larger: PartitionFamily) -> bool:
         raise ValueError(
             f"cannot compare families over {smaller.n_players} and {larger.n_players} players"
         )
-    big = set(larger.structures)
-    return all(s in big for s in smaller.structures)
+    return set(larger._rows).issuperset(smaller._rows)
 
 
 def coalition_of(structure: CoalitionStructure, player: int) -> Coalition:

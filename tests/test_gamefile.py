@@ -4,8 +4,10 @@ gamefile.dumps must return exactly json.dumps(data, indent=2,
 sort_keys=True), failures included, while it writes containers of
 scalars through the C encoder. The pins fix the bytes of the lunch game
 files and of two CLI documents, as the writer gave them before it
-stopped using json's pure-Python encoder. The loader must refuse each
-malformed document with its own message, and the CLI with exit code 2.
+stopped using json's pure-Python encoder, and of two enumerate outputs,
+as the CLI gave them before families built their structures lazily. The
+loader must refuse each malformed document with its own message, and
+the CLI with exit code 2.
 """
 
 from __future__ import annotations
@@ -192,6 +194,12 @@ CLI_DOCUMENTS = {
         "7c833276982e0d0d6691f13650cecaada60a171bc737c2727bf50b8f8edcb60d"
     ),
 }
+# sha256 of the enumerate outputs as the CLI gave them before families
+# built their structures lazily.
+ENUMERATE_OUTPUTS = {
+    "enumerate -n 8 --json": "48f8a43641e50d5a384a6dc7255cb0fdd7b1f73eebb047add4f9e4e3bc72541f",
+    "enumerate -n 7 -K 3": "362854b35e29ee362c0c692e57259b3378e48aa247996e2b71acb59aa109be5e",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -217,6 +225,12 @@ def test_cli_document_bytes_are_pinned(lunch_folder, command, monkeypatch, capsy
     monkeypatch.chdir(lunch_folder)  # the documents name their source files
     assert main(command.split()) == 0
     assert sha256(capsys.readouterr().out.encode()) == CLI_DOCUMENTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(ENUMERATE_OUTPUTS))
+def test_enumerate_output_bytes_are_pinned(command, capsys):
+    assert main(command.split()) == 0
+    assert sha256(capsys.readouterr().out.encode()) == ENUMERATE_OUTPUTS[command]
 
 
 # -- the loader's rejections ---------------------------------------------------
@@ -506,3 +520,18 @@ def test_deeply_nested_payoff_rows_are_refused_with_their_message(row, message):
     with pytest.raises(GameFileError) as caught:
         deeper(50, lambda: game_from_dict(document))
     assert str(caught.value) == message
+
+
+def test_deeply_nested_player_name_is_refused_with_its_message():
+    name = "A"
+    for _ in range(991):
+        name = [name]
+    document = small_document()
+    document["mechanism"]["table"]["0,0"] = [name]
+    # Refused whatever the depth of the caller's stack.
+    for frames in (0, 100):
+        with pytest.raises(GameFileError) as caught:
+            deeper(frames, lambda: game_from_dict(document))
+        assert str(caught.value) == (
+            "mechanism.table['0,0'] block 0 names unknown player [[[[[[[...]]]]]]]"
+        )

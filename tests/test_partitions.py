@@ -1,4 +1,5 @@
-"""Enumeration checked against brute force and the Bell triangle."""
+"""Enumeration checked against brute force and the Bell triangle, family
+lookups against sets of frozensets."""
 
 from __future__ import annotations
 
@@ -6,10 +7,13 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coalition_forge.partitions import (
     Coalition,
     CoalitionStructure,
+    PartitionFamily,
     coalition_of,
     contains_coalition,
     enumerate_partitions,
@@ -170,6 +174,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             restricted_bell(-1, 1)
 
+    @pytest.mark.parametrize(
+        "n, cap, message",
+        [
+            (4, 2.0, "max_block must be an integer, got 2.0"),
+            (4.0, 2, "n_players must be an integer, got 4.0"),
+            (True, 1, "n_players must be an integer, got True"),
+            (2, True, "max_block must be an integer, got True"),
+            (3, "2", "max_block must be an integer, got '2'"),
+        ],
+    )
+    def test_non_integer_arguments(self, n, cap, message):
+        restricted_bell(4, 2)  # a cached count must not answer for 2.0
+        for call in (enumerate_partitions, restricted_bell):
+            with pytest.raises(ValueError) as excinfo:
+                call(n, cap)
+            assert str(excinfo.value) == message
+
 
 class TestStructures:
     def test_canonical_form(self):
@@ -223,3 +244,103 @@ class TestStructures:
             assert contains_coalition(s, block)
             for other in block:
                 assert coalition_of(s, other) == block
+
+
+LOOKUPS = settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def rebuilt(structures, n):
+    """The structures built again one by one, so no two share a Coalition."""
+    return tuple(CoalitionStructure.of([b.members for b in s], n) for s in structures)
+
+
+@st.composite
+def families(draw):
+    """An enumerated family, or one built by hand from a reordering or a subset of one."""
+    n = draw(st.integers(1, 5))
+    family = enumerate_partitions(n, draw(st.integers(1, n)))
+    kind = draw(st.sampled_from(["enumerated", "reordered", "subset"]))
+    if kind == "enumerated":
+        return family
+    structures = rebuilt(family, n)
+    if kind == "reordered":
+        structures = draw(st.permutations(structures))
+    else:
+        structures = draw(st.lists(st.sampled_from(structures), unique=True))
+    return PartitionFamily(n, family.max_block, tuple(structures))
+
+
+def oracle(family):
+    """The family as a list of sets of frozensets of players."""
+    return [as_key(s.blocks) for s in family]
+
+
+class TestFamilyLookups:
+    @LOOKUPS
+    @given(families(), families())
+    def test_against_sets_of_frozensets(self, first, second):
+        for family in (first, second):
+            structures = rebuilt(family, family.n_players)
+            again = PartitionFamily(family.n_players, family.max_block, structures)
+            assert family == again and hash(family) == hash(again)
+            reversed_ = PartitionFamily(family.n_players, family.max_block, structures[::-1])
+            assert (family == reversed_) == (oracle(family) == oracle(family)[::-1])
+        same = (first.n_players, first.max_block, oracle(first)) == (
+            second.n_players, second.max_block, oracle(second)
+        )
+        assert (first == second) == same
+        assert (first != second) == (not same)
+        if same:
+            assert hash(first) == hash(second)
+        if first.n_players != second.n_players:
+            with pytest.raises(ValueError):
+                is_nested(first, second)
+            return
+        assert is_nested(first, second) == (set(oracle(first)) <= set(oracle(second)))
+        keys = oracle(second)
+        for blocks in all_partitions(second.n_players):
+            probe = CoalitionStructure.of(blocks, second.n_players)
+            assert (probe in second) == (as_key(blocks) in keys)
+            if probe in second:
+                assert second.index_of(probe) == keys.index(as_key(blocks))
+            else:
+                with pytest.raises(ValueError):
+                    second.index_of(probe)
+
+    def test_other_values_are_not_members(self):
+        family = enumerate_partitions(3, 2)
+        for value in [None, 0, "{0,1},{2}", ((0, 1), (2,)), [[0, 1], [2]], Coalition.of(0, 1)]:
+            assert value not in family
+        assert CoalitionStructure.singletons(4) not in family
+        assert family != "family" and family != family._rows
+
+    def test_reads_build_structures_once_and_only_when_read(self, monkeypatch):
+        smaller = enumerate_partitions(10, 2)
+        probe = CoalitionStructure.singletons(10)
+        built = []
+        check = CoalitionStructure.__post_init__
+
+        def counted(structure):
+            built.append(structure)
+            check(structure)
+
+        monkeypatch.setattr(CoalitionStructure, "__post_init__", counted)
+        family = enumerate_partitions(10, 3)
+        assert len(family) == restricted_bell(10, 3)
+        assert probe in family
+        assert family.index_of(probe) == len(family) - 1
+        assert is_nested(smaller, family) and not is_nested(family, smaller)
+        assert family == enumerate_partitions(10, 3)
+        hash(family)
+        assert built == []
+        first = family[0]
+        assert len(built) == len(family)
+        assert list(family) == list(family.structures) == built
+        assert family[0] is first and family[-1] is built[-1]
+        assert len(built) == len(family)
