@@ -38,6 +38,7 @@ from .games import (
     _handed,
     _read_payoffs,
     _read_table,
+    _require_dense,
 )
 from .partitions import CoalitionStructure, enumerate_partitions
 from .solver import MixedProfile
@@ -254,6 +255,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
             strategies.append(Strategy(desired, action))
         strategy_sets.append(tuple(strategies))
     shape = [len(s) for s in strategy_sets]
+    _require_dense(shape, n)
     position = {key: k for k, key in enumerate(_profile_keys(shape))}
 
     raw_mech = data["mechanism"]

@@ -43,7 +43,14 @@ from numbers import Rational
 
 import numpy as np
 
-from .partitions import Coalition, CoalitionStructure, PartitionFamily, _row, enumerate_partitions
+from .partitions import (
+    Coalition,
+    CoalitionStructure,
+    PartitionFamily,
+    _is_integer,
+    _row,
+    enumerate_partitions,
+)
 
 Profile = tuple[int, ...]
 
@@ -140,6 +147,12 @@ class CoalitionGame:
     payoffs: Mapping[Profile, tuple[Fraction, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n_players", "max_coalition"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer is stored as int, which game files can write.
+            object.__setattr__(self, name, int(value))
         if self.n_players < 1:
             raise ValidationError("need at least one player")
         if not 1 <= self.max_coalition <= self.n_players:
@@ -210,14 +223,6 @@ class CoalitionGame:
 
     # -- exact tensors ---------------------------------------------------
 
-    def _require_dense(self, width: int) -> None:
-        """Refuse a table of width entries per profile above _DENSE_LIMIT, before it is read."""
-        if self.n_profiles * width > _DENSE_LIMIT:
-            raise ValidationError(
-                f"{self.n_profiles} profiles of {width} entries each exceed "
-                f"the dense table limit of {_DENSE_LIMIT} entries"
-            )
-
     @cached_property
     def _tensor(self) -> _TensorPayoffs:
         """payoff_ints over payoff_scale, from one pass over the payoffs mapping.
@@ -227,7 +232,7 @@ class CoalitionGame:
         package's own builders, restrict and loader give, is adopted at
         construction instead.
         """
-        self._require_dense(self.n_players)
+        _require_dense(self.shape, self.n_players)
         rows = list(map(self.payoffs.get, self.profiles()))
         return _read_payoffs(rows, (*self.shape, self.n_players))
 
@@ -257,7 +262,7 @@ class CoalitionGame:
         restricts or loads adopts its index at construction instead,
         under either mechanism, where it has one.
         """
-        self._require_dense(1)
+        _require_dense(self.shape, 1)
         if self.mechanism.kind == TABLE:
             entries = list(map(self.mechanism.table.get, self.profiles()))
             return _read_table(entries, self.family, self.shape)
@@ -448,6 +453,16 @@ def _unanimity_index(family: PartitionFamily, strategy_sets) -> np.ndarray:
     return _frozen(table[np.ix_(*picks)])
 
 
+def _require_dense(shape, width: int) -> None:
+    """Refuse a table of width entries per profile of shape above _DENSE_LIMIT, before it is built."""
+    profiles = prod(shape)
+    if profiles * width > _DENSE_LIMIT:
+        raise ValidationError(
+            f"{profiles} profiles of {width} entries each exceed "
+            f"the dense table limit of {_DENSE_LIMIT} entries"
+        )
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -469,13 +484,12 @@ def _read_payoffs(rows: list, shape: tuple[int, ...]) -> _TensorPayoffs:
             raise ValidationError(f"payoff table has no entry for profile {profile}")
         raise ValidationError(f"payoff entry for {profile} has the wrong arity")
     values = list(itertools.chain.from_iterable(rows))
-    ids = np.fromiter(map(id, values), np.uint64, len(values))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    bad = next((k for k in sorted(first.tolist()) if not isinstance(values[k], Rational)), None)
+    first, inverse = _distinct(values)
+    bad = next((k for k in sorted(first) if not isinstance(values[k], Rational)), None)
     if bad is not None:
         profile = tuple(map(int, np.unravel_index(bad // n, shape[:-1])))
         raise ValidationError(f"payoff entry for {profile} holds {values[bad]!r}, not an exact rational")
-    distinct = [values[k] for k in first.tolist()]
+    distinct = [values[k] for k in first]
     scale = lcm(*{int(v.denominator) for v in distinct})
     ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
     fits = max(map(abs, ints)) < 2**63
@@ -487,18 +501,28 @@ def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) 
     """The realized-structure index of table entries listed in profile order, None for a gap.
 
     Every entry must be a structure of the family; the first faulty
-    profile is named.
+    profile is named. Tables repeat a few structure objects many times
+    (the loader reads each distinct literal once), so each distinct
+    object is looked up once.
     """
-    codes = list(map(family._position.get, map(_row, entries)))
-    if None in codes:
-        bad = codes.index(None)
+    first, inverse = _distinct(entries)
+    codes = [family._position.get(_row(entries[k])) for k in first]
+    bad = min((k for k, code in zip(first, codes) if code is None), default=None)
+    if bad is not None:
         profile = tuple(map(int, np.unravel_index(bad, shape)))
         if entries[bad] is None:
             raise ValidationError(f"mechanism table has no entry for profile {profile}")
         raise ValidationError(
             f"profile {profile} realizes {entries[bad]}, outside the family cap {family.max_block}"
         )
-    return _frozen(np.array(codes, dtype=np.int64).reshape(shape))
+    return _frozen(np.array(codes, dtype=np.int64)[inverse].reshape(shape))
+
+
+def _distinct(values: list) -> tuple[list[int], np.ndarray]:
+    """Each distinct object's first position in values, by identity, and each value's distinct number."""
+    ids = np.fromiter(map(id, values), np.uint64, len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return first.tolist(), inverse
 
 
 class _ProfileView(Mapping):

@@ -16,11 +16,12 @@ their smallest member, with members ascending inside each block.
 
 The walk keeps each open block as a member tuple, one object for all equal
 tuples of a call, and each leaf records a row: the tuple of these member
-tuples, in one C call. A family answers its count, membership, positions,
-equality and nesting from its rows, and a structure's key is
-tuple(b.members for b in s.blocks), so no lookup hashes a structure. It
-builds its structures only when they are read, all at once, with one
-Coalition per distinct block shared by all its structures. Every
+tuples, in one C call. A family, a frozen dataclass over its rows,
+answers its count, membership, positions, equality and nesting from them,
+and a structure's key is tuple(b.members for b in s.blocks), so no lookup
+hashes a structure. It builds its structures only when they are read, all
+at once, with one Coalition per distinct block shared by all its
+structures. Every
 structure, enumerated or not, passes the same constructor check: its
 members, flattened and sorted, must be exactly 0..n-1. Only a structure
 that fails it is walked block by block to name the overlap or the gap.
@@ -28,8 +29,8 @@ that fails it is walked block by block to name the overlap or the gap.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 from numbers import Integral
@@ -140,28 +141,7 @@ class CoalitionStructure:
         return "{" + ",".join(str(b) for b in self.blocks) + "}"
 
 
-class _once:
-    """A method whose value is stored in the instance on first read and read from there after.
-
-    functools.cached_property does the same, but takes a lock on every
-    first read, which costs small families, built by the thousand, a few
-    microseconds each.
-    """
-
-    def __init__(self, method) -> None:
-        self.method = method
-        self.__doc__ = method.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
-
-
+@dataclass(frozen=True)
 class PartitionFamily:
     """All coalition structures of n players with blocks of size <= max_block.
 
@@ -169,14 +149,20 @@ class PartitionFamily:
     gives each structure a stable position used by the game layer to
     reference desired partitions.
 
-    A family keeps one row per structure, the tuple of its blocks' member
-    tuples, and answers len, in, index_of, == and hash, and is_nested from
-    these rows alone: two families are equal when their n, K and rows, in
-    order, are. An enumerated family builds its structures on the first
-    read of structures, of an iterator or of family[i], all in one pass; a
-    family built by hand from structures keeps those objects and takes its
-    rows from them.
+    A family is a frozen dataclass over n_players, max_block and its rows,
+    one per structure: the tuple of its blocks' member tuples. The
+    decorator derives == and hash (equal n, K and rows, in order) and the
+    frozen checks from these fields, and keeps the __init__ and __repr__
+    written here, which take and show structures. len, in, index_of and
+    is_nested read the rows alone. An enumerated family builds its
+    structures on the first read of structures, of an iterator or of
+    family[i], all in one pass; a family built by hand from structures
+    keeps those objects and takes its rows from them.
     """
+
+    n_players: int
+    max_block: int
+    _rows: tuple
 
     def __init__(self, n_players: int, max_block: int, structures) -> None:
         structures = tuple(structures)
@@ -192,14 +178,14 @@ class PartitionFamily:
         family.__dict__.update(n_players=n_players, max_block=max_block, _rows=rows)
         return family
 
-    @_once
+    @cached_property
     def structures(self) -> tuple[CoalitionStructure, ...]:
         # Each distinct block becomes one Coalition, shared by its structures.
         coalition = {m: Coalition(m) for m in set(chain.from_iterable(self._rows))}.__getitem__
         n = self.n_players
         return tuple([CoalitionStructure(tuple(map(coalition, row)), n) for row in self._rows])
 
-    @_once
+    @cached_property
     def _position(self) -> dict[tuple, int]:
         return dict(zip(self._rows, range(len(self._rows))))
 
@@ -221,20 +207,6 @@ class PartitionFamily:
     def __getitem__(self, i: int) -> CoalitionStructure:
         return self.structures[i]
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_players, self.max_block, self._rows) == (other.n_players, other.max_block, other._rows)
-
-    def __hash__(self) -> int:
-        return hash((self.n_players, self.max_block, self._rows))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __repr__(self) -> str:
         return (
             f"PartitionFamily(n_players={self.n_players!r}, max_block={self.max_block!r}, "
@@ -252,10 +224,14 @@ def _row(structure) -> tuple[tuple[int, ...], ...] | None:
     return None
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, numpy's too, but not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_args(n_players: int, max_block: int) -> None:
     for name, value in (("n_players", n_players), ("max_block", max_block)):
-        # An exact int passes at once, without the abstract-class check.
-        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_players < 1:
         raise ValueError(f"need at least one player, got n={n_players}")

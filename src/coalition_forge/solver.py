@@ -29,11 +29,11 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from numbers import Integral
 
 import numpy as np
 
 from .games import CoalitionGame, Profile
+from .partitions import _is_integer
 
 PURE = "pure-enum"
 SUPPORT = "support-enum"
@@ -68,7 +68,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name == "max_support":
                 continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")

@@ -446,6 +446,21 @@ def test_each_distinct_entry_of_a_table_file_is_read_once(monkeypatch):
     assert game_to_dict(game, ("A", "B", "C", "D")) == document
 
 
+def test_a_table_file_looks_up_each_distinct_structure_once(monkeypatch):
+    table, document = lunch_table_document()
+    rows = collections.Counter()
+    row = games._row
+
+    def counted_row(structure):
+        rows[id(structure)] += 1
+        return row(structure)
+
+    monkeypatch.setattr(games, "_row", counted_row)
+    game, _ = game_from_dict(document)
+    assert np.array_equal(game.realized_index, table.realized_index)
+    assert len(rows) <= 14 and set(rows.values()) == {1}
+
+
 def test_a_repeated_faulty_literal_is_named_at_its_first_key():
     document = small_document()
     bad, table = [["A"], ["A", "B"]], document["mechanism"]["table"]
@@ -535,3 +550,49 @@ def test_deeply_nested_player_name_is_refused_with_its_message():
         assert str(caught.value) == (
             "mechanism.table['0,0'] block 0 names unknown player [[[[[[[...]]]]]]]"
         )
+
+
+# -- the dense table limit -----------------------------------------------------
+
+
+def wide_document():
+    """4 players with 100 strategies each, 10**8 profiles, and no payoffs."""
+    strategies = [{"partition": [["A"], ["B"], ["C"], ["D"]], "action": f"a{k}"} for k in range(100)]
+    return {
+        "schema_version": 1,
+        "players": ["A", "B", "C", "D"],
+        "K": 1,
+        "strategies": [strategies] * 4,
+        "mechanism": "unanimity",
+        "payoffs": {},
+    }
+
+
+def test_a_document_too_large_for_a_dense_table_is_refused_before_its_keys(monkeypatch, tmp_path):
+    def walked(shape):
+        raise AssertionError(f"the profile keys of {shape} were built")
+
+    monkeypatch.setattr(gamefile, "_profile_keys", walked)
+    document = wide_document()
+    message = "100000000 profiles of 4 entries each exceed the dense table limit of 134217728 entries"
+    with pytest.raises(games.ValidationError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message
+    file = tmp_path / "big.json"
+    file.write_text(json.dumps(document))
+    assert file.stat().st_size == 24_887
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", str(file)])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == f"coalition-forge: invalid game: {message}\n"
+
+
+def test_the_loader_counts_payoff_entries_against_the_dense_limit(monkeypatch):
+    # bos has 16 profiles of 2 payoffs each.
+    document = game_to_dict(restricted("bos", 2), ("A", "B"))
+    monkeypatch.setattr(games, "_DENSE_LIMIT", 32)
+    assert game_from_dict(document)[0].shape == (4, 4)
+    monkeypatch.setattr(games, "_DENSE_LIMIT", 31)
+    with pytest.raises(games.ValidationError, match="^16 profiles of 2 entries each exceed the dense"):
+        game_from_dict(document)

@@ -348,6 +348,23 @@ class TestValidation:
             game.restrict(1)
         assert str(caught.value) == "profile (0, 1) realizes {{0,1}}, outside the family cap 1"
 
+    @pytest.mark.parametrize(
+        "early, late, message",
+        [
+            (None, PAIR, "mechanism table has no entry for profile (0, 1)"),
+            (PAIR, None, "profile (0, 1) realizes {{0,1}}, outside the family cap 1"),
+        ],
+    )
+    def test_a_table_names_its_earliest_faulty_profile(self, early, late, message):
+        # Either order of the two faulty objects' ids is met by one case.
+        family = enumerate_partitions(2, 1)
+        strategies = (Strategy(0, "x"), Strategy(0, "y"))
+        table = {(0, 0): SPLIT, (0, 1): early, (1, 0): late, (1, 1): late}
+        game = CoalitionGame(2, 1, family, (strategies,) * 2, Mechanism("table", table))
+        with pytest.raises(ValidationError) as caught:
+            game.realized_index
+        assert str(caught.value) == message
+
     def test_a_profile_space_too_large_for_a_dense_table_is_refused(self, monkeypatch):
         # 52**5 = 380,204,032 profiles: refused before anything walks them.
         def walked(*args):
@@ -386,3 +403,27 @@ class TestValidation:
         family = enumerate_partitions(3, 2)
         with pytest.raises(ValidationError):
             CoalitionGame(2, 2, family, ((Strategy(0),), (Strategy(0),)))
+
+    @pytest.mark.parametrize(
+        "n, cap, message",
+        [
+            (2, 2.0, "max_coalition must be an integer, got 2.0"),
+            (2.0, 2, "n_players must be an integer, got 2.0"),
+            (True, True, "n_players must be an integer, got True"),
+            (2, "2", "max_coalition must be an integer, got '2'"),
+        ],
+    )
+    def test_dimensions_must_be_integers(self, n, cap, message):
+        family = enumerate_partitions(2, 2)
+        with pytest.raises(ValidationError) as caught:
+            CoalitionGame(n, cap, family, ((Strategy(0),), (Strategy(0),)), payoffs={(0, 0): (0, 0)})
+        assert str(caught.value) == message
+
+    def test_numpy_integer_dimensions_save_and_load(self, tmp_path):
+        pd = build_game("pd-extended")
+        game = CoalitionGame(np.int64(2), np.int64(2), pd.family, pd.strategy_sets, payoffs=dict(pd.payoffs))
+        assert type(game.n_players) is int and type(game.max_coalition) is int
+        save_game(game, tmp_path / "game.json")
+        loaded, _ = load_game(tmp_path / "game.json")
+        assert (loaded.n_players, loaded.max_coalition) == (2, 2)
+        assert payoff_isomorphic(loaded, pd)

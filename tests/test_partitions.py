@@ -4,6 +4,7 @@ lookups against sets of frozensets."""
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
@@ -344,3 +345,51 @@ class TestFamilyLookups:
         assert list(family) == list(family.structures) == built
         assert family[0] is first and family[-1] is built[-1]
         assert len(built) == len(family)
+
+
+class TestFamilyValue:
+    ENUMERATED_REPR = (
+        "PartitionFamily(n_players=3, max_block=2, structures=("
+        "CoalitionStructure(blocks=(Coalition(members=(0, 1)), Coalition(members=(2,))), n_players=3), "
+        "CoalitionStructure(blocks=(Coalition(members=(0, 2)), Coalition(members=(1,))), n_players=3), "
+        "CoalitionStructure(blocks=(Coalition(members=(0,)), Coalition(members=(1, 2))), n_players=3), "
+        "CoalitionStructure(blocks=(Coalition(members=(0,)), Coalition(members=(1,)), "
+        "Coalition(members=(2,))), n_players=3)))"
+    )
+    HAND_BUILT_REPR = (
+        "PartitionFamily(n_players=2, max_block=2, structures=("
+        "CoalitionStructure(blocks=(Coalition(members=(0, 1)),), n_players=2), "
+        "CoalitionStructure(blocks=(Coalition(members=(0,)), Coalition(members=(1,))), n_players=2)))"
+    )
+
+    def hand_built(self):
+        return PartitionFamily(2, 2, [CoalitionStructure.of([[0, 1]], 2), CoalitionStructure.singletons(2)])
+
+    def test_repr_lists_every_structure(self):
+        assert repr(enumerate_partitions(3, 2)) == self.ENUMERATED_REPR
+        assert repr(self.hand_built()) == self.HAND_BUILT_REPR
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda f: setattr(f, "n_players", 1), "cannot assign to field 'n_players'"),
+            (lambda f: setattr(f, "colour", "red"), "cannot assign to field 'colour'"),
+            (lambda f: delattr(f, "structures"), "cannot delete field 'structures'"),
+            (lambda f: delattr(f, "_rows"), "cannot delete field '_rows'"),
+        ],
+    )
+    def test_is_frozen(self, change, message):
+        for family in (enumerate_partitions(3, 2), self.hand_built()):
+            with pytest.raises(FrozenInstanceError) as caught:
+                change(family)
+            assert str(caught.value) == message
+        assert family.n_players == 2 and len(family.structures) == 2
+
+    def test_reads_are_kept(self):
+        family = enumerate_partitions(4, 2)
+        assert family.structures is family.structures
+        assert family._position is family._position
+        structures = tuple(CoalitionStructure.of([b.members for b in s], 4) for s in family)
+        hand_built = PartitionFamily(4, 2, structures)
+        assert hand_built.structures is structures
+        assert hand_built == family and hash(hand_built) == hash(family)
