@@ -25,7 +25,7 @@ from .solver import (
     MixedProfile,
     SolverConfig,
     _check_mixed,
-    _structure_groups,
+    _support_grid,
     is_pure_equilibrium,
     verify_epsilon_nash,
 )
@@ -83,23 +83,16 @@ def equilibrium_partitions(
 ) -> EquilibriumPartitionSet:
     """Push the equilibrium profile through the mechanism.
 
-    Aggregates the probability of every pure profile with positive
-    weight onto its realized partition. A point mass reads its one
-    partition from game.realized_partition instead of the support grid.
+    Adds the probability of every pure profile with positive weight
+    onto its realized partition, in support grid order.
     """
     _require_equilibrium(result)
-    mixed = result.profile
-    _check_mixed(game, mixed)
-    if mixed.is_pure:
-        # One profile carries the whole mass, the product of the players'
-        # weights taken in the support grid's arithmetic: exact weights as
-        # they are, float weights as Python floats.
-        items = mixed.support_items()
-        weights = [row[0][1] for row in items]
-        mass = math.prod(weights) if mixed.is_exact else math.prod(map(float, weights))
-        masses = {game.realized_partition(tuple(row[0][0] for row in items)): mass}
-    else:
-        masses = {s: sum(prob.tolist()) for s, prob, _ in _structure_groups(game, mixed)}
+    _check_mixed(game, result.profile)
+    _, codes, probs = _support_grid(game, result.profile)
+    sums = {}
+    for code, p in zip(codes, probs):
+        sums[code] = sums.get(code, 0) + p
+    masses = {game.family[code]: sums[code] for code in sorted(sums)}
     positive = tuple(s for s, p in masses.items() if p > 0)
     return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
 

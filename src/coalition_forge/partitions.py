@@ -288,7 +288,7 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
                 break
             blocks.pop()
             if player == 0:
-                return PartitionFamily._of_rows(n_players, max_block, tuple(rows))
+                return PartitionFamily._of_rows(int(n_players), int(max_block), tuple(rows))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -19,16 +19,15 @@ and contracted with their weights. Exact profiles contract the integers
 with Fraction weights and divide each value by payoff_scale once; float
 profiles contract each payoff rounded once from its exact value, the
 float(Fraction) of it. The pure lane reads best-reply counts; lotteries
-group the support grid by the game's realized-structure index.
+walk the support grid, adding up by the game's realized-structure index.
 """
 
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +39,7 @@ SUPPORT = "support-enum"
 ITERATIVE = "iterative"
 
 _LOCK_WINDOW = 64
+_EINSUM_AXES = 52
 _FLOAT_SUM_SLACK = 1e-12
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -209,12 +209,15 @@ def _check_mixed(game: CoalitionGame, mixed: MixedProfile) -> None:
 
 
 def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
-    """Sum the tensor over every axis but the player's, weighted by the others' weights."""
-    letters = string.ascii_letters
+    """Sum the tensor over every axis but the player's, weighted by the others' weights.
+
+    einsum labels axes 0 to 51, so more players are refused.
+    """
     n = len(weights)
-    subscripts = ",".join([letters[:n], *(letters[j] for j in range(n) if j != player)])
-    operands = [weights[j] for j in range(n) if j != player]
-    return np.einsum(subscripts + "->" + letters[player], tensor, *operands)
+    if n > _EINSUM_AXES:
+        raise ValueError(f"contractions handle at most {_EINSUM_AXES} players, game has {n}")
+    operands = [x for j in range(n) if j != player for x in (weights[j], [j])]
+    return np.einsum(tensor, range(n), *operands, [player])
 
 
 def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
@@ -226,14 +229,6 @@ def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
     return (ints.astype(object) / game.payoff_scale).astype(float)
 
 
-def _payoff_values(game: CoalitionGame, values: np.ndarray, exact: bool) -> list:
-    """Values computed on payoff_ints or _float_payoffs, in payoff units.
-
-    Exact ones are divided by payoff_scale, once each.
-    """
-    return [Fraction(v, game.payoff_scale) for v in values.tolist()] if exact else values.tolist()
-
-
 def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
     """Expected payoff of each pure strategy of one player vs the rest."""
     exact = mixed.is_exact
@@ -243,8 +238,8 @@ def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> 
         if j != player:
             tensor = tensor.take([k for k, _ in row], axis=j)
         weights.append(np.array([w for _, w in row], dtype=object if exact else float))
-    values = _contract(tensor if exact else _float_payoffs(game, tensor), weights, player)
-    return _payoff_values(game, values, exact)
+    values = _contract(tensor if exact else _float_payoffs(game, tensor), weights, player).tolist()
+    return [Fraction(v, game.payoff_scale) for v in values] if exact else values
 
 
 def _expected(mixed: MixedProfile, player: int, values: list):
@@ -270,22 +265,21 @@ def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
     return _expected(mixed, player, _deviation_values(game, player, mixed))
 
 
-def _structure_groups(game: CoalitionGame, mixed: MixedProfile):
-    """The support grid grouped by realized structure.
+def _support_grid(game: CoalitionGame, mixed: MixedProfile):
+    """The profiles of supported strategies, in lexicographic order.
 
-    Yields, in family order, each realized structure with the
-    probabilities of its profiles and their payoff_ints rows.
+    Returns their flat indices into the game's profile axes, their
+    realized_index codes and their probabilities. Index and probability
+    are built prefix by prefix, the probability as the product of the
+    players' weights in player order: exact weights as they are, float
+    weights as Python floats.
     """
-    items = mixed.support_items()
-    grid = np.ix_(*([k for k, _ in row] for row in items))
-    dtype = object if mixed.is_exact else float
-    weights = [np.array([w for _, w in row], dtype=dtype) for row in items]
-    prob = reduce(np.multiply.outer, weights).ravel()
-    index = game.realized_index[grid].ravel()
-    pay = game.payoff_ints[grid].reshape(-1, game.n_players)
-    for s in np.unique(index).tolist():
-        mask = index == s
-        yield game.family[s], prob[mask], pay[mask]
+    exact = mixed.is_exact
+    flat, probs = [0], [1]
+    for row, size in zip(mixed.support_items(), game.shape):
+        flat = [at * size + k for at in flat for k, _ in row]
+        probs = [p * (w if exact else float(w)) for p in probs for _, w in row]
+    return flat, game.realized_index.take(flat).tolist(), probs
 
 
 def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> dict:
@@ -293,16 +287,23 @@ def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> d
 
     Values over all keys sum to the flat expected utility. Only
     partitions realized with positive probability appear, in family
-    order.
+    order. Summed row by row in grid order, so float sums keep one order
+    whatever the shape.
     """
     _check_mixed(game, mixed)
     exact = mixed.is_exact
-    by_structure = {}
-    for structure, prob, pay in _structure_groups(game, mixed):
-        pay = pay if exact else _float_payoffs(game, pay)
-        # Summed row by row, so float sums keep one order whatever the shape.
-        by_structure[structure] = tuple(_payoff_values(game, reduce(np.add, prob[:, None] * pay), exact))
-    return by_structure
+    scale = game.payoff_scale
+    flat, codes, probs = _support_grid(game, mixed)
+    rows = game.payoff_ints.reshape(-1, game.n_players).take(flat, axis=0).tolist()
+    sums = {}
+    for code, p, row in zip(codes, probs, rows):
+        terms = [p * v for v in row] if exact else [p * (v / scale) for v in row]
+        total = sums.get(code)
+        sums[code] = terms if total is None else [t + v for t, v in zip(total, terms)]
+    return {
+        game.family[code]: tuple(Fraction(v, scale) for v in sums[code]) if exact else tuple(sums[code])
+        for code in sorted(sums)
+    }
 
 
 def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):

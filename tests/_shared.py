@@ -103,6 +103,12 @@ def unnested_pair():
     return tuple(games)
 
 
+def one_profile_game(n):
+    """n players, all alone at cap 1 with one strategy each, paid 1 in the one profile."""
+    family = enumerate_partitions(n, 1)
+    return CoalitionGame(n, 1, family, ((Strategy(0),),) * n, Mechanism(), {(0,) * n: (Fraction(1),) * n})
+
+
 def random_exact_profile(g, rng):
     """Random exact mixed profile, possibly with partial support."""
     from coalition_forge.solver import MixedProfile

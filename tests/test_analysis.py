@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
     SolverConfig,
-    _structure_groups,
     first_pure_equilibrium,
     point_mass,
     pure_nash_enumerate,
@@ -45,6 +46,21 @@ def supplied(g, mixed):
         method="supplied",
         is_equilibrium=report.passed,
     )
+
+
+def grid_masses(g, mixed):
+    """The lottery summed over the support grid in lexicographic order, in family order.
+
+    Each profile's mass is the product of the players' weights in player
+    order: exact weights as they are, float weights as Python floats.
+    """
+    masses = {}
+    for profile in itertools.product(*(mixed.support(i) for i in range(g.n_players))):
+        weights = [mixed.weights[i][k] for i, k in enumerate(profile)]
+        mass = math.prod(weights if mixed.is_exact else map(float, weights))
+        structure = g.realized_partition(profile)
+        masses[structure] = masses.get(structure, 0) + mass
+    return {s: masses[s] for s in g.family if s in masses}
 
 
 def both_h_mix(g):
@@ -105,7 +121,7 @@ class TestPartitionDistribution:
                     result = EquilibriumResult(
                         mixed, res.expected_payoffs, res.max_regret, "given", True
                     )
-                    grid = {s: sum(p.tolist()) for s, p, _ in _structure_groups(g, mixed)}
+                    grid = grid_masses(g, mixed)
                     dist = equilibrium_partitions(g, result)
                     assert dist.probabilities == grid
                     assert [type(v) for v in dist.probabilities.values()] == [

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import unnested_pair
+from _shared import one_profile_game, unnested_pair
 from coalition_forge import cli, solver
 from coalition_forge.catalog import build_game
 from coalition_forge.cli import SEED_ENV, _make_config, main
@@ -128,6 +128,22 @@ class TestSolve:
         assert eq["is_equilibrium"] is True
         assert eq["iterations"] >= 1
         assert "converged" not in document
+
+    def test_iterative_tolerance(self):
+        document = run_json("solve", "bos", "--method", "iterative", "--tolerance", "1e-3")
+        (eq,) = document["equilibria"]
+        assert (eq["is_equilibrium"], eq["iterations"]) == (True, 217)
+        assert "converged" not in document
+        code, out, err = run("solve", "bos", "--method", "iterative", "--tolerance", "0")
+        assert (code, out) == (2, "")
+        assert "tolerance must be positive, got 0.0" in err
+
+    def test_more_players_than_einsum_axes_exit_2(self, tmp_path):
+        names = tuple(f"p{i}" for i in range(53))
+        path = write_json(tmp_path / "wide.json", game_to_dict(one_profile_game(53), names))
+        code, out, err = run("solve", path, "--method", "iterative")
+        assert (code, out) == (2, "")
+        assert "contractions handle at most 52 players, game has 53" in err
 
     def test_human_grid(self):
         code, out, _ = run("solve", "bos")

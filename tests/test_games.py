@@ -277,6 +277,12 @@ class TestRestriction:
         assert np.array_equal(big.restrict(2).realized_index, expected)
         assert len(calls) == 2
 
+    def test_restrict_to_a_numpy_cap_holds_int_dimensions(self):
+        game = build_game("lunch").restrict(np.int64(2))
+        assert type(game.max_coalition) is int
+        assert type(game.family.n_players) is int and type(game.family.max_block) is int
+        assert repr(game.family) == repr(enumerate_partitions(4, 2))
+
     def test_restrict_rejects_bad_caps(self):
         game = build_game("pd-extended")
         with pytest.raises(ValueError):

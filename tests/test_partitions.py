@@ -7,6 +7,7 @@ import random
 from dataclasses import FrozenInstanceError
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -384,6 +385,11 @@ class TestFamilyValue:
                 change(family)
             assert str(caught.value) == message
         assert family.n_players == 2 and len(family.structures) == 2
+
+    def test_numpy_dimensions_read_back_as_int(self):
+        family = enumerate_partitions(np.int64(2), np.int64(2))
+        assert type(family.n_players) is int and type(family.max_block) is int
+        assert repr(family) == repr(enumerate_partitions(2, 2))
 
     def test_reads_are_kept(self):
         family = enumerate_partitions(4, 2)

@@ -12,11 +12,13 @@ import pytest
 from _shared import (
     game,
     lunch_claimed_profile,
+    one_profile_game,
     random_exact_profile,
     random_two_player_game,
     restricted,
 )
 from coalition_forge import solver
+from coalition_forge.analysis import equilibrium_partitions
 from coalition_forge.games import CoalitionGame, Mechanism, Strategy
 from coalition_forge.partitions import enumerate_partitions
 from coalition_forge.solver import (
@@ -549,6 +551,23 @@ class TestIterative:
         assert a.profile.weights == b.profile.weights
         assert a.iterations == b.iterations
 
+    def test_full_damping_is_the_default(self):
+        g = game("bos")
+        default = mixed_nash_iterative(g, SolverConfig(max_iterations=200))
+        assert mixed_nash_iterative(g, SolverConfig(max_iterations=200, damping=1.0)) == default
+        half = mixed_nash_iterative(g, SolverConfig(max_iterations=200, damping=0.5))
+        assert half.profile != default.profile
+        assert (default.max_regret, half.max_regret) == (0.00275426350832908, 0.003995627001365576)
+
+    def test_start_at_a_pure_equilibrium_stops_at_once(self):
+        g = game("bos")
+        res = mixed_nash_iterative(g, start=MixedProfile(((0, 0, 0, 1), (0, 0, 0, 1))))
+        assert (res.iterations, res.is_equilibrium, res.max_regret) == (1, True, 0.0)
+        assert res.profile.weights == ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
+        short = MixedProfile(((0, 1), (0, 0, 0, 1)))
+        with pytest.raises(ValueError, match="^player 0 weight vector has length 2, strategy set has 4$"):
+            mixed_nash_iterative(g, start=short)
+
     def test_budget_exhaustion_is_flagged(self):
         # Seed 1 starts off-center; the averaging dynamic closes in on
         # the half-half mix only at a polynomial rate, far short of the
@@ -560,3 +579,23 @@ class TestIterative:
         assert not res.is_equilibrium
         assert res.iterations == 50
         assert res.max_regret > 0
+
+
+def test_more_players_than_einsum_axes_are_refused():
+    """einsum labels at most 52 axes; a 53-player game is refused by name.
+
+    The pure lane and the lottery read no contraction and still answer.
+    """
+    g = one_profile_game(53)
+    (res,) = pure_nash_enumerate(g)
+    assert res.profile.support(52) == (0,)
+    lottery = equilibrium_partitions(g, res)
+    assert list(lottery.probabilities.values()) == [1]
+    message = "^contractions handle at most 52 players, game has 53$"
+    for call in (
+        lambda: verify_epsilon_nash(g, res.profile),
+        lambda: expected_utilities(g, res.profile),
+        lambda: mixed_nash_iterative(g),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()

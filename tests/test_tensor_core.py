@@ -813,6 +813,140 @@ def test_float_payoffs_round_once_from_the_exact_value(offset):
     assert repr(result) == FLOAT_PLAY[offset]
 
 
+# Seeded float profiles of four games: per game a seed and a builder.
+FLOAT_GAMES = {
+    "bos": (1, lambda: catalog_game("bos")),
+    "pd-mixed": (2, lambda: catalog_game("pd-mixed")),
+    "square": (3, lambda: square_game(3, 3)),
+    "lunch-2": (4, lambda: restricted("lunch", 2)),
+}
+
+# Per (game, sparse): each realized structure's family index, in family
+# order, with float.hex of its mass and of its payoffs by structure.
+FLOAT_LOTTERIES = {
+    ("bos", False): {
+        0: ("0x1.3ae4b53e0dd30p-2", "0x1.203e62659a061p-2", "0x1.c13e19ab58c7cp-3"),
+        1: ("0x1.628da560f9169p-1", "0x1.de4ecf8e05bd3p-2", "0x1.32e6ec123e396p-1"),
+    },
+    ("bos", True): {
+        0: ("0x1.0a77c50e72b8ep-3", "0x1.251d58c317cb6p-3", "0x1.17ca8ee8c5422p-2"),
+        1: ("0x1.bd620ebc6351dp-1", "0x1.bd620ebc6351dp-1", "0x1.bd620ebc6351dp+0"),
+    },
+    ("pd-mixed", False): {
+        0: ("0x1.b28cd8b259734p-6", "0x1.0a1fd9f5db503p-5", "-0x1.4ccb1f46a902ap-4"),
+        1: ("0x1.f26b993a6d346p-1", "-0x1.13f978189e738p-1", "-0x1.40bdb89517bdbp-2"),
+    },
+    ("pd-mixed", True): {
+        0: ("0x1.b5abd92834fdcp-7", "0x1.b5abd92834fdcp-7", "0x0.0p+0"),
+        1: ("0x1.f929509b5f2c0p-1", "0x1.6a6102e1dd665p+1", "-0x1.f929509b5f2c0p+1"),
+    },
+    ("square", False): {
+        0: ("0x1.8a78efa88d941p-4", "0x1.27dab3be6a2f1p-1", "0x1.bbc80d9d9f469p-1"),
+        1: ("0x1.ceb0e20aee4d8p-1", "0x1.593e3bb01ba2dp-1", "0x1.db315df9d6c63p-2"),
+    },
+    ("square", True): {
+        1: ("0x1.0000000000000p+0", "-0x1.5b587f1411edep+1", "0x1.c91c797cf49a0p+1"),
+    },
+    ("lunch-2", False): {
+        0: (
+            "0x1.ce743a3b18032p-12",
+            "0x1.5ad72bac52027p-10", "0x1.5ad72bac52027p-10", "0x1.5ad72bac52027p-10", "0x1.5ad72bac52027p-10",
+        ),
+        1: (
+            "0x1.baf89c3b1fed1p-7",
+            "0x1.14db61a4f3f40p-3", "0x1.14db61a4f3f40p-3", "0x1.4c3a752c57f21p-5", "0x1.4c3a752c57f21p-5",
+        ),
+        2: (
+            "0x1.e8bfec27fbfe9p-10",
+            "0x1.6e8ff11dfcff0p-8", "0x1.6e8ff11dfcff0p-8", "0x1.6e8ff11dfcff0p-8", "0x1.6e8ff11dfcff0p-8",
+        ),
+        3: (
+            "0x1.33ffd24f7e618p-5",
+            "0x1.80ffc6e35df91p-2", "0x1.cdffbb773d920p-4", "0x1.80ffc6e35df91p-2", "0x1.cdffbb773d920p-4",
+        ),
+        4: (
+            "0x1.2bd25282489fcp-9",
+            "0x1.c1bb7bc36cefbp-8", "0x1.c1bb7bc36cefbp-8", "0x1.c1bb7bc36cefbp-8", "0x1.c1bb7bc36cefbp-8",
+        ),
+        5: (
+            "0x1.4259b7188b201p-5",
+            "0x1.e38692a4d0afep-4", "0x1.92f024deade78p-2", "0x1.92f024deade78p-2", "0x1.e38692a4d0afep-4",
+        ),
+        6: (
+            "0x1.af50b5c52f1d3p-5",
+            "0x1.0d92719b3d721p-1", "0x1.437c8853e355cp-3", "0x1.437c8853e355cp-3", "0x1.0d92719b3d721p-1",
+        ),
+        7: (
+            "0x1.73c49837ec861p-5",
+            "0x1.16d37229f1647p-3", "0x1.d0b5be45e7a78p-2", "0x1.16d37229f1647p-3", "0x1.d0b5be45e7a78p-2",
+        ),
+        8: (
+            "0x1.fe67d825e9d89p-6",
+            "0x1.7ecde21c6f624p-4", "0x1.7ecde21c6f624p-4", "0x1.3f00e717b2279p-2", "0x1.3f00e717b2279p-2",
+        ),
+        9: (
+            "0x1.8d2ff087b4354p-1",
+            "0x1.29e3f465c7289p+1", "0x1.29e3f465c7289p+1", "0x1.29e3f465c7289p+1", "0x1.29e3f465c7289p+1",
+        ),
+    },
+    ("lunch-2", True): {
+        0: (
+            "0x1.d86ee1b808c58p-12",
+            "0x1.6253294a06942p-10", "0x1.6253294a06942p-10", "0x1.6253294a06942p-10", "0x1.6253294a06942p-10",
+        ),
+        1: (
+            "0x1.d35564aa977f0p-8",
+            "0x1.24155eea9eaf5p-4", "0x1.24155eea9eaf5p-4", "0x1.5e800b7ff19f4p-6", "0x1.5e800b7ff19f4p-6",
+        ),
+        5: (
+            "0x1.c597c589a2f7fp-5",
+            "0x1.5431d4273a39fp-3", "0x1.1b7edb7605dafp-1", "0x1.1b7edb7605dafp-1", "0x1.5431d4273a39fp-3",
+        ),
+        7: (
+            "0x1.b4793be299795p-5",
+            "0x1.475aece9f31afp-3", "0x1.10cbc56d9febep-1", "0x1.475aece9f31afp-3", "0x1.10cbc56d9febep-1",
+        ),
+        8: (
+            "0x1.e3232646df40ap-5",
+            "0x1.6a5a5cb527708p-3", "0x1.6a5a5cb527708p-3", "0x1.2df5f7ec4b886p-1", "0x1.2df5f7ec4b886p-1",
+        ),
+        9: (
+            "0x1.a64b04df42153p-1",
+            "0x1.3cb843a7718fdp+1", "0x1.3cb843a7718fdp+1", "0x1.3cb843a7718fdp+1", "0x1.3cb843a7718fdp+1",
+        ),
+    },
+}
+
+
+def float_profile(game, seed, sparse):
+    """A seeded float profile; a sparse one keeps half of each row, rounded up."""
+    rng = random.Random(seed)
+    rows = []
+    for strategies in game.strategy_sets:
+        raw = [rng.random() for _ in strategies]
+        if sparse:
+            kept = rng.sample(range(len(raw)), (len(raw) + 1) // 2)
+            raw = [w if k in kept else 0.0 for k, w in enumerate(raw)]
+        total = sum(raw)
+        rows.append(tuple(w / total for w in raw))
+    return MixedProfile(tuple(rows))
+
+
+@pytest.mark.parametrize("name, sparse", list(FLOAT_LOTTERIES))
+def test_float_lotteries_keep_their_bits(name, sparse):
+    """Float masses and payoffs by structure: their values, type and order, to the bit."""
+    seed, build = FLOAT_GAMES[name]
+    game = build()
+    mixed = float_profile(game, seed, sparse)
+    lottery = equilibrium_partitions(game, EquilibriumResult(mixed, (), 0.0, "given", True))
+    by_structure = expected_utility_by_structure(game, mixed)
+    assert list(lottery.probabilities) == list(by_structure)
+    rows = [(lottery.probabilities[s], *by_structure[s]) for s in by_structure]
+    assert all(type(v) is float for row in rows for v in row)
+    got = [(game.family.index_of(s), tuple(v.hex() for v in row)) for s, row in zip(by_structure, rows)]
+    assert got == list(FLOAT_LOTTERIES[name, sparse].items())
+
+
 @pytest.mark.parametrize(
     "dropped, full_scale, full_dtype",
     [(Fraction(1, 2), 2, np.int64), (Fraction(2**63), 1, object)],
