@@ -326,8 +326,9 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
 def _player_names(game: CoalitionGame, player_names: Sequence[str] | None) -> tuple[str, ...]:
     if player_names is None:
         return tuple(str(i + 1) for i in range(game.n_players))
-    names = tuple(player_names)
-    if len(names) != game.n_players or len(set(names)) != len(names):
+    # The loader's own reader, so every name written is one it accepts.
+    names = _parse_players(list(player_names))
+    if len(names) != game.n_players:
         raise GameFileError(f"need {game.n_players} distinct player names")
     return names
 

@@ -157,7 +157,9 @@ class PartitionFamily:
     is_nested read the rows alone. An enumerated family builds its
     structures on the first read of structures, of an iterator or of
     family[i], all in one pass; a family built by hand from structures
-    keeps those objects and takes its rows from them.
+    keeps those objects and takes its rows from them, and refuses
+    anything but distinct structures over n_players with blocks of at
+    most max_block.
     """
 
     n_players: int
@@ -165,10 +167,22 @@ class PartitionFamily:
     _rows: tuple
 
     def __init__(self, n_players: int, max_block: int, structures) -> None:
+        _check_args(n_players, max_block)
+        n, K = int(n_players), int(max_block)
         structures = tuple(structures)
+        position: dict[tuple, int] = {}
+        for i, s in enumerate(structures):
+            row = _row(s)
+            if row is None:
+                raise ValueError(f"family entry {i} is not a CoalitionStructure: {s!r}")
+            if s.n_players != n:
+                raise ValueError(f"family entry {i} {s} covers {s.n_players} players, expected {n}")
+            if s.max_block_size > K:
+                raise ValueError(f"family entry {i} {s} has a block larger than the cap {K}")
+            if position.setdefault(row, i) != i:
+                raise ValueError(f"family entry {i} {s} repeats entry {position[row]}")
         self.__dict__.update(
-            n_players=n_players, max_block=max_block, structures=structures,
-            _rows=tuple(map(_row, structures)),
+            n_players=n, max_block=K, structures=structures, _rows=tuple(position), _position=position
         )
 
     @classmethod

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +86,9 @@ class MixedProfile:
     """One weight vector per player, each summing to one.
 
     Exact profiles carry Fraction weights and must sum to exactly one;
-    float profiles get a small normalization slack.
+    float profiles get a small normalization slack. Validation finds
+    whether the profile is exact and each row's support, the (index,
+    weight) pairs with nonzero weight.
     """
 
     weights: tuple[tuple[Fraction | float, ...], ...]
@@ -96,24 +97,26 @@ class MixedProfile:
         object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
         if not self.weights:
             raise ValueError("mixed profile needs at least one player")
+        exact = all(isinstance(w, (Fraction, int)) for row in self.weights for w in row)
+        supports = []
         for i, row in enumerate(self.weights):
             if not row:
                 raise ValueError(f"player {i} has an empty weight vector")
+            support = tuple((k, w) for k, w in enumerate(row) if w)
             # Exact zeros change neither the sign check nor the exact sum;
             # float rows keep theirs, so an all-zero row still sums to 0.0.
-            weights = [w for w in row if w] if self.is_exact else row
+            weights = [w for _, w in support] if exact else row
             if any(w < 0 for w in weights):
                 raise ValueError(f"player {i} has a negative weight")
             total = sum(weights)
-            if self.is_exact:
+            if exact:
                 if total != 1:
                     raise ValueError(f"player {i} weights sum to {total}, expected 1")
             elif not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
                 raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(isinstance(w, (Fraction, int)) for row in self.weights for w in row)
+            supports.append(support)
+        # Not fields, so equality, hashing and repr read only the weights.
+        self.__dict__.update(is_exact=exact, _support_items=tuple(supports))
 
     @property
     def mode(self) -> str:
@@ -129,12 +132,6 @@ class MixedProfile:
     def support_items(self) -> tuple[tuple[tuple[int, Fraction | float], ...], ...]:
         """Per player, the (index, weight) pairs with nonzero weight."""
         return self._support_items
-
-    @cached_property
-    def _support_items(self):
-        return tuple(
-            tuple((k, w) for k, w in enumerate(row) if w != 0) for row in self.weights
-        )
 
     @property
     def is_pure(self) -> bool:

@@ -366,6 +366,24 @@ def test_loader_rejects_each_malformed_document_with_its_message(tmp_path, path,
         assert err.getvalue().endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("", "B"), "players[0] must be a non-empty string"),
+        ((1, 2), "players[0] must be a non-empty string"),
+        (("A", "A"), "player names must be distinct"),
+        ((), "players must be a non-empty list of names"),
+        (("A",), "need 2 distinct player names"),
+    ],
+)
+def test_writer_refuses_names_the_loader_refuses(tmp_path, names, message):
+    file = tmp_path / "game.json"
+    with pytest.raises(GameFileError) as caught:
+        save_game(restricted("bos", 2), file, names)
+    assert str(caught.value) == message
+    assert not file.exists()
+
+
 def test_unreadable_files_are_rejected(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(GameFileError) as caught:

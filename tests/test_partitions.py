@@ -386,10 +386,32 @@ class TestFamilyValue:
             assert str(caught.value) == message
         assert family.n_players == 2 and len(family.structures) == 2
 
+    @pytest.mark.parametrize(
+        "n, K, structures, message",
+        [
+            (3, 2, [((0, 1, 2),)], "family entry 0 {{0,1,2}} has a block larger than the cap 2"),
+            (2, 2, [((0, 1),), ((0,), (1, 2))], "family entry 1 {{0},{1,2}} covers 3 players, expected 2"),
+            (3, 3, [1, 2], "family entry 0 is not a CoalitionStructure: 1"),
+            (2, 2, [((0,), (1,)), ((0,), (1,)), ((0, 1),)], "family entry 1 {{0},{1}} repeats entry 0"),
+            (2, 3, [], "block cap must satisfy 1 <= K <= n, got K=3 for n=2"),
+        ],
+    )
+    def test_hand_built_families_refuse_what_no_cap_enumerates(self, n, K, structures, message):
+        structures = [
+            CoalitionStructure.of(s, len(sum(s, ()))) if isinstance(s, tuple) else s
+            for s in structures
+        ]
+        with pytest.raises(ValueError) as caught:
+            PartitionFamily(n, K, structures)
+        assert str(caught.value) == message
+
     def test_numpy_dimensions_read_back_as_int(self):
-        family = enumerate_partitions(np.int64(2), np.int64(2))
-        assert type(family.n_players) is int and type(family.max_block) is int
-        assert repr(family) == repr(enumerate_partitions(2, 2))
+        for family in (
+            enumerate_partitions(np.int64(2), np.int64(2)),
+            PartitionFamily(np.int64(2), np.int64(2), enumerate_partitions(2, 2)),
+        ):
+            assert type(family.n_players) is int and type(family.max_block) is int
+            assert repr(family) == repr(enumerate_partitions(2, 2))
 
     def test_reads_are_kept(self):
         family = enumerate_partitions(4, 2)

@@ -12,6 +12,7 @@ verification cover.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -749,6 +750,62 @@ class TestIntegerPayoffs:
         assert all(type(v) is Fraction for _, pay in found for v in pay)
 
 
+def brute_lift(source, mixed, target):
+    """The profile on the target's strategies, matched by strategy key."""
+    rows = []
+    for i in range(source.n_players):
+        weight = {source.strategy_key(i, k): w for k, w in enumerate(mixed.weights[i])}
+        keys = [target.strategy_key(i, k) for k in range(len(target.strategy_sets[i]))]
+        assert {key for key, w in weight.items() if w} <= set(keys)
+        rows.append(tuple(weight.get(key, Fraction(0)) for key in keys))
+    return MixedProfile(tuple(rows))
+
+
+def brute_stability(games, K0, profile):
+    """(K*, [(K, payoff_ok)], [(K, profile, payoffs)]) of a scan from K0 upward."""
+    base = games[K0]
+    baseline = brute_expected(base, profile)
+    checks, diagnostics, K_star = [(K0, True)], [], K0
+    for K in sorted(games):
+        if K < K0:
+            continue
+        game = games[K]
+        if K > K0:
+            lifted = brute_lift(base, profile, game)
+            expected = brute_expected(game, lifted)
+            best = [brute_best(game, lifted, i) for i in range(game.n_players)]
+            checks.append((K, best == list(expected)))
+        diagnostics += [
+            (K, p, game.payoffs[p])
+            for p, _ in brute_pure(game)
+            if all(v >= b for v, b in zip(game.payoffs[p], baseline))
+            and any(v > b for v, b in zip(game.payoffs[p], baseline))
+        ]
+        if not checks[-1][1]:
+            break
+        K_star = K
+    return K_star, checks, diagnostics
+
+
+class TestStability:
+    @DIFFERENTIAL
+    @given(coalition_games(alone=True), st.data())
+    def test_against_a_brute_force_scan(self, game, data):
+        games = {K: game.restrict(K) for K in range(1, game.max_coalition + 1)}
+        K0 = data.draw(st.integers(1, game.max_coalition))
+        base = games[K0]
+        results = [first_pure_equilibrium(base)]
+        if base.n_players == 2:
+            results += mixed_nash_2p_support_enum(base).equilibria
+        for result in filter(None, results):
+            report = stability_K_star(list(games.values()), K0, result)
+            K_star, checks, diagnostics = brute_stability(games, K0, result.profile)
+            assert report.K_star == K_star
+            assert [(c.K, c.payoff_ok) for c in report.per_K_checks] == checks
+            assert all(c.domain_ok for c in report.per_K_checks)
+            assert [(d.K, d.profile, d.payoffs) for d in report.diagnostics] == diagnostics
+
+
 @pytest.mark.parametrize(
     "value, other, dtype",
     [
@@ -1151,12 +1208,16 @@ def test_returned_profiles_hold_python_ints():
 
 
 def test_is_exact_is_computed_once_and_stays_out_of_equality():
-    weights = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),))
+    weights = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1)))
     mixed = MixedProfile(weights)
+    support = (((0, Fraction(1, 2)), (1, Fraction(1, 2))), ((1, Fraction(1)),))
     assert vars(mixed)["is_exact"] is True
-    assert mixed == MixedProfile(weights)
+    assert vars(mixed)["_support_items"] == support
+    assert mixed == MixedProfile(weights) and hash(mixed) == hash(MixedProfile(weights))
     assert repr(mixed) == f"MixedProfile(weights={weights!r})"
-    assert MixedProfile(((0.5, 0.5),)).mode == "float"
+    floats = dataclasses.replace(mixed, weights=((0.5, 0.5), (1.0, 0.0)))
+    assert vars(floats)["is_exact"] is False and floats.mode == "float"
+    assert vars(floats)["_support_items"] == (((0, 0.5), (1, 0.5)), ((0, 1.0),))
 
 
 # -- game file keys ---------------------------------------------------------------
