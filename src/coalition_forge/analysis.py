@@ -25,8 +25,8 @@ from .solver import (
     MixedProfile,
     SolverConfig,
     _check_mixed,
+    _passing,
     _support_grid,
-    is_pure_equilibrium,
     verify_epsilon_nash,
 )
 
@@ -254,9 +254,8 @@ def _pareto_dominating_pures(
     at_least = np.array([math.ceil(q) for q in scaled], dtype=object)
     above = np.array([math.floor(q) for q in scaled], dtype=object)
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
-    for profile in map(tuple, np.argwhere(dominating).tolist()):
-        if is_pure_equilibrium(game, profile):
-            yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))
+    for profile in map(tuple, _passing(game, np.argwhere(dominating)).tolist()):
+        yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))
 
 
 def stability_K_star(

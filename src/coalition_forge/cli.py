@@ -194,6 +194,59 @@ def _equilibrium_entry(game: CoalitionGame, names, labels, result: EquilibriumRe
     return entry
 
 
+def _pure_gathers(game: CoalitionGame, profiles):
+    """What the CLI prints of each pure equilibrium of an (E, n) profile array.
+
+    Per equilibrium: its profile, its payoffs as text, whether it is
+    degenerate and its realized structure's code, each read by one
+    gather at the profiles. Each distinct payoff integer becomes text once.
+    """
+    at = tuple(profiles.T)
+    ints = game.payoff_ints[at]
+    text = {v: _fr(Fraction(v, game.payoff_scale)) for v in set(ints.ravel().tolist())}
+    payoffs = [[text[v] for v in row] for row in ints.tolist()]
+    degenerate = solver._degenerate(game, at).tolist()
+    return zip(profiles.tolist(), payoffs, degenerate, game.realized_index[at].tolist())
+
+
+def _pure_entries(game: CoalitionGame, names, labels, profiles) -> list[dict]:
+    """_equilibrium_entry of each pure equilibrium of an (E, n) profile array.
+
+    Entries share one weight row and one support list per (player,
+    strategy), and one partition distribution per realized structure.
+    """
+    weights = [[[_fr(int(j == k)) for j in range(len(row))] for k in range(len(row))] for row in labels]
+    supports = [[[label] for label in row] for row in labels]
+    partitions = {}
+    entries = []
+    for profile, payoffs, degenerate, code in _pure_gathers(game, profiles):
+        if code not in partitions:
+            literal = _structure_literal(game.family[code], names)
+            partitions[code] = [{"partition": literal, "probability": _fr(1)}]
+        entries.append({
+            "method": solver.PURE,
+            "is_equilibrium": True,
+            "degenerate": degenerate,
+            "weights": [weights[i][k] for i, k in enumerate(profile)],
+            "support": [supports[i][k] for i, k in enumerate(profile)],
+            "expected_payoffs": payoffs,
+            "max_regret": _fr(0),
+            "partition_distribution": partitions[code],
+        })
+    return entries
+
+
+def _pure_lines(game: CoalitionGame, names, labels, profiles) -> list[str]:
+    """_equilibrium_lines of each pure equilibrium of an (E, n) profile array, numbered from 1."""
+    lines = []
+    for index, (profile, payoffs, degenerate, code) in enumerate(_pure_gathers(game, profiles), start=1):
+        shown = ", ".join(labels[i][k] for i, k in enumerate(profile))
+        head = f"#{index} [{solver.PURE}] ({shown}) -> payoffs ({', '.join(payoffs)}), regret 0"
+        lines.append(head + ", degenerate" if degenerate else head)
+        lines.append(f"    partitions: {_structure_text(game.family[code], names)} 1")
+    return lines
+
+
 def _equilibrium_lines(game: CoalitionGame, names, labels, index: int, result: EquilibriumResult) -> list[str]:
     mixed = result.profile
     if mixed.is_pure:
@@ -219,6 +272,20 @@ def _equilibrium_lines(game: CoalitionGame, names, labels, index: int, result: E
         for s in dist.partitions
     )
     return [head, f"    partitions: {rendered}"]
+
+
+def _result_entries(game: CoalitionGame, names, labels, results) -> list[dict]:
+    """_equilibrium_entry of each result."""
+    return [_equilibrium_entry(game, names, labels, r) for r in results]
+
+
+def _result_lines(game: CoalitionGame, names, labels, results) -> list[str]:
+    """_equilibrium_lines of each result, numbered from 1."""
+    return [
+        line
+        for index, result in enumerate(results, start=1)
+        for line in _equilibrium_lines(game, names, labels, index, result)
+    ]
 
 
 def _matrix_lines(game: CoalitionGame, names, labels) -> list[str]:
@@ -283,9 +350,12 @@ def cmd_solve(args) -> int:
     config = _make_config(args)
     truncated = False
     converged = True
+    entries, entry_lines = _result_entries, _result_lines
     if args.method == "pure":
-        results = list(solver.pure_nash_enumerate(game))
+        # The pure lane's profile array: every entry is a gather at its profile.
+        results = solver._pure_profiles(game)
         method = solver.PURE
+        entries, entry_lines = _pure_entries, _pure_lines
     elif args.method == "support":
         found = solver.mixed_nash_2p_support_enum(game, config)
         results = list(found.equilibria)
@@ -301,7 +371,7 @@ def cmd_solve(args) -> int:
     if args.json:
         document = _game_document("solve", args.source, game, names)
         document["method"] = method
-        document["equilibria"] = [_equilibrium_entry(game, names, labels, r) for r in results]
+        document["equilibria"] = entries(game, names, labels, results)
         if params:
             document["parameters"] = {k: _fr(v) for k, v in sorted(params.items())}
         if truncated:
@@ -317,11 +387,10 @@ def cmd_solve(args) -> int:
         lines.append("")
         lines.extend(_matrix_lines(game, names, labels))
     lines.append("")
-    if not results:
+    if not len(results):
         lines.append("no equilibria found")
     shown = results[:24]
-    for i, result in enumerate(shown, start=1):
-        lines.extend(_equilibrium_lines(game, names, labels, i, result))
+    lines.extend(entry_lines(game, names, labels, shown))
     if len(results) > len(shown):
         lines.append(f"... and {len(results) - len(shown)} more ({len(results)} total)")
     if truncated:

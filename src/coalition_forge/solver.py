@@ -18,8 +18,14 @@ deviation values are the tensor, sliced to the other players' supports
 and contracted with their weights. Exact profiles contract the integers
 with Fraction weights and divide each value by payoff_scale once; float
 profiles contract each payoff rounded once from its exact value, the
-float(Fraction) of it. The pure lane reads best-reply counts; lotteries
-walk the support grid, adding up by the game's realized-structure index.
+float(Fraction) of it. The pure lane reads best-reply counts for the
+unilateral test and screens the survivors for group redesires in one
+array pass per group: the members' payoffs are gathered over their own
+axes, a member already at their payoff peak rules the group out, and
+survivors go in chunks whose gathered payoffs fit a byte budget. Its
+equilibria are one (E, n) profile array, which the CLI prints from
+directly. Lotteries walk the support grid, adding up by the game's
+realized-structure index.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -42,6 +49,8 @@ _EINSUM_AXES = 52
 _FLOAT_SUM_SLACK = 1e-12
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The most bytes of gathered payoffs one chunk of the group screen holds.
+_SCREEN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -344,33 +353,95 @@ def verify_epsilon_nash(
 # -- pure equilibria -----------------------------------------------------
 
 
-def _group_blocked(game: CoalitionGame, profile: Profile) -> bool:
-    """True if some group can strictly gain by jointly redesiring.
+def _unblocked(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
+    """Which profiles no group blocks by a joint redesire, as a bool mask.
 
-    A redesire keeps every member's action fixed and changes only the
-    desired partition. Groups run from pairs up to the coalition cap;
-    each group's redesires are one slice of the payoff tensor, with the
-    members' axes cut to their alternatives and every other axis to the
-    profile's strategy. Players already at their best payoff anywhere
-    in the game can never strictly gain and are skipped. Payoffs are
-    compared in the game's integer units, payoff_ints.
+    rows is an (R, n) int array of profiles. A redesire keeps every
+    member's action fixed and changes only the desired partition.
+    Groups run from pairs up to the coalition cap, and each group takes
+    one array pass over the rows not yet blocked whose members can all
+    move: a member can move when another of their strategies keeps the
+    action, and gain only while below their best payoff anywhere in the
+    game. The pass gathers each member's payoffs over the members' free
+    axes, one slice per row, and a row is blocked when some alternative
+    keeping every action pays every member strictly more. Rows go in
+    chunks whose slices fill at most _SCREEN_BYTES, and a chunk takes at
+    least one row. Payoffs are compared in payoff_ints units.
     """
+    open_ = np.ones(len(rows), dtype=bool)
+    if game.max_coalition < 2 or not len(rows):
+        return open_
     tensor = game.payoff_ints
-    pay = tensor[profile]
-    alternatives = {}
-    for i, (k, here, peak) in enumerate(zip(profile, pay.tolist(), game.payoff_peaks)):
-        if here < peak:
-            action = game.strategy_sets[i][k].action
-            same = [j for j, s in enumerate(game.strategy_sets[i]) if j != k and s.action == action]
-            if same:
-                alternatives[i] = same
-    for size in range(2, min(game.max_coalition, len(alternatives)) + 1):
-        for group in map(list, itertools.combinations(alternatives, size)):
-            axes = [alternatives[i] if i in group else [k] for i, k in enumerate(profile)]
-            moved = tensor[np.ix_(*axes)][..., group]
-            if (moved > pay[group]).all(-1).any():
-                return True
-    return False
+    shape = game.shape
+    here = tensor[tuple(rows.T)]
+    movable = here < np.array(game.payoff_peaks, dtype=tensor.dtype)
+    # No group forms without two members below their peak.
+    if not (movable.sum(axis=1) > 1).any():
+        return open_
+    # keeps[i][k, j]: player i's strategy j differs from k and keeps its action.
+    keeps = []
+    for i, strategies in enumerate(game.strategy_sets):
+        actions = np.array([s.action for s in strategies])
+        same = actions[:, None] == actions
+        np.fill_diagonal(same, False)
+        keeps.append(same)
+        movable[:, i] &= same.any(axis=1)[rows[:, i]]
+    for size in range(2, game.max_coalition + 1):
+        for group in itertools.combinations(range(len(shape)), size):
+            todo = np.flatnonzero(open_ & movable[:, group].all(axis=1))
+            if not todo.size:
+                continue
+            free = [shape[i] for i in group]
+            step = max(1, _SCREEN_BYTES // (prod(free) * tensor.itemsize))
+            for start in range(0, todo.size, step):
+                chunk = todo[start : start + step]
+                at, pay = rows[chunk], here[chunk]
+                # Indices broadcast to (chunk, *free): the chunk's rows on the
+                # other players' axes, each member's whole axis on their own.
+                lead = (len(chunk),) + (1,) * size
+                index = [at[:, i].reshape(lead) for i in range(len(shape))]
+                gains = True
+                for t, i in enumerate(group):
+                    axis = [1] * (size + 1)
+                    axis[t + 1] = free[t]
+                    index[i] = np.arange(free[t]).reshape(axis)
+                    axis[0] = len(chunk)
+                    gains = gains & keeps[i][at[:, i]].reshape(axis)
+                for i in group:
+                    gains = gains & (tensor[(*index, i)] > pay[:, i].reshape(lead))
+                open_[chunk[gains.reshape(len(chunk), -1).any(axis=1)]] = False
+    return open_
+
+
+def _pure_profiles(game: CoalitionGame) -> np.ndarray:
+    """The pure lane's equilibria as an (E, n) int array in lexicographic order.
+
+    The survivors are the profiles where every player is at a best
+    reply, in the order np.argwhere lists them.
+    """
+    survivors = np.argwhere((game.best_reply_counts > 0).all(axis=-1))
+    return survivors[_unblocked(game, survivors)]
+
+
+def _passing(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
+    """The profiles of an (R, n) int array that pass the pure lane's test, in their order.
+
+    A profile passes when every player is at a best reply and no group
+    is blocked by a redesire.
+    """
+    if not len(rows):  # best_reply_counts may not be built yet
+        return rows
+    rows = rows[(game.best_reply_counts[tuple(rows.T)] > 0).all(axis=1)]
+    return rows[_unblocked(game, rows)]
+
+
+def _degenerate(game: CoalitionGame, at) -> np.ndarray:
+    """Whether some player has another best reply at the profiles at index at.
+
+    at is one profile, giving a 0-d mask, or a tuple of one index array
+    per player, giving one flag per profile.
+    """
+    return (game.best_reply_counts[at] > 1).any(axis=-1)
 
 
 def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=0):
@@ -380,24 +451,9 @@ def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=
         max_regret=Fraction(0),
         method=method,
         is_equilibrium=True,
-        degenerate=bool((game.best_reply_counts[profile] > 1).any()),
+        degenerate=bool(_degenerate(game, profile)),
         iterations=iterations,
     )
-
-
-def _pure_equilibria(game: CoalitionGame, profiles=None):
-    """The profiles that pass the pure lane's test, in the order given.
-
-    A profile passes when every player is at a best reply and no group
-    is blocked by a redesire. Without profiles, every profile of the
-    game is screened, in lexicographic order.
-    """
-    counts = game.best_reply_counts
-    if profiles is None:
-        profiles = map(tuple, np.argwhere((counts > 0).all(axis=-1)).tolist())
-    for profile in profiles:
-        if (counts[profile] > 0).all() and not _group_blocked(game, profile):
-            yield profile
 
 
 def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
@@ -410,20 +466,29 @@ def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
     colleagues desire {0,1}{2,3} is Nash, since the other pair forms
     whatever one player desires, but players 0 and 2 both gain (3 to
     10) by desiring {0,2}{1}{3} together, so it is screened out.
+
+    The unilateral test reads best_reply_counts over the whole profile
+    space. The group screen then takes one array pass per group over the
+    survivors not yet blocked: it gathers the members' payoffs over their
+    own axes, masks the alternatives that change an action, and skips a
+    survivor where a member is already at their payoff peak. Survivors
+    go in chunks whose gathered payoffs fit a byte budget, at least one
+    per chunk. The results are built from the (E, n) array of the
+    profiles that pass.
     """
-    return tuple(_pure_result(game, p) for p in _pure_equilibria(game))
+    return tuple(_pure_result(game, p) for p in map(tuple, _pure_profiles(game).tolist()))
 
 
 def is_pure_equilibrium(game: CoalitionGame, profile: Profile) -> bool:
     """Single profile check, same semantics as pure_nash_enumerate."""
     game._check_profile(profile)
-    return next(_pure_equilibria(game, [tuple(profile)]), None) is not None
+    return len(_passing(game, np.array([profile]))) == 1
 
 
 def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:
-    """First pure equilibrium in lexicographic order, screening no further."""
-    profile = next(_pure_equilibria(game), None)
-    return None if profile is None else _pure_result(game, profile)
+    """First pure equilibrium in lexicographic order: the lane's first profile."""
+    profiles = _pure_profiles(game)
+    return _pure_result(game, tuple(profiles[0].tolist())) if len(profiles) else None
 
 
 # -- support enumeration (two players) -----------------------------------

@@ -16,7 +16,8 @@ from coalition_forge import cli, solver
 from coalition_forge.catalog import build_game
 from coalition_forge.cli import SEED_ENV, _make_config, main
 from coalition_forge.gamefile import dumps, game_to_dict, profile_to_dict, save_game
-from coalition_forge.games import TABLE, CoalitionGame, Mechanism
+from coalition_forge.games import TABLE, CoalitionGame, Mechanism, Strategy
+from coalition_forge.partitions import enumerate_partitions
 from coalition_forge.solver import MixedProfile
 
 
@@ -96,6 +97,18 @@ class TestSolve:
         (eq,) = document["equilibria"]
         assert eq["support"] == [["H_t"], ["H_t"]]
         assert eq["expected_payoffs"] == ["-1", "-1"]
+
+    def test_pure_without_equilibria(self, tmp_path):
+        """Matching pennies: no pure profile survives, in either format."""
+        sets = ((Strategy(0, "heads"), Strategy(0, "tails")),) * 2
+        payoffs = {(a, b): (Fraction(1), Fraction(-1)) if a == b else (Fraction(-1), Fraction(1))
+                   for a in range(2) for b in range(2)}
+        path = tmp_path / "pennies.json"
+        save_game(CoalitionGame(2, 1, enumerate_partitions(2, 1), sets, Mechanism(), payoffs), path)
+        assert run_json("solve", str(path), "--method", "pure")["equilibria"] == []
+        code, out, _ = run("solve", str(path), "--method", "pure")
+        assert code == 0
+        assert out.endswith("\n\nno equilibria found\n")
 
     def test_parameter_override(self):
         document = run_json("solve", "pd-extroverts", "--param", "eps=2")

@@ -193,6 +193,20 @@ CLI_DOCUMENTS = {
     "stability lunch_K2.json lunch_K3.json --K0 2 --json": (
         "7c833276982e0d0d6691f13650cecaada60a171bc737c2727bf50b8f8edcb60d"
     ),
+    # The pure lane's outputs as the CLI gave them before it printed them
+    # from one profile array.
+    "solve lunch --method pure --json": (
+        "87539862f30486e7dbda04e198e567f2d2d1cea3e62c8e37246f076c082c3141"
+    ),
+    "solve lunch --method pure": (
+        "52fb1542adeacaa291f60ccc3bd1bef0f87f0c9df7b9778a9bc690d2efa5e63b"
+    ),
+    "solve lunch_K2.json --method pure": (
+        "37307f85aeeb4f3585fce6bc6f8cbbf907071bb9bfd593d0cbace1c471d7c957"
+    ),
+    "solve lunch_K3.json --method pure --json": (
+        "4974542eab5e09e06ffd150f0bcb7119a271e2423ae609e254f281d2501c4843"
+    ),
 }
 # sha256 of the enumerate outputs as the CLI gave them before families
 # built their structures lazily.

@@ -30,8 +30,17 @@ from hypothesis import strategies as st
 
 from _shared import game as catalog_game
 from _shared import random_two_player_game, restricted
+from coalition_forge import solver
 from coalition_forge.catalog import CATALOG, _lunch_payoffs
-from coalition_forge.cli import main
+from coalition_forge.cli import (
+    _default_names,
+    _pure_entries,
+    _pure_lines,
+    _result_entries,
+    _result_lines,
+    _strategy_labels,
+    main,
+)
 from coalition_forge.gamefile import (
     GameFileError,
     dumps,
@@ -43,6 +52,7 @@ from coalition_forge.gamefile import (
 )
 from coalition_forge.games import (
     TABLE,
+    UNANIMITY,
     CoalitionGame,
     Mechanism,
     Strategy,
@@ -63,6 +73,7 @@ from coalition_forge.solver import (
     SupportEnumeration,
     _deviation_values,
     _expected,
+    _pure_profiles,
     _solve_fraction_free,
     expected_utilities,
     expected_utility_by_structure,
@@ -748,6 +759,77 @@ class TestIntegerPayoffs:
         found = [(d.profile, d.payoffs) for d in _pareto_dominating_pures(game, baseline)]
         assert found == expected
         assert all(type(v) is Fraction for _, pay in found for v in pay)
+
+
+# Every payoff at or just above 2**63, so payoff_ints is an object array.
+huge_payoffs = st.integers(0, 6).map(lambda v: v + 2**63)
+
+
+def pure_profile_of(result):
+    return tuple(result.profile.support(i)[0] for i in range(result.profile.n_players))
+
+
+class TestChunkedScreen:
+    """The group screen in chunks of every size against the brute-force walk."""
+
+    @DIFFERENTIAL
+    @pytest.mark.parametrize("kind", [UNANIMITY, TABLE])
+    @pytest.mark.parametrize("payoff_values", [st.integers(-3, 3), huge_payoffs], ids=["int64", "object"])
+    @given(data=st.data())
+    def test_against_brute_force(self, kind, payoff_values, data):
+        games = coalition_games(payoff_values=payoff_values)
+        game = data.draw(games.filter(lambda g: g.mechanism.kind == kind))
+        assert (game.payoff_ints.dtype == object) == (payoff_values is huge_payoffs)
+        expected = brute_pure(game)
+        kept = {p for p, _ in expected}
+        baseline = game.payoffs[data.draw(st.sampled_from(all_profiles(game)))]
+        dominating = [
+            (p, game.payoffs[p])
+            for p in all_profiles(game)
+            if p in kept
+            and all(v >= b for v, b in zip(game.payoffs[p], baseline))
+            and any(v > b for v, b in zip(game.payoffs[p], baseline))
+        ]
+        for profile in all_profiles(game):
+            assert is_pure_equilibrium(game, profile) == (profile in kept)
+        # One survivor's slice on the smallest group: a budget of exactly
+        # one slice, one byte short of it, and two slices and a byte.
+        slice_bytes = game.payoff_ints.itemsize * min(a * b for a, b in itertools.combinations(game.shape, 2))
+        for budget in (slice_bytes, slice_bytes - 1, 2 * slice_bytes + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_SCREEN_BYTES", budget)
+                found = [(pure_profile_of(r), r.degenerate) for r in pure_nash_enumerate(game)]
+                assert found == expected
+                first = first_pure_equilibrium(game)
+                assert (None if first is None else pure_profile_of(first)) == (
+                    expected[0][0] if expected else None
+                )
+                diagnostics = _pareto_dominating_pures(game, baseline)
+                assert [(d.profile, d.payoffs) for d in diagnostics] == dominating
+
+
+def pure_entries_agree(game, names):
+    """The array-built pure entries and lines equal those built from results, key order too."""
+    labels = _strategy_labels(game, names)
+    results = pure_nash_enumerate(game)
+    profiles = _pure_profiles(game)
+    assert profiles.tolist() == [list(pure_profile_of(r)) for r in results]
+    entries = _pure_entries(game, names, labels, profiles)
+    expected = _result_entries(game, names, labels, results)
+    assert entries == expected
+    assert [list(e) for e in entries] == [list(e) for e in expected]
+    assert _pure_lines(game, names, labels, profiles) == _result_lines(game, names, labels, results)
+
+
+class TestPureEntries:
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_random_games(self, game):
+        pure_entries_agree(game, _default_names(game.n_players))
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_lunch(self, cap):
+        pure_entries_agree(restricted("lunch", cap), ("A", "B", "C", "D"))
 
 
 def brute_lift(source, mixed, target):
