@@ -5,7 +5,8 @@ equilibria of a catalog or file game, analyze inspects one equilibrium,
 stability scans a nested family for the largest safe coalition cap, and
 catalog lists the built-in games. Human-readable tables are the default;
 --json switches to a machine-readable document with exact "p/q" numbers.
-Each command builds only the format it prints.
+The text lines of each shown equilibrium are formatted from its JSON
+entry, and the JSON document itself is built only for --json.
 
 Exit codes: 0 on success (including flagged diagnostics), 2 on usage or
 parse errors, 3 on validation errors.
@@ -50,11 +51,9 @@ def _show(value) -> str:
     return str(Fraction(value))
 
 
-def _structure_text(structure, names: Sequence[str]) -> str:
-    blocks = ",".join(
-        "{" + ",".join(names[i] for i in block) + "}" for block in structure.blocks
-    )
-    return "{" + blocks + "}"
+def _structure_text(literal) -> str:
+    """{{A,B},{C}} from a structure's literal, its blocks of player names."""
+    return "{" + ",".join("{" + ",".join(block) + "}" for block in literal) + "}"
 
 
 def _strategy_labels(game: CoalitionGame, names: Sequence[str]) -> list[list[str]]:
@@ -63,7 +62,7 @@ def _strategy_labels(game: CoalitionGame, names: Sequence[str]) -> list[list[str
     def label(player: int, strategy) -> str:
         structure = game.family[strategy.desired_partition]
         if not strategy.action:
-            return _structure_text(structure, names)
+            return _structure_text(_structure_literal(structure, names))
         block = structure.block_of(player)
         if block.size == 1:
             return strategy.action + "_a"
@@ -194,84 +193,38 @@ def _equilibrium_entry(game: CoalitionGame, names, labels, result: EquilibriumRe
     return entry
 
 
-def _pure_gathers(game: CoalitionGame, profiles):
-    """What the CLI prints of each pure equilibrium of an (E, n) profile array.
-
-    Per equilibrium: its profile, its payoffs as text, whether it is
-    degenerate and its realized structure's code, each read by one
-    gather at the profiles. Each distinct payoff integer becomes text once.
-    """
-    at = tuple(profiles.T)
-    ints = game.payoff_ints[at]
-    text = {v: _fr(Fraction(v, game.payoff_scale)) for v in set(ints.ravel().tolist())}
-    payoffs = [[text[v] for v in row] for row in ints.tolist()]
-    degenerate = solver._degenerate(game, at).tolist()
-    return zip(profiles.tolist(), payoffs, degenerate, game.realized_index[at].tolist())
-
-
 def _pure_entries(game: CoalitionGame, names, labels, profiles) -> list[dict]:
     """_equilibrium_entry of each pure equilibrium of an (E, n) profile array.
 
+    Payoffs, degeneracy and the realized structure are each one gather
+    at the profiles, and each distinct payoff integer becomes text once.
     Entries share one weight row and one support list per (player,
     strategy), and one partition distribution per realized structure.
     """
     weights = [[[_fr(int(j == k)) for j in range(len(row))] for k in range(len(row))] for row in labels]
     supports = [[[label] for label in row] for row in labels]
+    at = tuple(profiles.T)
+    ints = game.payoff_ints[at]
+    text = {v: _fr(Fraction(v, game.payoff_scale)) for v in set(ints.ravel().tolist())}
+    degenerate = solver._degenerate(game, at).tolist()
+    codes = game.realized_index[at].tolist()
     partitions = {}
     entries = []
-    for profile, payoffs, degenerate, code in _pure_gathers(game, profiles):
+    for profile, payoffs, degen, code in zip(profiles.tolist(), ints.tolist(), degenerate, codes):
         if code not in partitions:
             literal = _structure_literal(game.family[code], names)
             partitions[code] = [{"partition": literal, "probability": _fr(1)}]
         entries.append({
             "method": solver.PURE,
             "is_equilibrium": True,
-            "degenerate": degenerate,
+            "degenerate": degen,
             "weights": [weights[i][k] for i, k in enumerate(profile)],
             "support": [supports[i][k] for i, k in enumerate(profile)],
-            "expected_payoffs": payoffs,
+            "expected_payoffs": [text[v] for v in payoffs],
             "max_regret": _fr(0),
             "partition_distribution": partitions[code],
         })
     return entries
-
-
-def _pure_lines(game: CoalitionGame, names, labels, profiles) -> list[str]:
-    """_equilibrium_lines of each pure equilibrium of an (E, n) profile array, numbered from 1."""
-    lines = []
-    for index, (profile, payoffs, degenerate, code) in enumerate(_pure_gathers(game, profiles), start=1):
-        shown = ", ".join(labels[i][k] for i, k in enumerate(profile))
-        head = f"#{index} [{solver.PURE}] ({shown}) -> payoffs ({', '.join(payoffs)}), regret 0"
-        lines.append(head + ", degenerate" if degenerate else head)
-        lines.append(f"    partitions: {_structure_text(game.family[code], names)} 1")
-    return lines
-
-
-def _equilibrium_lines(game: CoalitionGame, names, labels, index: int, result: EquilibriumResult) -> list[str]:
-    mixed = result.profile
-    if mixed.is_pure:
-        shown = ", ".join(labels[i][mixed.support(i)[0]] for i in range(game.n_players))
-        head = f"#{index} [{result.method}] ({shown})"
-    else:
-        parts = []
-        for i in range(game.n_players):
-            weights = " ".join(
-                f"{labels[i][j]}={_show(mixed.weights[i][j])}" for j in mixed.support(i)
-            )
-            parts.append(f"{names[i]}: {weights}")
-        head = f"#{index} [{result.method}] " + " | ".join(parts)
-    pay = ", ".join(_show(v) for v in result.expected_payoffs)
-    head += f" -> payoffs ({pay}), regret {_show(result.max_regret)}"
-    if result.degenerate:
-        head += ", degenerate"
-    if not result.is_equilibrium:
-        return [head + ", NOT verified"]
-    dist = analysis.equilibrium_partitions(game, result)
-    rendered = ", ".join(
-        f"{_structure_text(s, names)} {_show(dist.probability(s))}"
-        for s in dist.partitions
-    )
-    return [head, f"    partitions: {rendered}"]
 
 
 def _result_entries(game: CoalitionGame, names, labels, results) -> list[dict]:
@@ -279,13 +232,37 @@ def _result_entries(game: CoalitionGame, names, labels, results) -> list[dict]:
     return [_equilibrium_entry(game, names, labels, r) for r in results]
 
 
-def _result_lines(game: CoalitionGame, names, labels, results) -> list[str]:
-    """_equilibrium_lines of each result, numbered from 1."""
-    return [
-        line
-        for index, result in enumerate(results, start=1)
-        for line in _equilibrium_lines(game, names, labels, index, result)
-    ]
+def _entry_lines(index: int, entry: dict, names, exact: bool) -> list[str]:
+    """The text lines of one equilibrium entry, numbered index.
+
+    Exact numbers print as their entry text. An inexact result's entry
+    holds each float's exact value, which reads back to the same float
+    and prints to 6 significant digits.
+    """
+
+    def show(text: str) -> str:
+        return text if exact else _show(float(Fraction(text)))
+
+    supports = entry["support"]
+    if all(len(support) == 1 for support in supports):
+        head = f"#{index} [{entry['method']}] ({', '.join(support[0] for support in supports)})"
+    else:
+        parts = []
+        for name, support, row in zip(names, supports, entry["weights"]):
+            weights = (w for w in row if w != "0")
+            parts.append(f"{name}: " + " ".join(f"{label}={show(w)}" for label, w in zip(support, weights)))
+        head = f"#{index} [{entry['method']}] " + " | ".join(parts)
+    pay = ", ".join(map(show, entry["expected_payoffs"]))
+    head += f" -> payoffs ({pay}), regret {show(entry['max_regret'])}"
+    if entry["degenerate"]:
+        head += ", degenerate"
+    if not entry["is_equilibrium"]:
+        return [head + ", NOT verified"]
+    rendered = ", ".join(
+        f"{_structure_text(p['partition'])} {show(p['probability'])}"
+        for p in entry["partition_distribution"]
+    )
+    return [head, f"    partitions: {rendered}"]
 
 
 def _matrix_lines(game: CoalitionGame, names, labels) -> list[str]:
@@ -298,7 +275,7 @@ def _matrix_lines(game: CoalitionGame, names, labels) -> list[str]:
             pay = game.payoff((i, j))
             structure = game.realized_partition((i, j))
             line.append(
-                f"({_fr(pay[0])},{_fr(pay[1])}) {_structure_text(structure, names)}"
+                f"({_fr(pay[0])},{_fr(pay[1])}) {_structure_text(_structure_literal(structure, names))}"
             )
         cells.append(line)
     widths = [
@@ -340,7 +317,7 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         return _emit(str(count))
     lines = [f"p({n},{cap}) = {count}"]
-    lines.extend(f"{i:>3}  {_structure_text(s, names)}" for i, s in enumerate(family))
+    lines.extend(f"{i:>3}  {_structure_text(_structure_literal(s, names))}" for i, s in enumerate(family))
     return _emit("\n".join(lines))
 
 
@@ -349,13 +326,13 @@ def cmd_solve(args) -> int:
     game, names = _load_source(args.source, params)
     config = _make_config(args)
     truncated = False
-    converged = True
-    entries, entry_lines = _result_entries, _result_lines
+    converged = exact = True
+    entries = _result_entries
     if args.method == "pure":
         # The pure lane's profile array: every entry is a gather at its profile.
         results = solver._pure_profiles(game)
         method = solver.PURE
-        entries, entry_lines = _pure_entries, _pure_lines
+        entries = _pure_entries
     elif args.method == "support":
         found = solver.mixed_nash_2p_support_enum(game, config)
         results = list(found.equilibria)
@@ -365,6 +342,7 @@ def cmd_solve(args) -> int:
         one = solver.mixed_nash_iterative(game, config)
         results = [one]
         converged = one.is_equilibrium
+        exact = one.profile.is_exact
         method = solver.ITERATIVE
     labels = _strategy_labels(game, names)
 
@@ -390,7 +368,8 @@ def cmd_solve(args) -> int:
     if not len(results):
         lines.append("no equilibria found")
     shown = results[:24]
-    lines.extend(entry_lines(game, names, labels, shown))
+    for index, entry in enumerate(entries(game, names, labels, shown), start=1):
+        lines.extend(_entry_lines(index, entry, names, exact))
     if len(results) > len(shown):
         lines.append(f"... and {len(results) - len(shown)} more ({len(results)} total)")
     if truncated:
@@ -412,7 +391,7 @@ def cmd_analyze(args) -> int:
         if args.coalition:
             coalition = _parse_coalition(args.coalition, names)
             coop = analysis.is_complete_cooperation(game, result, coalition)
-    labels = _strategy_labels(game, names)
+    entry = _equilibrium_entry(game, names, _strategy_labels(game, names), result)
 
     if args.json:
         document = _game_document("analyze", args.source, game, names)
@@ -423,7 +402,7 @@ def cmd_analyze(args) -> int:
             "max_regret": _fr(report.max_regret),
             "passed": report.passed,
         }
-        document["equilibrium"] = _equilibrium_entry(game, names, labels, result)
+        document["equilibrium"] = entry
         if result.is_equilibrium:
             document["stochastic"] = stochastic
         if coop is not None:
@@ -436,7 +415,7 @@ def cmd_analyze(args) -> int:
         return _emit(dumps(document))
 
     lines = [f"{args.source}: {game.n_players} players, K={game.max_coalition}"]
-    lines.extend(_equilibrium_lines(game, names, labels, 1, result))
+    lines.extend(_entry_lines(1, entry, names, result.profile.is_exact))
     lines.append(f"verified: {'yes' if report.passed else 'no'} (max regret {_show(report.max_regret)})")
     if result.is_equilibrium:
         lines.append(f"stochastic: {'yes' if stochastic else 'no'}")
@@ -478,6 +457,12 @@ def cmd_stability(args) -> int:
             raise ValueError("--param only applies to catalog games")
         loaded = [load_game(path) for path in args.source]
         names = loaded[0][1]
+        for path, (_, other) in zip(args.source[1:], loaded[1:]):
+            if other != names:
+                raise ValueError(
+                    f"{path} names its players {', '.join(other)}, "
+                    f"but {args.source[0]} names them {', '.join(names)}"
+                )
         family = [g for g, _ in loaded]
     base = next((g for g in family if g.max_coalition == args.K0), None)
     if base is None:
@@ -486,7 +471,7 @@ def cmd_stability(args) -> int:
     result, _ = _chosen_equilibrium(base, args, config)
     report = analysis.stability_K_star(family, args.K0, result, config)
     source_text = " ".join(args.source)
-    labels = _strategy_labels(base, names)
+    entry = _equilibrium_entry(base, names, _strategy_labels(base, names), result)
 
     if args.json:
         document = _document(
@@ -502,12 +487,12 @@ def cmd_stability(args) -> int:
                 {"K": d.K, "profile": list(d.profile), "payoffs": [_fr(v) for v in d.payoffs]}
                 for d in report.diagnostics
             ],
-            equilibrium=_equilibrium_entry(base, names, labels, result),
+            equilibrium=entry,
         )
         return _emit(dumps(document))
 
     lines = [f"{source_text}: K0={report.K0} -> K* = {report.K_star}"]
-    lines.extend(_equilibrium_lines(base, names, labels, 1, result))
+    lines.extend(_entry_lines(1, entry, names, result.profile.is_exact))
     for check in report.per_K_checks:
         verdict = "pass" if check.passed else "FAIL"
         lines.append(

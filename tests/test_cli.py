@@ -357,6 +357,17 @@ class TestStability:
         assert (code, out) == (2, "")
         assert err.endswith("error: family is not nested between caps 1 and 2\n")
 
+    def test_file_family_with_other_player_names(self, tmp_path):
+        small = write_json(
+            tmp_path / "k1.json", game_to_dict(build_game("pd-standard"), ("1", "2"))
+        )
+        big = write_json(
+            tmp_path / "k2.json", game_to_dict(build_game("pd-extended"), ("Ann", "Bob"))
+        )
+        code, out, err = run("stability", small, big, "--K0", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {big} names its players Ann, Bob, but {small} names them 1, 2\n")
+
     def test_usage_errors(self):
         assert run("stability", "pd-extended")[0] == 2
         assert run("stability", "pd-extended", "--K0", "3")[0] == 2
@@ -462,20 +473,38 @@ class TestTopLevel:
 
 
 class TestOneRenderingPerRun:
-    """Each command builds only the format it prints."""
+    """Text runs build the entries they show and no document; JSON runs build no text."""
 
     @staticmethod
     def refuse(*_args, **_kwargs):
         raise AssertionError("built a rendering that is not printed")
 
     def test_text_runs_build_no_json(self, monkeypatch):
-        argvs = [("solve", "pd-extended"), ("solve", "bos", "--method", "support")]
+        argvs = [
+            ("solve", "pd-extended"),
+            ("solve", "bos", "--method", "support"),
+            ("solve", "lunch", "--method", "pure"),
+        ]
         expected = [run(*argv) for argv in argvs]
-        monkeypatch.setattr(cli, "_equilibrium_entry", self.refuse)
+        built = []
+
+        def counted(name):
+            builder = getattr(cli, name)
+
+            def count(game, names, labels, equilibria):
+                built.append(len(equilibria))
+                return builder(game, names, labels, equilibria)
+
+            return count
+
+        monkeypatch.setattr(cli, "_pure_entries", counted("_pure_entries"))
+        monkeypatch.setattr(cli, "_result_entries", counted("_result_entries"))
         monkeypatch.setattr(cli, "dumps", self.refuse)
         for argv, before in zip(argvs, expected):
             assert before[0] == 0
             assert run(*argv) == before
+        # lunch has 5,304 pure equilibria; the text shows 24 of them.
+        assert built == [4, 6, 24]
 
     def test_json_runs_build_no_text(self, monkeypatch, tmp_path):
         profile = write_json(
@@ -490,7 +519,7 @@ class TestOneRenderingPerRun:
             ("stability", "stag-hare", "--K0", "1"),
         ]
         expected = [run(*argv, "--json") for argv in argvs]
-        monkeypatch.setattr(cli, "_equilibrium_lines", self.refuse)
+        monkeypatch.setattr(cli, "_entry_lines", self.refuse)
         monkeypatch.setattr(cli, "_matrix_lines", self.refuse)
         for argv, before in zip(argvs, expected):
             assert before[0] == 0

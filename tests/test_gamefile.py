@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from _shared import restricted
 from coalition_forge import gamefile, games
-from coalition_forge.cli import main
+from coalition_forge.cli import SEED_ENV, main
 from coalition_forge.gamefile import (
     GameFileError,
     dumps,
@@ -208,6 +208,32 @@ CLI_DOCUMENTS = {
         "4974542eab5e09e06ffd150f0bcb7119a271e2423ae609e254f281d2501c4843"
     ),
 }
+# sha256 of text outputs as the CLI gave them before it formatted each
+# equilibrium's lines from its JSON entry: float and exact results, pure
+# and mixed profiles, verified or not.
+CLI_TEXTS = {
+    "solve bos --method iterative": (
+        "9aa989a1db3e2889fd703a0f0e5807bf93bf844cb9b0ea2792c521c25f52578d"
+    ),
+    "solve bos --method iterative --tolerance 0.01 --seed 9": (
+        "a044d5ad4078635b13c376ef849ddfbf3dec692f2597777a6facc122444e867a"
+    ),
+    "solve bos --method support": (
+        "7a6d4d2f5246d3e07655fdc48f336b9821b24546e3baf6eafc7dc5ca76c59005"
+    ),
+    "analyze pd-extroverts --coalition 1,2": (
+        "5742f5b8d79cfa7491617548ab338fff750a1269c004ab856950a59238f25b99"
+    ),
+    "analyze bos --coalition Ann,Bob": (
+        "696ebe561ed084451859842bab25794668f0fe4aae7bd11fc1c56820008aef09"
+    ),
+    "stability lunch_K2.json lunch_K3.json --K0 2": (
+        "72f9c7f25eb00b4fb561d0b0cafd77d59eaec2df9120fcaa17ce292e20f1a040"
+    ),
+    "solve lunch --method iterative": (
+        "51a2de6a33ee942a5beec4ae06b1072f8d5bdfe75c16460e32459357d4c35fe0"
+    ),
+}
 # sha256 of the enumerate outputs as the CLI gave them before families
 # built their structures lazily.
 ENUMERATE_OUTPUTS = {
@@ -239,6 +265,14 @@ def test_cli_document_bytes_are_pinned(lunch_folder, command, monkeypatch, capsy
     monkeypatch.chdir(lunch_folder)  # the documents name their source files
     assert main(command.split()) == 0
     assert sha256(capsys.readouterr().out.encode()) == CLI_DOCUMENTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_TEXTS))
+def test_cli_text_bytes_are_pinned(lunch_folder, command, monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV, raising=False)  # the iterative runs start from seed 0
+    monkeypatch.chdir(lunch_folder)  # the stability text names its source files
+    assert main(command.split()) == 0
+    assert sha256(capsys.readouterr().out.encode()) == CLI_TEXTS[command]
 
 
 @pytest.mark.parametrize("command", sorted(ENUMERATE_OUTPUTS))

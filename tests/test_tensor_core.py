@@ -34,10 +34,11 @@ from coalition_forge import solver
 from coalition_forge.catalog import CATALOG, _lunch_payoffs
 from coalition_forge.cli import (
     _default_names,
+    _entry_lines,
+    _equilibrium_entry,
     _pure_entries,
-    _pure_lines,
     _result_entries,
-    _result_lines,
+    _show,
     _strategy_labels,
     main,
 )
@@ -66,6 +67,8 @@ from coalition_forge.partitions import (
     enumerate_partitions,
 )
 from coalition_forge.solver import (
+    ITERATIVE,
+    PURE,
     SUPPORT,
     EquilibriumResult,
     MixedProfile,
@@ -809,7 +812,7 @@ class TestChunkedScreen:
 
 
 def pure_entries_agree(game, names):
-    """The array-built pure entries and lines equal those built from results, key order too."""
+    """The array-built pure entries equal those built from results, key order too."""
     labels = _strategy_labels(game, names)
     results = pure_nash_enumerate(game)
     profiles = _pure_profiles(game)
@@ -818,7 +821,6 @@ def pure_entries_agree(game, names):
     expected = _result_entries(game, names, labels, results)
     assert entries == expected
     assert [list(e) for e in entries] == [list(e) for e in expected]
-    assert _pure_lines(game, names, labels, profiles) == _result_lines(game, names, labels, results)
 
 
 class TestPureEntries:
@@ -830,6 +832,81 @@ class TestPureEntries:
     @pytest.mark.parametrize("cap", [2, 3, 4])
     def test_lunch(self, cap):
         pure_entries_agree(restricted("lunch", cap), ("A", "B", "C", "D"))
+
+
+def reference_equilibrium_lines(game, names, labels, index, result):
+    """The text lines of one result, as the CLI built them before it read them from its entry."""
+
+    def structure_text(structure):
+        blocks = ",".join("{" + ",".join(names[i] for i in block) + "}" for block in structure.blocks)
+        return "{" + blocks + "}"
+
+    mixed = result.profile
+    if mixed.is_pure:
+        shown = ", ".join(labels[i][mixed.support(i)[0]] for i in range(game.n_players))
+        head = f"#{index} [{result.method}] ({shown})"
+    else:
+        parts = []
+        for i in range(game.n_players):
+            weights = " ".join(
+                f"{labels[i][j]}={_show(mixed.weights[i][j])}" for j in mixed.support(i)
+            )
+            parts.append(f"{names[i]}: {weights}")
+        head = f"#{index} [{result.method}] " + " | ".join(parts)
+    pay = ", ".join(_show(v) for v in result.expected_payoffs)
+    head += f" -> payoffs ({pay}), regret {_show(result.max_regret)}"
+    if result.degenerate:
+        head += ", degenerate"
+    if not result.is_equilibrium:
+        return [head + ", NOT verified"]
+    dist = equilibrium_partitions(game, result)
+    rendered = ", ".join(
+        f"{structure_text(s)} {_show(dist.probability(s))}" for s in dist.partitions
+    )
+    return [head, f"    partitions: {rendered}"]
+
+
+@st.composite
+def drawn_results(draw):
+    """A game and a result on a drawn profile: pure or mixed exact, dense or sparse float.
+
+    The verdict flags are drawn apart from the profile, so every
+    combination of is_equilibrium and degenerate reaches the formatter.
+    """
+    game = draw(exact_games)
+    kind = draw(st.sampled_from(["pure", "mixed", "float dense", "float sparse"]))
+    if kind == "pure":
+        mixed = point_mass(game, tuple(draw(st.integers(0, m - 1)) for m in game.shape))
+    elif kind == "mixed":
+        rows = []
+        for m in game.shape:
+            raw = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+            rows.append(tuple(Fraction(w, sum(raw)) for w in raw))
+        mixed = MixedProfile(tuple(rows))
+    else:
+        mixed = float_profile(game, draw(st.integers(0, 2**32)), kind == "float sparse")
+    report = verify_epsilon_nash(game, mixed)
+    result = EquilibriumResult(
+        profile=mixed,
+        expected_payoffs=report.expected,
+        max_regret=report.max_regret,
+        method=draw(st.sampled_from([PURE, SUPPORT, ITERATIVE, "supplied"])),
+        is_equilibrium=draw(st.booleans()),
+        degenerate=draw(st.booleans()),
+    )
+    names = draw(st.sampled_from([_default_names(game.n_players), ("Ann", "Bob", "Cy", "Di")[: game.n_players]]))
+    return game, names, result
+
+
+@DIFFERENTIAL
+@given(drawn_results(), st.integers(1, 24))
+def test_entry_lines_match_the_reference(case, index):
+    """Text read from an entry equals text built from the result, float re-parse included."""
+    game, names, result = case
+    labels = _strategy_labels(game, names)
+    entry = _equilibrium_entry(game, names, labels, result)
+    lines = _entry_lines(index, entry, names, result.profile.is_exact)
+    assert lines == reference_equilibrium_lines(game, names, labels, index, result)
 
 
 def brute_lift(source, mixed, target):
