@@ -25,7 +25,7 @@ from .solver import (
     MixedProfile,
     SolverConfig,
     _check_mixed,
-    _passing,
+    _pure_profiles,
     _support_grid,
     verify_epsilon_nash,
 )
@@ -254,7 +254,7 @@ def _pareto_dominating_pures(
     at_least = np.array([math.ceil(q) for q in scaled], dtype=object)
     above = np.array([math.floor(q) for q in scaled], dtype=object)
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
-    for profile in map(tuple, _passing(game, np.argwhere(dominating)).tolist()):
+    for profile in map(tuple, _pure_profiles(game, np.argwhere(dominating)).tolist()):
         yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))
 
 
@@ -269,11 +269,11 @@ def stability_K_star(
     The family is a nested sequence of games differing only in the cap.
     For each cap from K0 upward the profile is embedded with zero weight
     on new strategies, which keeps its support, and must stay a verified
-    equilibrium; the scan stops at the first failure. The K0 level
-    passes by the base verification, so only larger caps are lifted and
-    verified. Every level visited is also scanned for Pareto-dominating
-    pure equilibria, which are reported as diagnostics without affecting
-    the verdict.
+    equilibrium; the scan stops at the first failure. The K0 level's
+    check is the base verification, which raises when it fails, so only
+    larger caps are lifted. Every level visited is also scanned for
+    Pareto-dominating pure equilibria, which are reported as diagnostics
+    without affecting the verdict.
     """
     config = config or SolverConfig()
     games = sorted(family, key=lambda g: g.max_coalition)
@@ -296,31 +296,27 @@ def stability_K_star(
                 f"family is not nested between caps {small.max_coalition} "
                 f"and {big.max_coalition}"
             )
-    base = next((g for g in games if g.max_coalition == K0), None)
-    if base is None:
+    if K0 not in caps:
         raise ValueError(f"no family member has coalition cap {K0}")
     _require_equilibrium(result)
     tolerance = None if result.profile.is_exact else config.tolerance
-    base_report = verify_epsilon_nash(base, result.profile, tolerance)
-    if not base_report.passed:
-        raise ValueError(
-            f"profile fails verification in the cap {K0} game "
-            f"(max regret {base_report.max_regret})"
-        )
-    checks = [StabilityCheck(K0, True, True)]
-    diagnostics = list(_pareto_dominating_pures(base, base_report.expected))
-    K_star = K0
-    for game in games:
-        if game.max_coalition <= K0:
-            continue
-        lifted = lift_profile(base, result.profile, game)
-        payoff_ok = verify_epsilon_nash(game, lifted, tolerance).passed
+    base = games[caps.index(K0)]
+    checks, diagnostics = [], []
+    for game in games[games.index(base):]:
+        lifted = result.profile if game is base else lift_profile(base, result.profile, game)
+        report = verify_epsilon_nash(game, lifted, tolerance)
+        if game is base:
+            if not report.passed:
+                raise ValueError(
+                    f"profile fails verification in the cap {K0} game "
+                    f"(max regret {report.max_regret})"
+                )
+            baseline = report.expected
         # The lift places exactly the base support or raises, and the family
         # is nested, so the support is unchanged by construction.
-        check = StabilityCheck(game.max_coalition, payoff_ok, True)
-        checks.append(check)
-        diagnostics.extend(_pareto_dominating_pures(game, base_report.expected))
-        if not check.passed:
+        checks.append(StabilityCheck(game.max_coalition, report.passed, True))
+        diagnostics.extend(_pareto_dominating_pures(game, baseline))
+        if not report.passed:
             break
         K_star = game.max_coalition
     return StabilityReport(

@@ -206,7 +206,7 @@ def _pure_entries(game: CoalitionGame, names, labels, profiles) -> list[dict]:
     at = tuple(profiles.T)
     ints = game.payoff_ints[at]
     text = {v: _fr(Fraction(v, game.payoff_scale)) for v in set(ints.ravel().tolist())}
-    degenerate = solver._degenerate(game, at).tolist()
+    degenerate = solver._degenerate(game, profiles)
     codes = game.realized_index[at].tolist()
     partitions = {}
     entries = []
@@ -385,11 +385,12 @@ def cmd_analyze(args) -> int:
     result, report = _chosen_equilibrium(game, args, _make_config(args))
     if report is None:
         report = solver.verify_epsilon_nash(game, result.profile)
-    stochastic = coalition = coop = None
+    # A bad --coalition is a usage error whether or not the profile is an equilibrium.
+    coalition = _parse_coalition(args.coalition, names) if args.coalition else None
+    stochastic = coop = None
     if result.is_equilibrium:
         stochastic = analysis.classify_stochastic(game, result)
-        if args.coalition:
-            coalition = _parse_coalition(args.coalition, names)
+        if coalition is not None:
             coop = analysis.is_complete_cooperation(game, result, coalition)
     entry = _equilibrium_entry(game, names, _strategy_labels(game, names), result)
 

@@ -334,15 +334,17 @@ def _player_names(game: CoalitionGame, player_names: Sequence[str] | None) -> tu
 
 
 def _read_document(path: str | Path) -> Any:
-    """The parsed JSON at path; read and decode failures raise GameFileError."""
+    """The parsed JSON at path; read, decode and parse failures raise GameFileError."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GameFileError(f"{path} nests too deeply to parse") from None
 
 
 def load_game(path: str | Path) -> tuple[CoalitionGame, tuple[str, ...]]:

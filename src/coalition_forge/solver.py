@@ -24,7 +24,9 @@ array pass per group: the members' payoffs are gathered over their own
 axes, a member already at their payoff peak rules the group out, and
 survivors go in chunks whose gathered payoffs fit a byte budget. Its
 equilibria are one (E, n) profile array, which the CLI prints from
-directly. Lotteries walk the support grid, adding up by the game's
+directly; is_pure_equilibrium and the stability diagnostics screen
+their own rows through the same function, and results are built per
+array. Lotteries walk the support grid, adding up by the game's
 realized-structure index.
 """
 
@@ -413,46 +415,41 @@ def _unblocked(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
     return open_
 
 
-def _pure_profiles(game: CoalitionGame) -> np.ndarray:
-    """The pure lane's equilibria as an (E, n) int array in lexicographic order.
-
-    The survivors are the profiles where every player is at a best
-    reply, in the order np.argwhere lists them.
-    """
-    survivors = np.argwhere((game.best_reply_counts > 0).all(axis=-1))
-    return survivors[_unblocked(game, survivors)]
-
-
-def _passing(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
-    """The profiles of an (R, n) int array that pass the pure lane's test, in their order.
+def _pure_profiles(game: CoalitionGame, rows: np.ndarray | None = None) -> np.ndarray:
+    """The profiles that pass the pure lane's test, as an (E, n) int array.
 
     A profile passes when every player is at a best reply and no group
-    is blocked by a redesire.
+    is blocked by a redesire. Given rows, an (R, n) int array, the rows
+    that pass keep their order; without, the whole profile space is
+    screened in lexicographic order, as np.argwhere lists it.
     """
-    if not len(rows):  # best_reply_counts may not be built yet
+    if rows is None:
+        rows = np.argwhere((game.best_reply_counts > 0).all(axis=-1))
+    elif not len(rows):  # best_reply_counts may not be built yet
         return rows
-    rows = rows[(game.best_reply_counts[tuple(rows.T)] > 0).all(axis=1)]
+    else:
+        rows = rows[(game.best_reply_counts[tuple(rows.T)] > 0).all(axis=1)]
     return rows[_unblocked(game, rows)]
 
 
-def _degenerate(game: CoalitionGame, at) -> np.ndarray:
-    """Whether some player has another best reply at the profiles at index at.
-
-    at is one profile, giving a 0-d mask, or a tuple of one index array
-    per player, giving one flag per profile.
-    """
-    return (game.best_reply_counts[at] > 1).any(axis=-1)
+def _degenerate(game: CoalitionGame, rows: np.ndarray) -> list[bool]:
+    """Whether some player has another best reply, per profile of an (E, n) int array."""
+    return (game.best_reply_counts[tuple(rows.T)] > 1).any(axis=-1).tolist()
 
 
-def _pure_result(game: CoalitionGame, profile: Profile, method=PURE, iterations=0):
-    return EquilibriumResult(
-        profile=point_mass(game, profile),
-        expected_payoffs=game.payoff(profile),
-        max_regret=Fraction(0),
-        method=method,
-        is_equilibrium=True,
-        degenerate=bool(_degenerate(game, profile)),
-        iterations=iterations,
+def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations=0):
+    """The point-mass result of each profile of an (E, n) int array, in order."""
+    return tuple(
+        EquilibriumResult(
+            profile=point_mass(game, profile),
+            expected_payoffs=game.payoff(profile),
+            max_regret=Fraction(0),
+            method=method,
+            is_equilibrium=True,
+            degenerate=degenerate,
+            iterations=iterations,
+        )
+        for profile, degenerate in zip(map(tuple, rows.tolist()), _degenerate(game, rows))
     )
 
 
@@ -476,19 +473,19 @@ def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
     per chunk. The results are built from the (E, n) array of the
     profiles that pass.
     """
-    return tuple(_pure_result(game, p) for p in map(tuple, _pure_profiles(game).tolist()))
+    return _pure_results(game, _pure_profiles(game))
 
 
 def is_pure_equilibrium(game: CoalitionGame, profile: Profile) -> bool:
     """Single profile check, same semantics as pure_nash_enumerate."""
     game._check_profile(profile)
-    return len(_passing(game, np.array([profile]))) == 1
+    return len(_pure_profiles(game, np.array([profile]))) == 1
 
 
 def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:
     """First pure equilibrium in lexicographic order: the lane's first profile."""
-    profiles = _pure_profiles(game)
-    return _pure_result(game, tuple(profiles[0].tolist())) if len(profiles) else None
+    first = _pure_results(game, _pure_profiles(game)[:1])
+    return first[0] if first else None
 
 
 # -- support enumeration (two players) -----------------------------------
@@ -715,7 +712,7 @@ def mixed_nash_iterative(
         if stable >= _LOCK_WINDOW:
             stable = 0
             if (game.best_reply_counts[br] > 0).all():
-                return _pure_result(game, br, method=ITERATIVE, iterations=iterations)
+                return _pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
         alpha = config.damping / (t + 2)
         for i in range(n):
             dists[i] *= 1.0 - alpha

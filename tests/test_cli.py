@@ -214,6 +214,18 @@ class TestSolve:
         assert run("solve", "pd-extroverts", "--param", "eps")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"], ids=["deep", "undecodable"]
+)
+def test_unparsable_files_exit_2_naming_the_file(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for argv in (("solve", str(path)), ("analyze", "bos", "--profile", str(path))):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert str(path) in err and "Traceback" not in err
+
+
 class TestAnalyze:
     def test_default_route_picks_the_pure_outcome(self):
         document = run_json("analyze", "pd-standard")
@@ -316,6 +328,18 @@ class TestAnalyze:
         path = write_json(tmp_path / "unbalanced.json", unbalanced)
         assert run("analyze", "pd-standard", "--profile", path)[0] == 2
         assert run("analyze", "pd-standard", "--coalition", "1,9")[0] == 2
+
+    def test_unknown_coalition_member_exits_2_for_any_profile(self, tmp_path):
+        uniform = MixedProfile(((Fraction(1, 4),) * 4,) * 2)
+        path = write_json(tmp_path / "uniform.json", profile_to_dict(uniform))
+        assert run_json("analyze", "bos", "--profile", path)["verification"]["passed"] is False
+        for supplied in ((), ("--profile", path)):
+            code, out, err = run("analyze", "bos", *supplied, "--coalition", "Zed")
+            assert (code, out) == (2, "")
+            assert "unknown player 'Zed'" in err
+        # Cooperation is still reported only for equilibria.
+        document = run_json("analyze", "bos", "--profile", path, "--coalition", "Ann,Bob")
+        assert "cooperation" not in document
 
 
 class TestStability:

@@ -449,6 +449,24 @@ def test_unreadable_files_are_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "{} nests too deeply to parse"),
+        (b"\xff\xfe{}", "cannot read {}: "),
+    ],
+    ids=["deep", "undecodable"],
+)
+def test_deep_and_undecodable_files_are_rejected_naming_the_file(tmp_path, content, message):
+    game, _ = game_from_dict(small_document())
+    file = tmp_path / "bad.json"
+    file.write_bytes(content)
+    for load in (lambda: load_game(file), lambda: load_profile(file, game)):
+        with pytest.raises(GameFileError) as caught:
+            load()
+        assert str(caught.value).startswith(message.format(file))
+
+
+@pytest.mark.parametrize(
     "document, message",
     [
         (

@@ -705,6 +705,15 @@ class TestSolverLanes:
             assert result.degenerate == nash[profile]
             assert result.expected_payoffs == game.payoffs[profile]
             assert result.max_regret == 0 and result.is_equilibrium
+            assert result.method == ITERATIVE and result.iterations > solver._LOCK_WINDOW
+
+    @pytest.mark.parametrize(
+        "name, iterations", [("pd-extended", 65), ("stag-hare", 65), ("lunch", 68)]
+    )
+    def test_catalog_snaps_keep_their_iteration_counts(self, name, iterations):
+        result = mixed_nash_iterative(catalog_game(name))
+        assert result.profile.is_exact and result.method == ITERATIVE
+        assert result.iterations == iterations
 
 
 class TestIntegerPayoffs:
@@ -809,6 +818,33 @@ class TestChunkedScreen:
                 )
                 diagnostics = _pareto_dominating_pures(game, baseline)
                 assert [(d.profile, d.payoffs) for d in diagnostics] == dominating
+
+
+class TestScreenOnGivenRows:
+    """_pure_profiles on given rows against its own whole-space screen."""
+
+    @DIFFERENTIAL
+    @pytest.mark.parametrize("payoff_values", [st.integers(-3, 3), huge_payoffs], ids=["int64", "object"])
+    @given(data=st.data())
+    def test_rows_that_pass_keep_their_order(self, payoff_values, data):
+        game = data.draw(coalition_games(payoff_values=payoff_values))
+        assert (game.payoff_ints.dtype == object) == (payoff_values is huge_payoffs)
+        profiles = all_profiles(game)
+        repeats = data.draw(st.lists(st.sampled_from(profiles), max_size=len(profiles)))
+        sample = data.draw(st.permutations(profiles + repeats))
+        rows = np.array(sample, dtype=np.int64).reshape(len(sample), game.n_players)
+        found = _pure_profiles(game, rows)
+        passing = set(map(tuple, _pure_profiles(game).tolist()))
+        assert found.shape[1] == game.n_players
+        assert list(map(tuple, found.tolist())) == [p for p in sample if p in passing]
+
+    @pytest.mark.parametrize("name", ["bos", "lunch"])
+    def test_no_rows_leave_best_replies_unbuilt(self, name):
+        game = CATALOG[name].build()
+        assert "best_reply_counts" not in vars(game)
+        found = _pure_profiles(game, np.empty((0, game.n_players), dtype=np.int64))
+        assert found.shape == (0, game.n_players)
+        assert "best_reply_counts" not in vars(game)
 
 
 def pure_entries_agree(game, names):
