@@ -62,9 +62,14 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
 
 
 def _check_keys(data: Mapping[str, Any], allowed: set[str], required: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(map(str, set(data) - allowed))
     if unknown:
-        raise GameFileError(f"{where} has unknown keys: {', '.join(unknown)}")
+        # Bounded in count and length as reprlib bounds a list, without the quotes.
+        cap = reprlib.aRepr.maxlist
+        shown = [reprlib.repr(key)[1:-1] for key in unknown[:cap]]
+        if len(unknown) > cap:
+            shown.append("...")
+        raise GameFileError(f"{where} has unknown keys: {', '.join(shown)}")
     missing = sorted(required - set(data))
     if missing:
         raise GameFileError(f"{where} is missing keys: {', '.join(missing)}")
@@ -73,20 +78,21 @@ def _check_keys(data: Mapping[str, Any], allowed: set[str], required: set[str], 
 def _check_version(data: Mapping[str, Any], where: str) -> None:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise GameFileError(f"{where} schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        shown = reprlib.repr(version)
+        raise GameFileError(f"{where} schema_version must be {SCHEMA_VERSION}, got {shown}")
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
     """Read a rational from a "p/q" string or a JSON integer."""
     if isinstance(value, bool):
-        raise GameFileError(f"{where} must be a rational, got {value!r}")
+        raise GameFileError(f"{where} must be a rational, got {reprlib.repr(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise GameFileError(f"{where} is not a rational: {value!r}") from None
+            raise GameFileError(f"{where} is not a rational: {reprlib.repr(value)}") from None
     raise GameFileError(f"{where} must be a rational string, got {type(value).__name__}")
 
 
@@ -128,7 +134,7 @@ def _parse_structure(literal: Any, where: str, by_name: Mapping[str, int], n: in
             raise GameFileError(f"{where} assigns a player to two blocks")
         if len(set(members)) < len(members):
             twice = next(name for k, name in enumerate(block) if name in block[:k])
-            raise GameFileError(f"{where} block {b} names player {twice!r} twice")
+            raise GameFileError(f"{where} block {b} names player {reprlib.repr(twice)} twice")
         seen.update(members)
         blocks.append(sorted(members))
     if seen != set(range(n)):
@@ -149,24 +155,25 @@ def _reject_profile_key(key: Any, shape: Sequence[int], where: str) -> NoReturn:
     """Raise the error that says why a key is not the canonical key of a profile."""
     if not isinstance(key, str):
         raise GameFileError(f"{where} keys must be strings of comma-joined indices")
+    shown = reprlib.repr(key)
     parts = key.split(",")
     if len(parts) != len(shape):
-        raise GameFileError(f"{where} key {key!r} must have {len(shape)} indices")
+        raise GameFileError(f"{where} key {shown} must have {len(shape)} indices")
     indices = []
     for i, part in enumerate(parts):
         try:
             idx = int(part)
         except ValueError:
-            raise GameFileError(f"{where} key {key!r} has a non-integer index") from None
+            raise GameFileError(f"{where} key {shown} has a non-integer index") from None
         if not 0 <= idx < shape[i]:
             raise GameFileError(
-                f"{where} key {key!r}: index {idx} out of range for player {i}"
+                f"{where} key {shown}: index {idx} out of range for player {i}"
             )
         indices.append(idx)
     # int() also reads "00", " 1" and "+0"; such a key could name the same
     # profile as a canonical one and silently replace its entry.
     raise GameFileError(
-        f"{where} key {key!r} is not canonical, expected {','.join(map(str, indices))!r}"
+        f"{where} key {shown} is not canonical, expected {','.join(map(str, indices))!r}"
     )
 
 
@@ -224,7 +231,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
 
     cap = data["K"]
     if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap <= n:
-        raise GameFileError(f"K must be an integer in 1..{n}, got {cap!r}")
+        raise GameFileError(f"K must be an integer in 1..{n}, got {reprlib.repr(cap)}")
     family = enumerate_partitions(n, cap)
 
     raw_sets = data["strategies"]
@@ -268,7 +275,8 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         )
     else:
         raise GameFileError(
-            f'mechanism must be "{UNANIMITY}" or an object with a table, got {raw_mech!r}'
+            f'mechanism must be "{UNANIMITY}" or an object with a table, '
+            f"got {reprlib.repr(raw_mech)}"
         )
 
     # One memo for the document: each distinct payoff string is read once.

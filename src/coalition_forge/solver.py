@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import inf, prod
+from numbers import Real
 
 import numpy as np
 
@@ -49,6 +50,8 @@ ITERATIVE = "iterative"
 _LOCK_WINDOW = 64
 _EINSUM_AXES = 52
 _FLOAT_SUM_SLACK = 1e-12
+# Every integer of at most this size is exact as a float64; 2**53 + 1 is not.
+_FLOAT_EXACT = 2**53
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 # The most bytes of gathered payoffs one chunk of the group screen holds.
@@ -64,7 +67,8 @@ class SolverConfig:
     min(6, the smaller strategy count)). damping scales the fictitious
     play step damping / (t + 2); rng_seed 0 means a uniform start,
     anything else seeds a Dirichlet draw. The three counts must be
-    integers (numpy's too, not bool).
+    integers, and tolerance and damping real numbers (numpy's too, never
+    bool); tolerance must also be finite.
     """
 
     tolerance: float = 1e-9
@@ -80,8 +84,14 @@ class SolverConfig:
                 continue
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tolerance", "damping"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.tolerance < inf:
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.max_support is not None and self.max_support < 1:
             raise ValueError(f"max_support must be at least 1, got {self.max_support}")
         if self.max_iterations < 1:
@@ -216,25 +226,44 @@ def _check_mixed(game: CoalitionGame, mixed: MixedProfile) -> None:
             )
 
 
-def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
-    """Sum the tensor over every axis but the player's, weighted by the others' weights.
+def _einsum_operands(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> list:
+    """einsum's arguments for summing the tensor down to the player's axis.
 
-    einsum labels axes 0 to 51, so more players are refused.
+    Every other axis is summed weighted by its player's weights. The list
+    holds the weight arrays themselves, so it stays valid while they
+    change in place. einsum labels axes 0 to 51, so more players are
+    refused.
     """
     n = len(weights)
     if n > _EINSUM_AXES:
         raise ValueError(f"contractions handle at most {_EINSUM_AXES} players, game has {n}")
     operands = [x for j in range(n) if j != player for x in (weights[j], [j])]
-    return np.einsum(tensor, range(n), *operands, [player])
+    return [tensor, range(n), *operands, [player]]
+
+
+def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
+    """Sum the tensor over every axis but the player's, weighted by the others' weights."""
+    return np.einsum(*_einsum_operands(tensor, weights, player))
 
 
 def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
     """payoff_ints entries as float payoffs, each int / payoff_scale rounded once.
 
-    That is float(Fraction) of the payoff; int64 division would round
+    That is float(Fraction) of the payoff. An int64 tensor whose entries
+    and scale all lie within 2**53 in size converts both to floats exactly,
+    so one float division rounds each quotient once, as int / int does.
+    Any other tensor divides as Python ints: int64 division would round
     the dividend first once it passes 2**53.
     """
-    return (ints.astype(object) / game.payoff_scale).astype(float)
+    scale = game.payoff_scale
+    if (
+        ints.dtype == np.int64
+        and scale <= _FLOAT_EXACT
+        and -_FLOAT_EXACT <= ints.min()
+        and ints.max() <= _FLOAT_EXACT
+    ):
+        return ints.astype(float) / float(scale)
+    return (ints.astype(object) / scale).astype(float)
 
 
 def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
@@ -687,21 +716,28 @@ def mixed_nash_iterative(
     that exhaust max_iterations come back flagged is_equilibrium False
     with the residual regret, which refutes convergence rather than
     reporting nothing.
+
+    The payoffs become floats once per run, by one float division when
+    payoff_ints is int64 with every entry and payoff_scale within 2**53
+    in size, and by Python int division otherwise; either way each is
+    the float nearest its exact value. Each player's contraction
+    operands are built once, so an iteration is n einsum calls plus the
+    best replies, regrets and in-place updates, in a fixed order that
+    keeps the float trajectory the same bit for bit.
     """
     config = config or SolverConfig()
     tensors = np.ascontiguousarray(np.moveaxis(_float_payoffs(game, game.payoff_ints), -1, 0))
     dists = _start_distributions(game, config, start)
-    n = game.n_players
+    # Built once: the distributions below change in place.
+    operands = [_einsum_operands(tensors[i], dists, i) for i in range(game.n_players)]
     last_br: Profile | None = None
     stable = 0
     iterations = 0
     for t in range(config.max_iterations):
         iterations = t + 1
-        values = [_contract(tensors[i], dists, i) for i in range(n)]
-        br = tuple(int(np.argmax(v)) for v in values)
-        regret = max(
-            float(values[i][br[i]] - values[i] @ dists[i]) for i in range(n)
-        )
+        values = [np.einsum(*args) for args in operands]
+        br = tuple([int(v.argmax()) for v in values])
+        regret = max([float(v[b] - v @ d) for v, b, d in zip(values, br, dists)])
         if regret <= config.tolerance:
             break
         if br == last_br:
@@ -714,9 +750,9 @@ def mixed_nash_iterative(
             if (game.best_reply_counts[br] > 0).all():
                 return _pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
         alpha = config.damping / (t + 2)
-        for i in range(n):
-            dists[i] *= 1.0 - alpha
-            dists[i][br[i]] += alpha
+        for d, b in zip(dists, br):
+            d *= 1.0 - alpha
+            d[b] += alpha
     profile = _float_profile(dists)
     report = verify_epsilon_nash(game, profile, config.tolerance)
     return EquilibriumResult(

@@ -150,6 +150,9 @@ class TestSolve:
         code, out, err = run("solve", "bos", "--method", "iterative", "--tolerance", "0")
         assert (code, out) == (2, "")
         assert "tolerance must be positive, got 0.0" in err
+        code, out, err = run("solve", "bos", "--method", "iterative", "--tolerance", "inf")
+        assert (code, out) == (2, "")
+        assert "tolerance must be finite, got inf" in err
 
     def test_more_players_than_einsum_axes_exit_2(self, tmp_path):
         names = tuple(f"p{i}" for i in range(53))
@@ -395,6 +398,55 @@ class TestStability:
     def test_usage_errors(self):
         assert run("stability", "pd-extended")[0] == 2
         assert run("stability", "pd-extended", "--K0", "3")[0] == 2
+
+
+LONG = "x" * 1_000_000
+
+
+def _long_name_twice(document):
+    document["players"][0] = LONG
+    document["strategies"][0][0]["partition"] = [[LONG, LONG]]
+
+
+# Each fault puts a huge value where a game file's error message echoes it.
+HUGE_ECHOES = {
+    "K": (lambda d: d.update(K=LONG), "K must be an integer in 1..2, got 'xxx"),
+    "schema_version": (
+        lambda d: d.update(schema_version=[list(range(1000))] * 100),
+        "game document schema_version must be 1, got [[0, 1, 2, 3, 4, 5, ...], ",
+    ),
+    "mechanism": (
+        lambda d: d.update(mechanism=LONG),
+        'mechanism must be "unanimity" or an object with a table, got \'xxx',
+    ),
+    "payoff": (
+        lambda d: d["payoffs"]["0,0"].__setitem__(0, LONG),
+        "payoffs['0,0'][0] is not a rational: 'xxx",
+    ),
+    "unknown key": (lambda d: d.update({LONG: 1}), "game document has unknown keys: xxx"),
+    "many unknown keys": (
+        lambda d: d.update({f"k{i:06}": 1 for i in range(100_000)}),
+        "game document has unknown keys: k000000, k000001, k000002, k000003, k000004, k000005, ...",
+    ),
+    "payoff key": (
+        lambda d: d["payoffs"].update({"0," + LONG: ["0", "0"]}),
+        "payoffs key '0,xxx",
+    ),
+    "player named twice": (_long_name_twice, "block 0 names player 'xxx"),
+}
+
+
+@pytest.mark.parametrize("fault", HUGE_ECHOES)
+def test_game_file_errors_bound_what_they_echo(tmp_path, fault):
+    """A huge value in a game file is echoed in a few hundred bytes at most."""
+    change, message = HUGE_ECHOES[fault]
+    document = game_to_dict(build_game("pd-standard"), ("1", "2"))
+    change(document)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run("solve", str(path))
+    assert (code, out) == (2, "")
+    assert message in err and len(err.encode()) < 1000
 
 
 class TestTableFiles:

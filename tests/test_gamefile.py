@@ -306,6 +306,7 @@ LOADER_REJECTIONS = [
     (("schema_version",), 2, "game document schema_version must be 1, got 2"),
     (("K",), DROP, "game document is missing keys: K"),
     (("colour",), "red", "game document has unknown keys: colour"),
+    ((7,), "red", "game document has unknown keys: 7"),
     (("players",), [], "players must be a non-empty list of names"),
     (("players", 1), 2, "players[1] must be a non-empty string"),
     (("players", 1), "A", "player names must be distinct"),

@@ -93,6 +93,22 @@ class TestMixedProfile:
             SolverConfig(**{field: value})
         assert str(caught.value) == f"{field} must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("field", ["tolerance", "damping"])
+    @pytest.mark.parametrize("value", ["x", None, True, np.bool_(True), 1j])
+    def test_config_tolerance_and_damping_must_be_real(self, field, value):
+        with pytest.raises(ValueError) as caught:
+            SolverConfig(**{field: value})
+        assert str(caught.value) == f"{field} must be a real number, got {value!r}"
+
+    def test_config_tolerance_must_be_finite(self):
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            SolverConfig(tolerance=float("inf"))
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            SolverConfig(tolerance=np.float64("inf"))
+        reals = [(Fraction(1, 10), Fraction(1, 2)), (np.float64(1e-3), 1), (10**400, 0.5)]
+        for tolerance, damping in reals:
+            SolverConfig(tolerance=tolerance, damping=damping)
+
     def test_config_counts_keep_their_range_checks(self):
         for field, value, message in [
             ("max_support", 0, "max_support must be at least 1, got 0"),

@@ -22,6 +22,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1063,6 +1065,118 @@ def test_float_payoffs_round_once_from_the_exact_value(offset):
         assert expected_utilities(game, mass) == tuple(float(v) for v in row)
     result = mixed_nash_iterative(game, SolverConfig(max_iterations=20, rng_seed=3))
     assert repr(result) == FLOAT_PLAY[offset]
+
+
+def object_float_payoffs(game, ints):
+    """Every payoff_ints entry divided by payoff_scale as Python ints, then made a float."""
+    return (ints.astype(object) / game.payoff_scale).astype(float)
+
+
+def reference_mixed_nash_iterative(game, config, start=None):
+    """Fictitious play as one loop that rebuilds each contraction every iteration.
+
+    Its floats come from object_float_payoffs, verification's included.
+    The solver must reproduce it bit for bit: same operands, same order.
+    """
+    tensors = np.ascontiguousarray(np.moveaxis(object_float_payoffs(game, game.payoff_ints), -1, 0))
+    dists = solver._start_distributions(game, config, start)
+    n = game.n_players
+    last_br = None
+    stable = 0
+    iterations = 0
+    for t in range(config.max_iterations):
+        iterations = t + 1
+        values = []
+        for i in range(n):
+            operands = [x for j in range(n) if j != i for x in (dists[j], [j])]
+            values.append(np.einsum(tensors[i], range(n), *operands, [i]))
+        br = tuple(int(np.argmax(v)) for v in values)
+        regret = max(float(values[i][br[i]] - values[i] @ dists[i]) for i in range(n))
+        if regret <= config.tolerance:
+            break
+        if br == last_br:
+            stable += 1
+        else:
+            last_br = br
+            stable = 0
+        if stable >= solver._LOCK_WINDOW:
+            stable = 0
+            if (game.best_reply_counts[br] > 0).all():
+                return solver._pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
+        alpha = config.damping / (t + 2)
+        for i in range(n):
+            dists[i] *= 1.0 - alpha
+            dists[i][br[i]] += alpha
+    profile = solver._float_profile(dists)
+    with mock.patch.object(solver, "_float_payoffs", object_float_payoffs):
+        report = verify_epsilon_nash(game, profile, config.tolerance)
+    return EquilibriumResult(
+        profile=profile,
+        expected_payoffs=report.expected,
+        max_regret=report.max_regret,
+        method=ITERATIVE,
+        is_equilibrium=report.passed,
+        iterations=iterations,
+    )
+
+
+@st.composite
+def exact_starts(draw, game):
+    """An exact mixed profile of the game, each weight a draw over the row's total."""
+    rows = []
+    for strategies in game.strategy_sets:
+        size = len(strategies)
+        counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        counts[draw(st.integers(0, len(counts) - 1))] += 1
+        rows.append(tuple(Fraction(c, sum(counts)) for c in counts))
+    return MixedProfile(tuple(rows))
+
+
+# Payoffs whose payoff_ints are int64 within 2**53, int64 beyond it, or object.
+iterative_games = st.one_of(
+    coalition_games(payoff_values=values)
+    for values in (*exact_payoffs, huge_payoffs, st.integers(-(2**62), 2**62))
+)
+
+
+@DIFFERENTIAL
+@given(
+    game=iterative_games,
+    rng_seed=st.one_of(st.just(0), st.integers(1, 2**32)),
+    damping=st.sampled_from([1.0, 0.5, 0.37]),
+    tolerance=st.sampled_from([1e-9, 1e-3, 0.05]),
+    max_iterations=st.integers(1, 150),
+    data=st.data(),
+)
+def test_fictitious_play_matches_the_reference_bit_for_bit(
+    game, rng_seed, damping, tolerance, max_iterations, data
+):
+    config = SolverConfig(
+        tolerance=tolerance, max_iterations=max_iterations, damping=damping, rng_seed=rng_seed
+    )
+    start = data.draw(st.none() | exact_starts(game))
+    expected = reference_mixed_nash_iterative(game, config, start)
+    assert repr(mixed_nash_iterative(game, config, start)) == repr(expected)
+
+
+@pytest.mark.parametrize("scale", [1, 3, 2**53, 2**53 + 1])
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [
+        ([2**53, -(2**53), 1, -7], np.int64),
+        ([2**53 + 1, 1, 3], np.int64),
+        ([-(2**53) - 1, 1, 3], np.int64),
+        ([-(2**63), 1, 3], np.int64),
+        ([2**63 - 1, 1, 3], np.int64),
+        ([2**63, 2**70 + 1, -(2**64), 1, 3], object),
+    ],
+)
+def test_float_payoffs_match_python_int_division(entries, dtype, scale):
+    """The one float division holds only where it rounds as int / int does."""
+    ints = np.array(entries, dtype=dtype)
+    game = SimpleNamespace(payoff_scale=scale)
+    expected = object_float_payoffs(game, ints).tobytes()
+    assert solver._float_payoffs(game, ints).tobytes() == expected
 
 
 # Seeded float profiles of four games: per game a seed and a builder.
