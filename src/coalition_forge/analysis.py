@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .games import CoalitionGame, Profile, ValidationError, payoff_isomorphic
+from .games import CoalitionGame, Profile, ValidationError, _strategy_map, payoff_isomorphic
 from .partitions import Coalition, CoalitionStructure
 from .solver import (
     EquilibriumResult,
@@ -148,25 +148,21 @@ def lift_profile(
     """Embed a profile into a game with more strategies.
 
     Strategies are matched by what they mean, the desired partition plus
-    the action label, and everything new in the target gets zero weight.
+    the action label: each support weight goes to its index in the
+    strategy map, and everything new in the target gets zero weight.
     """
     _check_mixed(source, mixed)
     if source.n_players != target.n_players:
         raise ValueError("games cover different player counts")
     zero = Fraction(0) if mixed.is_exact else 0.0
     rows = []
-    for i in range(source.n_players):
-        by_key = {source.strategy_key(i, k): w for k, w in mixed.support_items()[i]}
-        row = tuple(
-            by_key.get(target.strategy_key(i, k), zero)
-            for k in range(len(target.strategy_sets[i]))
-        )
-        placed = sum(1 for w in row if w != 0)
-        if placed != len(by_key):
-            raise ValueError(
-                f"player {i} has support strategies with no counterpart in the target game"
-            )
-        rows.append(row)
+    for i, places in enumerate(_strategy_map(source, target)):
+        row = [zero] * len(target.strategy_sets[i])
+        for k, w in mixed.support_items()[i]:
+            if places[k] < 0:
+                raise ValueError(f"player {i} has support strategies with no counterpart in the target game")
+            row[places[k]] = w
+        rows.append(tuple(row))
     return MixedProfile(tuple(rows))
 
 
@@ -194,16 +190,12 @@ def compare_domains(
         )
     _check_mixed(game_a, a)
     _check_mixed(game_b, b)
-    for i in range(a.n_players):
-        keys_a = [game_a.strategy_key(i, k) for k in range(len(game_a.strategy_sets[i]))]
-        keys_b = [game_b.strategy_key(i, k) for k in range(len(game_b.strategy_sets[i]))]
-        if not (set(keys_a) <= set(keys_b) or set(keys_b) <= set(keys_a)):
-            raise ValueError(
-                f"player {i} strategy universes do not embed in either direction"
-            )
-        sup_a = {keys_a[k] for k in a.support(i)}
-        sup_b = {keys_b[k] for k in b.support(i)}
-        if sup_a != sup_b:
+    for i, places in enumerate(_strategy_map(game_a, game_b)):
+        # The map is one to one: neither universe embeds when it pairs fewer than both.
+        if sum(k >= 0 for k in places) < min(len(places), len(game_b.strategy_sets[i])):
+            raise ValueError(f"player {i} strategy universes do not embed in either direction")
+        # A support strategy of a without a counterpart maps to -1, in no support of b.
+        if {places[k] for k in a.support(i)} != set(b.support(i)):
             return False
     return True
 

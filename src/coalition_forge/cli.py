@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import analysis, solver
 from .catalog import ALIASES, CATALOG, CatalogEntry, get_entry
 from .gamefile import (
     GameFileError,
+    _shown,
     _structure_literal,
     dumps,
     format_rational as _fr,
@@ -440,8 +442,7 @@ def _parse_coalition(raw: str, names: Sequence[str]):
     for part in raw.split(","):
         part = part.strip()
         if part not in names:
-            known = ", ".join(names)
-            raise ValueError(f"unknown player {part!r}; players are: {known}")
+            raise ValueError(f"unknown player {reprlib.repr(part)}; players are: {_shown(names)}")
         members.append(list(names).index(part))
     if len(set(members)) != len(members):
         raise ValueError("coalition members must be distinct")

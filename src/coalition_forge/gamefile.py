@@ -61,15 +61,17 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
+def _shown(texts: Sequence[str]) -> str:
+    """The texts joined by commas, bounded in count and length as reprlib bounds a list, without the quotes."""
+    cap = reprlib.aRepr.maxlist
+    shown = [reprlib.repr(text)[1:-1] for text in texts[:cap]]
+    return ", ".join(shown + ["..."] if len(texts) > cap else shown)
+
+
 def _check_keys(data: Mapping[str, Any], allowed: set[str], required: set[str], where: str) -> None:
     unknown = sorted(map(str, set(data) - allowed))
     if unknown:
-        # Bounded in count and length as reprlib bounds a list, without the quotes.
-        cap = reprlib.aRepr.maxlist
-        shown = [reprlib.repr(key)[1:-1] for key in unknown[:cap]]
-        if len(unknown) > cap:
-            shown.append("...")
-        raise GameFileError(f"{where} has unknown keys: {', '.join(shown)}")
+        raise GameFileError(f"{where} has unknown keys: {_shown(unknown)}")
     missing = sorted(required - set(data))
     if missing:
         raise GameFileError(f"{where} is missing keys: {', '.join(missing)}")

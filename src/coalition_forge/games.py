@@ -206,10 +206,9 @@ class CoalitionGame:
         return self.family[self.strategy_sets[player][strategy_index].desired_partition]
 
     def strategy_key(self, player: int, strategy_index: int) -> tuple[CoalitionStructure, str]:
-        """Identity of a strategy independent of family indexing.
+        """Identity of a strategy independent of family indexing: desired structure and action.
 
-        Used to match strategies across nested games, where the same
-        desired structure sits at different family indices.
+        The package matches strategies across games by family row instead (_strategy_map).
         """
         s = self.strategy_sets[player][strategy_index]
         return self.family[s.desired_partition], s.action
@@ -385,20 +384,26 @@ class CoalitionGame:
 def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
     """Whether two games agree up to strategy identity.
 
-    Same players, same per-player sequences of (desired structure, action)
-    pairs, and pointwise equal payoffs. Family indices may differ, which is
-    exactly what happens between a game and a rebuilt restriction of it.
-    Equal rationals have equal reduced denominators, so equal payoffs
-    mean equal payoff scales and equal integer tensors.
+    Same players, each strategy map of a onto b exactly 0..len-1 of b's
+    strategies, and pointwise equal payoffs. Family indices may differ, as
+    between a game and a rebuilt restriction of it. Equal rationals have
+    equal reduced denominators, so equal payoffs mean equal payoff scales
+    and equal integer tensors.
     """
     if a.n_players != b.n_players or a.max_coalition != b.max_coalition:
         return False
-    for i in range(a.n_players):
-        keys_a = [a.strategy_key(i, j) for j in range(len(a.strategy_sets[i]))]
-        keys_b = [b.strategy_key(i, j) for j in range(len(b.strategy_sets[i]))]
-        if keys_a != keys_b:
-            return False
+    if any(m != list(range(len(s))) for m, s in zip(_strategy_map(a, b), b.strategy_sets)):
+        return False
     return a.payoff_scale == b.payoff_scale and np.array_equal(a.payoff_ints, b.payoff_ints)
+
+
+def _strategy_map(source: CoalitionGame, target: CoalitionGame) -> list[list[int]]:
+    """Per player, the target index of each source strategy with the same family row and action, or -1."""
+    maps = []
+    for mine, theirs in zip(source.strategy_sets, target.strategy_sets):
+        where = {(target.family._rows[s.desired_partition], s.action): k for k, s in enumerate(theirs)}
+        maps.append([where.get((source.family._rows[s.desired_partition], s.action), -1) for s in mine])
+    return maps
 
 
 def restrict_game(game: CoalitionGame, max_coalition: int) -> CoalitionGame:
@@ -426,13 +431,13 @@ def _unanimity_index(family: PartitionFamily, strategy_sets) -> np.ndarray:
     """The realized-structure index of the unanimity rule, read-only.
 
     A block forms exactly when every member desires it, so the structure
-    depends only on own desired blocks: the rule runs once per
-    combination of each player's distinct own blocks, and np.ix_ gathers
-    that table onto the profile space.
+    depends only on own desired blocks, read from the family rows: the
+    rule runs once per combination of each player's distinct own blocks,
+    and np.ix_ gathers that table onto the profile space.
     """
     n = len(strategy_sets)
     own = [
-        [family[s.desired_partition].block_of(i).members for s in strategies]
+        [next(b for b in family._rows[s.desired_partition] if i in b) for s in strategies]
         for i, strategies in enumerate(strategy_sets)
     ]
     blocks = [list(dict.fromkeys(row)) for row in own]

@@ -12,6 +12,7 @@ import pytest
 from _shared import game, lunch_claimed_profile, restricted, unnested_pair
 from coalition_forge import analysis
 from coalition_forge.analysis import (
+    CooperationReport,
     EquilibriumPartitionSet,
     classify_stochastic,
     compare_domains,
@@ -20,7 +21,7 @@ from coalition_forge.analysis import (
     lift_profile,
     stability_K_star,
 )
-from coalition_forge.games import Strategy
+from coalition_forge.games import CoalitionGame, Mechanism, Strategy
 from coalition_forge.partitions import Coalition, CoalitionStructure, enumerate_partitions
 from coalition_forge.solver import (
     EquilibriumResult,
@@ -394,3 +395,57 @@ class TestStability:
         )
         with pytest.raises(ValueError):
             stability_K_star([base, extended], 1, fake)
+
+
+HALVES = MixedProfile(((Fraction(1, 2),) * 2,) * 2)
+ALONE = CoalitionStructure.singletons(2)
+
+
+def three_player_game():
+    """Three players at cap 3, each with the one strategy of desiring the grand coalition."""
+    family = enumerate_partitions(3, 3)
+    return CoalitionGame(3, 3, family, ((Strategy(0),),) * 3, Mechanism(), {(0, 0, 0): (1, 1, 1)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: EquilibriumPartitionSet((ALONE,), {ALONE: 0}),
+            "every listed partition needs positive probability",
+        ),
+        (
+            lambda: EquilibriumPartitionSet((ALONE,), {ALONE: Fraction(1, 2)}),
+            "probabilities sum to 1/2, expected 1",
+        ),
+        (
+            lambda: CooperationReport(Coalition.of(0, 1), True, False, True),
+            "complete must equal ex_ante and ex_post",
+        ),
+        (
+            lambda: lift_profile(game("pd-standard"), HALVES, three_player_game()),
+            "games cover different player counts",
+        ),
+        (
+            lambda: compare_domains(HALVES, MixedProfile(((1,),) * 3)),
+            "profiles cover different player counts",
+        ),
+        (
+            lambda: stability_K_star([], 1, first_pure_equilibrium(game("pd-standard"))),
+            "family is empty",
+        ),
+        (
+            lambda: stability_K_star(
+                [game("pd-standard"), three_player_game()], 1, first_pure_equilibrium(game("pd-standard"))
+            ),
+            "family mixes player counts",
+        ),
+    ],
+    ids=["zero mass listed", "masses off one", "complete mismatch", "lift across player counts",
+         "compare across player counts", "empty family", "mixed player counts"],
+)
+def test_analysis_faults_keep_their_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

@@ -142,6 +142,36 @@ class TestSolve:
         assert eq["iterations"] >= 1
         assert "converged" not in document
 
+    def test_iterative_run_that_does_not_converge(self):
+        document = run_json("solve", "bos", "--method", "iterative")
+        assert document["converged"] is False
+        (equilibrium,) = document["equilibria"]
+        assert (equilibrium["is_equilibrium"], equilibrium["iterations"]) == (False, 100_000)
+
+    def test_truncated_support_search(self, tmp_path):
+        # 2 structures x 4 actions: 8 strategies each, above the default cap of 6.
+        alone, together = [["1"], ["2"]], [["1", "2"]]
+        strategies = [{"partition": p, "action": a} for p in (alone, together) for a in "abcd"]
+        payoffs = {
+            f"{i},{j}": [str((3 * i + 5 * j) % 7), str((5 * i + 2 * j) % 7)]
+            for i in range(8)
+            for j in range(8)
+        }
+        path = write_json(tmp_path / "eight.json", {
+            "schema_version": 1,
+            "players": ["1", "2"],
+            "K": 2,
+            "strategies": [strategies, strategies],
+            "mechanism": "unanimity",
+            "payoffs": payoffs,
+        })
+        document = run_json("solve", path, "--method", "support")
+        assert document["truncated"] is True
+        assert document["equilibria"]
+        code, out, _ = run("solve", path, "--method", "support")
+        assert code == 0
+        assert out.endswith("\nnote: support search truncated by max_support cap\n")
+
     def test_iterative_tolerance(self):
         document = run_json("solve", "bos", "--method", "iterative", "--tolerance", "1e-3")
         (eq,) = document["equilibria"]
@@ -344,6 +374,55 @@ class TestAnalyze:
         document = run_json("analyze", "bos", "--profile", path, "--coalition", "Ann,Bob")
         assert "cooperation" not in document
 
+    def test_unknown_coalition_member_echo_is_bounded(self, tmp_path):
+        code, _, err = run("analyze", "pd-extroverts", "--coalition", "Zed")
+        assert code == 2
+        assert err.endswith("error: unknown player 'Zed'; players are: 1, 2\n")
+        path = write_json(tmp_path / "long.json", game_to_dict(build_game("pd-extended"), (LONG, "2")))
+        for member in ("Zed", "z" * len(LONG)):
+            code, out, err = run("analyze", path, "--coalition", member)
+            assert (code, out) == (2, "")
+            assert "; players are: xxxxxxxxxxxx...xxxxxxxxxxxxx, 2\n" in err
+            assert len(err.encode()) < 1000
+        assert "unknown player 'zzzzzzzzzzzz...zzzzzzzzzzzzz';" in err
+
+    def test_repeated_coalition_member_exits_2(self):
+        code, out, err = run("analyze", "pd-extroverts", "--coalition", "1,1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: coalition members must be distinct\n")
+
+    def test_no_pure_equilibrium_on_three_players_falls_back_to_fictitious_play(self, tmp_path):
+        path = write_json(tmp_path / "cycle.json", cycle_document())
+        for document in (run_json("analyze", path), run_json("stability", path, "--K0", "1")):
+            equilibrium = document["equilibrium"]
+            assert (equilibrium["method"], equilibrium["iterations"]) == ("iterative", 1)
+            assert equilibrium["is_equilibrium"] is True
+        assert document["K_star"] == 1
+        assert document["checks"] == [{"K": 1, "domain_ok": True, "passed": True, "payoff_ok": True}]
+
+
+def cycle_document():
+    """Three players at cap 1 choosing H or T: 1 matches 2, 2 matches 3, and 3 mismatches 1.
+
+    No pure profile pays everyone their best reply, and the uniform
+    start is already an equilibrium.
+    """
+    strategies = [{"partition": [["1"], ["2"], ["3"]], "action": a} for a in "HT"]
+    payoffs = {
+        f"{i},{j},{k}": [str(int(i == j)), str(int(j == k)), str(int(k != i))]
+        for i in range(2)
+        for j in range(2)
+        for k in range(2)
+    }
+    return {
+        "schema_version": 1,
+        "players": ["1", "2", "3"],
+        "K": 1,
+        "strategies": [strategies] * 3,
+        "mechanism": "unanimity",
+        "payoffs": payoffs,
+    }
+
 
 class TestStability:
     def test_dilemma_family(self):
@@ -398,6 +477,12 @@ class TestStability:
     def test_usage_errors(self):
         assert run("stability", "pd-extended")[0] == 2
         assert run("stability", "pd-extended", "--K0", "3")[0] == 2
+
+    def test_param_on_game_files_exits_2(self, tmp_path):
+        path = write_json(tmp_path / "k1.json", game_to_dict(build_game("pd-standard")))
+        code, out, err = run("stability", path, path, "--K0", "1", "--param", "eps=1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --param only applies to catalog games\n")
 
 
 LONG = "x" * 1_000_000
@@ -495,6 +580,16 @@ class TestCatalogCommand:
         document = run_json("catalog", "--id", "pd")
         assert document["id"] == "pd-extended"
         assert run("catalog", "--id", "chicken")[0] == 2
+
+    def test_detail_as_text(self):
+        code, out, _ = run("catalog", "--id", "bos")
+        assert code == 0
+        assert out == (
+            "bos: partner coordination with a togetherness bonus eps\n"
+            "  players: Ann, Bob (2)\n"
+            "  K: 2\n"
+            "  parameters: eps=1/10\n"
+        )
 
     def test_json_listing(self):
         document = run_json("catalog")

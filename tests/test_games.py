@@ -433,3 +433,43 @@ class TestValidation:
         loaded, _ = load_game(tmp_path / "game.json")
         assert (loaded.n_players, loaded.max_coalition) == (2, 2)
         assert payoff_isomorphic(loaded, pd)
+
+
+ALONE = (Strategy(0),)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Mechanism("majority"), ValueError, "unknown mechanism kind 'majority'"),
+        (lambda: Mechanism(games.TABLE), ValueError, "table mechanism needs an explicit profile map"),
+        (lambda: Mechanism(games.UNANIMITY, {}), ValueError, "unanimity mechanism takes no table"),
+        (
+            lambda: CoalitionGame(0, 1, enumerate_partitions(1, 1), ()),
+            ValidationError,
+            "need at least one player",
+        ),
+        (
+            lambda: CoalitionGame(2, 3, enumerate_partitions(2, 2), (ALONE, ALONE)),
+            ValidationError,
+            "coalition cap must satisfy 1 <= K <= n, got 3",
+        ),
+        (
+            lambda: CoalitionGame(2, 1, enumerate_partitions(2, 1), (ALONE,)),
+            ValidationError,
+            "one strategy set per player required",
+        ),
+        (
+            lambda: CoalitionGame(2, 1, enumerate_partitions(2, 1), (ALONE, ())),
+            ValidationError,
+            "player 1 has an empty strategy set",
+        ),
+    ],
+    ids=["unknown kind", "table without map", "unanimity with table", "no players",
+         "cap above n", "too few strategy sets", "empty strategy set"],
+)
+def test_construction_faults_keep_their_type_and_message(build, error, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

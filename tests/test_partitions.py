@@ -421,3 +421,19 @@ class TestFamilyValue:
         hand_built = PartitionFamily(4, 2, structures)
         assert hand_built.structures is structures
         assert hand_built == family and hash(hand_built) == hash(family)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: s.block_of(2), "player 2 out of range 0..1"),
+        (lambda s: s.block_of(-1), "player -1 out of range 0..1"),
+        (lambda s: s.contains_block(Coalition.of(0, 5)), "coalition {0,5} out of range for n=2"),
+    ],
+    ids=["block of player 2", "block of player -1", "block beyond n"],
+)
+def test_structure_reads_out_of_range_keep_their_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call(CoalitionStructure.singletons(2))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

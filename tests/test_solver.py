@@ -615,3 +615,29 @@ def test_more_players_than_einsum_axes_are_refused():
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+HALVES = MixedProfile(((Fraction(1, 2),) * 2,) * 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MixedProfile(()), "mixed profile needs at least one player"),
+        (lambda: MixedProfile(((Fraction(1),), ())), "player 1 has an empty weight vector"),
+        (
+            lambda: verify_epsilon_nash(game("pd-standard"), MixedProfile(((1, 0, 0), (1, 0)))),
+            "player 0 weight vector has length 3, strategy set has 2",
+        ),
+        (lambda: expected_utility(game("pd-standard"), HALVES, 2), "player index 2 out of range"),
+        (lambda: expected_utility(game("pd-standard"), HALVES, -1), "player index -1 out of range"),
+        (lambda: best_response_value(game("pd-standard"), HALVES, 2), "player index 2 out of range"),
+    ],
+    ids=["no players", "empty row", "row length", "utility of player 2", "utility of player -1",
+         "best response of player 2"],
+)
+def test_profile_faults_keep_their_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

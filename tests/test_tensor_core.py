@@ -93,7 +93,9 @@ from coalition_forge.solver import (
 from coalition_forge.analysis import (
     EquilibriumPartitionSet,
     _pareto_dominating_pures,
+    compare_domains,
     equilibrium_partitions,
+    lift_profile,
     stability_K_star,
 )
 
@@ -1001,6 +1003,173 @@ class TestStability:
             assert [(c.K, c.payoff_ok) for c in report.per_K_checks] == checks
             assert all(c.domain_ok for c in report.per_K_checks)
             assert [(d.K, d.profile, d.payoffs) for d in report.diagnostics] == diagnostics
+
+
+# -- strategy maps against the strategy_key matchings -----------------------------
+
+
+def reference_payoff_isomorphic(a, b):
+    """payoff_isomorphic as it compared per-player lists of strategy keys."""
+    if a.n_players != b.n_players or a.max_coalition != b.max_coalition:
+        return False
+    for i in range(a.n_players):
+        keys_a = [a.strategy_key(i, j) for j in range(len(a.strategy_sets[i]))]
+        keys_b = [b.strategy_key(i, j) for j in range(len(b.strategy_sets[i]))]
+        if keys_a != keys_b:
+            return False
+    return a.payoff_scale == b.payoff_scale and np.array_equal(a.payoff_ints, b.payoff_ints)
+
+
+def reference_lift_profile(source, mixed, target):
+    """lift_profile as it placed weights by strategy key."""
+    solver._check_mixed(source, mixed)
+    if source.n_players != target.n_players:
+        raise ValueError("games cover different player counts")
+    zero = Fraction(0) if mixed.is_exact else 0.0
+    rows = []
+    for i in range(source.n_players):
+        by_key = {source.strategy_key(i, k): w for k, w in mixed.support_items()[i]}
+        row = tuple(
+            by_key.get(target.strategy_key(i, k), zero)
+            for k in range(len(target.strategy_sets[i]))
+        )
+        placed = sum(1 for w in row if w != 0)
+        if placed != len(by_key):
+            raise ValueError(
+                f"player {i} has support strategies with no counterpart in the target game"
+            )
+        rows.append(row)
+    return MixedProfile(tuple(rows))
+
+
+def reference_compare_domains(a, b, game_a, game_b):
+    """compare_domains with both games, as it compared sets of strategy keys."""
+    if a.n_players != b.n_players:
+        raise ValueError("profiles cover different player counts")
+    solver._check_mixed(game_a, a)
+    solver._check_mixed(game_b, b)
+    for i in range(a.n_players):
+        keys_a = [game_a.strategy_key(i, k) for k in range(len(game_a.strategy_sets[i]))]
+        keys_b = [game_b.strategy_key(i, k) for k in range(len(game_b.strategy_sets[i]))]
+        if not (set(keys_a) <= set(keys_b) or set(keys_b) <= set(keys_a)):
+            raise ValueError(
+                f"player {i} strategy universes do not embed in either direction"
+            )
+        sup_a = {keys_a[k] for k in a.support(i)}
+        sup_b = {keys_b[k] for k in b.support(i)}
+        if sup_a != sup_b:
+            return False
+    return True
+
+
+def reindexed(game, player, order):
+    """The game with the player's strategies listed as order: original indices, a permutation or a subset."""
+    sets = list(game.strategy_sets)
+    sets[player] = tuple(sets[player][k] for k in order)
+
+    def original(profile):
+        return profile[:player] + (order[profile[player]],) + profile[player + 1 :]
+
+    profiles = list(itertools.product(*(range(len(s)) for s in sets)))
+    mechanism = game.mechanism
+    if mechanism.kind == TABLE:
+        mechanism = Mechanism(TABLE, {p: game.realized_partition(original(p)) for p in profiles})
+    payoffs = {p: game.payoff(original(p)) for p in profiles}
+    return CoalitionGame(game.n_players, game.max_coalition, game.family, tuple(sets), mechanism, payoffs)
+
+
+def outcome(call, *args):
+    """What a call returns, as its repr so that weight types count, or the type and message it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as error:
+        return type(error), str(error)
+
+
+@st.composite
+def profiles_of(draw, game, exact):
+    """An exact or float profile of the game, often with partial support."""
+    rows = []
+    for strategies in game.strategy_sets:
+        size = len(strategies)
+        raw = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size).filter(any))
+        rows.append(tuple(Fraction(w, sum(raw)) if exact else w / sum(raw) for w in raw))
+    return MixedProfile(tuple(rows))
+
+
+@st.composite
+def related_games(draw):
+    """A game with actions, under either mechanism, and games around it.
+
+    Its restrictions at every cap, each over its own family; the game
+    with one player's strategies permuted; and that permutation without
+    its first or its last strategy, which do not embed in each other.
+    """
+    game = draw(coalition_games(alone=True))
+    player = draw(st.integers(0, game.n_players - 1))
+    order = draw(st.permutations(range(len(game.strategy_sets[player]))))
+    return [
+        *(game.restrict(K) for K in range(1, game.max_coalition + 1)),
+        reindexed(game, player, order),
+        reindexed(game, player, order[1:]),
+        reindexed(game, player, order[:-1]),
+    ]
+
+
+@DIFFERENTIAL
+@given(related_games(), st.data())
+def test_strategy_maps_match_the_key_matchings(games, data):
+    profiles = [data.draw(profiles_of(g, exact)) for g in games for exact in (True, False)]
+    for a, b in itertools.product(games, repeat=2):
+        assert payoff_isomorphic(a, b) is reference_payoff_isomorphic(a, b)
+        for exact in (True, False):
+            mixed = profiles[2 * games.index(a) + (not exact)]
+            lifted = outcome(lift_profile, a, mixed, b)
+            assert lifted == outcome(reference_lift_profile, a, mixed, b)
+            others = [profiles[2 * games.index(b) + (not exact)]]
+            if isinstance(lifted, str):
+                others.append(lift_profile(a, mixed, b))
+            for other in others:
+                expected = outcome(reference_compare_domains, mixed, other, a, b)
+                assert outcome(compare_domains, mixed, other, a, b) == expected
+
+
+def test_nesting_lifting_and_the_scan_build_no_structure():
+    """Eight players over all 4,140 structures, and the game's cap 2 restriction.
+
+    Each player chooses between staying alone and {0,1}{2}...{7}. Players
+    0 and 1 earn 2 when their pair forms and 1 otherwise, as everyone
+    else does. Neither family builds its structures.
+    """
+    n = 8
+    family = enumerate_partitions(n, n)
+    alone = family.index_of(CoalitionStructure.singletons(n))
+    pair = family.index_of(CoalitionStructure.of([[0, 1], *([m] for m in range(2, n))], n))
+    profiles = itertools.product((0, 1), repeat=n)
+    payoffs = {p: (Fraction(1 + (p[0] == p[1] == 1)),) * 2 + (Fraction(1),) * (n - 2) for p in profiles}
+    game = CoalitionGame(n, n, family, ((Strategy(alone), Strategy(pair)),) * n, Mechanism(), payoffs)
+    assert game.realized_index[(1, 1) + (0,) * (n - 2)] == pair
+    small = game.restrict(2)
+    assert small.realized_index[(1, 1) + (0,) * (n - 2)] == small.family._position[family._rows[pair]]
+    # The pair redesires together out of every profile where it does not form.
+    assert len(pure_nash_enumerate(game)) == len(pure_nash_enumerate(small)) == 2 ** (n - 2)
+    assert payoff_isomorphic(game.restrict(2), small)
+    result = first_pure_equilibrium(small)
+    lifted = lift_profile(small, result.profile, game)
+    assert compare_domains(result.profile, lifted, small, game)
+    assert verify_epsilon_nash(game, lifted).passed
+    assert stability_K_star([small, game], 2, result).K_star == n
+    assert "structures" not in vars(family) and "structures" not in vars(small.family)
+
+
+def test_rule_names_a_realized_structure_missing_from_a_hand_built_family():
+    alone = CoalitionStructure.singletons(4)
+    family = PartitionFamily(4, 2, (alone, CoalitionStructure.of([[0, 1], [2, 3]], 4)))
+    game = CoalitionGame(4, 2, family, ((Strategy(0), Strategy(1)),) * 4, Mechanism(), {})
+    with pytest.raises(ValueError) as caught:
+        game.realized_index
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "{{0},{1},{2,3}} is not in the family (n=4, cap=2)"
 
 
 @pytest.mark.parametrize(
