@@ -11,13 +11,21 @@ Every document is written by dumps, whose text is exactly
 json.dumps(data, indent=2, sort_keys=True), so the format is byte
 stable. game_to_dict reads the validated payoff tensor: each payoff's
 text is str(Fraction) of its payoff_ints entry over payoff_scale, the
-text of the stored value. game_from_dict reads the tables the other
-way, straight into the game's two arrays: one reader, _by_profile,
-serves both profile-keyed tables, reads each distinct entry once and
-lists the payoff rows and the mechanism's structures in canonical key
-order for the payoff and table readers of games. Each distinct payoff
-text becomes one Fraction and each distinct partition literal of the
-strategy lists one structure, and no profile-keyed mapping is built.
+text of the stored value. A game's payoffs depend on few things (in
+lunch, the realized structure), so its payoff table repeats a handful
+of rows: game_to_dict builds one list per distinct row, as it builds
+one literal per distinct structure of a table mechanism, and dumps
+writes a container that holds one list, tuple or dict at several
+places from the text of each distinct child, built once. The cap 4
+lunch file holds 8 distinct rows over 50,625 profiles.
+
+game_from_dict reads the tables the other way, straight into the
+game's two arrays: one reader, _by_profile, serves both profile-keyed
+tables, reads each distinct entry once and lists the payoff rows and
+the mechanism's structures in canonical key order for the payoff and
+table readers of games. Each distinct payoff text becomes one Fraction
+and each distinct partition literal of the strategy lists one
+structure, and no profile-keyed mapping is built.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .games import (
     UNANIMITY,
@@ -299,6 +309,11 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
     tables are keyed by the profiles of the space, so a missing payoff
     raises the tensor's ValidationError, and a mechanism entry outside
     the space is not written.
+
+    Profiles with equal payoff rows share one list, and profiles that
+    realize one structure share its literal, so dumps writes each once.
+    A caller who edits a row or a literal in place changes it at every
+    profile that shares it.
     """
     names = _player_names(game, player_names)
     strategies = []
@@ -313,10 +328,7 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
             entries.append(entry)
         strategies.append(entries)
     keys = _profile_keys(game.shape)
-    scale = game.payoff_scale
-    rows = game.payoff_ints.reshape(-1, game.n_players).tolist()
-    text = {v: str(Fraction(v, scale)) for v in set(itertools.chain.from_iterable(rows))}
-    payoffs = dict(zip(keys, [list(map(text.__getitem__, row)) for row in rows]))
+    payoffs = dict(zip(keys, _payoff_rows(game)))
     if game.mechanism.kind == UNANIMITY:
         mechanism: Any = UNANIMITY
     else:
@@ -333,6 +345,25 @@ def game_to_dict(game: CoalitionGame, player_names: Sequence[str] | None = None)
     }
 
 
+def _payoff_rows(game: CoalitionGame):
+    """Each profile's payoff texts in profile order, one list per distinct row.
+
+    The rows are told apart by the positions of their values among the
+    sorted distinct values, one machine word each, so an int64 or an
+    object tensor of Python ints compares exactly.
+    """
+    # The distinct values from one sort: np.unique takes longer here, and
+    # its first call imports numpy.ma.
+    ordered = np.sort(game.payoff_ints, axis=None)
+    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    codes = np.searchsorted(values, game.payoff_ints).reshape(-1, game.n_players)
+    text = [str(Fraction(v, game.payoff_scale)) for v in values.tolist()]
+    # Each row's codes as one bytes object, so equal rows are equal keys.
+    rows = codes.view(np.dtype((np.void, codes.itemsize * game.n_players))).ravel().tolist()
+    lists = {row: [text[i] for i in np.frombuffer(row, codes.dtype).tolist()] for row in set(rows)}
+    return map(lists.__getitem__, rows)
+
+
 def _player_names(game: CoalitionGame, player_names: Sequence[str] | None) -> tuple[str, ...]:
     if player_names is None:
         return tuple(str(i + 1) for i in range(game.n_players))
@@ -344,9 +375,9 @@ def _player_names(game: CoalitionGame, player_names: Sequence[str] | None) -> tu
 
 
 def _read_document(path: str | Path) -> Any:
-    """The parsed JSON at path; read, decode and parse failures raise GameFileError."""
+    """The parsed JSON at path, read as UTF-8; read, decode and parse failures raise GameFileError."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from None
     try:
@@ -363,7 +394,7 @@ def load_game(path: str | Path) -> tuple[CoalitionGame, tuple[str, ...]]:
 
 
 def save_game(game: CoalitionGame, path: str | Path, player_names: Sequence[str] | None = None) -> None:
-    Path(path).write_text(dumps(game_to_dict(game, player_names)) + "\n")
+    Path(path).write_text(dumps(game_to_dict(game, player_names)) + "\n", encoding="utf-8")
 
 
 def dumps(data: Any) -> str:
@@ -376,10 +407,17 @@ def dumps(data: Any) -> str:
     depth's newline and indent in its item separator, so the items of
     a height-1 container come out indented and only its brackets get
     theirs here; _lift indents the children of a height-2 container.
-    Every other container is walked as json walks it: keys are sorted
-    and converted as json converts them, empty containers are [] and
-    {}, a cycle raises ValueError, and what JSON cannot hold raises
-    json's TypeError, with json's messages.
+
+    A list, tuple or dict of containers that holds one of them at
+    several places (_SHARED, see _height), such as a game file's payoff
+    table with its shared rows, is one join instead: its keys are
+    sorted once, and the text of each distinct child is built once at
+    depth + 1 (a height-1 child by its depth's C encoder, a taller one
+    as write writes it), in the order json first meets them. Every
+    other container is walked as json walks it: keys are sorted and
+    converted as json converts them, empty containers are [] and {}, a
+    cycle raises ValueError, and what JSON cannot hold raises json's
+    TypeError, with json's messages.
     """
     out: list[str] = []
     encoders: dict[int, Any] = {}
@@ -411,9 +449,13 @@ def dumps(data: Any) -> str:
         if id(value) in markers:
             raise ValueError("Circular reference detected")
         markers.add(id(value))
+        if height == _SHARED:
+            out.append(joined(value, depth))
+            markers.remove(id(value))
+            return
         if isinstance(value, dict):
             # Each key is converted just before its value is written, as json does.
-            brackets, items = "{}", ((_key_text(k), v) for k, v in sorted(value.items()))
+            brackets, items = "{}", ((_key_text(k) + ": ", v) for k, v in sorted(value.items()))
         else:
             brackets, items = "[]", (("", v) for v in value)
         separator = brackets[0] + indent + "  "
@@ -423,6 +465,30 @@ def dumps(data: Any) -> str:
             separator = "," + indent + "  "
         out.append(indent + brackets[1])
         markers.remove(id(value))
+
+    def joined(value: Any, depth: int) -> str:
+        """The text of a _SHARED container, one join of its children's texts."""
+        keys = sorted(value) if type(value) is dict else None
+        children = value if keys is None else list(map(value.__getitem__, keys))
+        ids = list(map(id, children))
+        # Each distinct child's text once, in the order json first meets it.
+        texts = {i: written(child, depth + 1) for i, child in dict(zip(ids, children)).items()}
+        items = map(texts.__getitem__, ids)
+        brackets = "[]"
+        if keys is not None:
+            # The C quoting of str keys; json's conversion of the others.
+            quote = encode_basestring_ascii if {str}.issuperset(map(type, keys)) else _key_text
+            brackets, items = "{}", map(": ".join, zip(map(quote, keys), items))
+        indent = "\n" + "  " * depth
+        return brackets[0] + indent + "  " + ("," + indent + "  ").join(items) + indent + brackets[1]
+
+    def written(value: Any, depth: int) -> str:
+        """The text write gives for value at depth, taken back out of out."""
+        start = len(out)
+        write(value, depth)
+        text = "".join(out[start:])
+        del out[start:]
+        return text
 
     write(data, 0)
     return "".join(out)
@@ -438,6 +504,8 @@ _compact = c_make_encoder(
 )
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CONTAINERS = frozenset({list, tuple, dict})
+# The height _height gives a container that dumps writes as one join.
+_SHARED = -1
 # The key separator of the per-depth encoders. json escapes every control
 # character inside a string, so raw "\x02" and "\x03" (and the newline of
 # an item separator) never occur in the C text except where put there.
@@ -447,8 +515,10 @@ _KEY_MARK = ":\x02"
 def _height(value: Any) -> int:
     """1 for a container of scalars, 2 for one of non-empty containers of scalars, else 0.
 
-    Types are matched exactly (a subclass may change how it iterates),
-    and the keys of a dict count as its items.
+    A container of containers that holds one of them twice, by identity,
+    is _SHARED whatever its height. Types are matched exactly (a
+    subclass may change how it iterates), and the keys of a dict count
+    as its items.
     """
     kind = type(value)
     if kind not in _CONTAINERS:
@@ -460,7 +530,11 @@ def _height(value: Any) -> int:
     kinds = set(map(type, value))
     if kinds <= _SCALARS:
         return 1
-    if not (kinds <= _CONTAINERS and all(value)):
+    if not kinds <= _CONTAINERS:
+        return 0
+    if len(set(map(id, value))) < len(value):
+        return _SHARED
+    if not all(value):
         return 0
     items = itertools.chain.from_iterable(value)
     if dict in kinds:
@@ -494,11 +568,11 @@ def _lift(text: str, depth: int) -> str:
 
 
 def _key_text(key: Any) -> str:
-    """A dict key as json writes it, quoted and followed by the key separator."""
+    """A dict key as json writes it, quoted."""
     if isinstance(key, str):
-        return encode_basestring_ascii(key) + ": "
+        return encode_basestring_ascii(key)
     if isinstance(key, (int, float)) or key is None:
-        return '"' + "".join(_compact(key, 0)) + '": '
+        return '"' + "".join(_compact(key, 0)) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 

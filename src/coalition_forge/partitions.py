@@ -29,6 +29,7 @@ that fails it is walked block by block to name the overlap or the gap.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -153,13 +154,14 @@ class PartitionFamily:
     one per structure: the tuple of its blocks' member tuples. The
     decorator derives == and hash (equal n, K and rows, in order) and the
     frozen checks from these fields, and keeps the __init__ and __repr__
-    written here, which take and show structures. len, in, index_of and
-    is_nested read the rows alone. An enumerated family builds its
-    structures on the first read of structures, of an iterator or of
-    family[i], all in one pass; a family built by hand from structures
-    keeps those objects and takes its rows from them, and refuses
-    anything but distinct structures over n_players with blocks of at
-    most max_block.
+    written here: __init__ takes structures, and __repr__ shows the first
+    reprlib.aRepr.maxlist of them, built from their rows, then "...".
+    len, in, index_of and is_nested read the rows alone. An enumerated
+    family builds its structures on the first read of structures, of an
+    iterator or of family[i], all in one pass; a family built by hand
+    from structures keeps those objects and takes its rows from them,
+    and refuses anything but distinct structures over n_players with
+    blocks of at most max_block.
     """
 
     n_players: int
@@ -222,10 +224,11 @@ class PartitionFamily:
         return self.structures[i]
 
     def __repr__(self) -> str:
-        return (
-            f"PartitionFamily(n_players={self.n_players!r}, max_block={self.max_block!r}, "
-            f"structures={self.structures!r})"
-        )
+        # At most reprlib's count of structures, each built from its row.
+        cap, n = reprlib.aRepr.maxlist, self.n_players
+        shown = tuple(CoalitionStructure(tuple(map(Coalition, row)), n) for row in self._rows[:cap])
+        text = repr(shown) if len(self._rows) <= cap else f"({', '.join([*map(repr, shown), '...'])})"
+        return f"PartitionFamily(n_players={n!r}, max_block={self.max_block!r}, structures={text})"
 
 
 _members = attrgetter("members")

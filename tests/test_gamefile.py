@@ -7,7 +7,9 @@ files and of two CLI documents, as the writer gave them before it
 stopped using json's pure-Python encoder, and of two enumerate outputs,
 as the CLI gave them before families built their structures lazily. The
 loader must refuse each malformed document with its own message, and
-the CLI with exit code 2.
+the CLI with exit code 2. The writer must build the text of each
+distinct payoff row and table literal once, and files are read as UTF-8
+in any locale.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ import decimal
 import enum
 import hashlib
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +113,54 @@ regular_trees = st.recursive(
 )
 
 
+class Slot(int):
+    """The place in a drawn tree of one of shared_trees' drawn containers."""
+
+
+# Trees with slots; doubled lists make repeated siblings certain, not only likely.
+slotted_trees = st.recursive(
+    st.integers(0, 2).map(Slot) | scalars,
+    lambda children: containers(children)
+    | st.lists(children, min_size=1, max_size=2).map(lambda xs: xs * 2),
+    max_leaves=8,
+)
+
+
+def placed(tree, pool):
+    """tree with each slot replaced by its container of pool, the same object at every place."""
+    if type(tree) is Slot:
+        return pool[tree % len(pool)]
+    if type(tree) is dict:
+        return {key: placed(value, pool) for key, value in tree.items()}
+    if type(tree) in (list, tuple):
+        return type(tree)(placed(value, pool) for value in tree)
+    return tree
+
+
+@st.composite
+def shared_trees(draw, cycle):
+    """Trees that hold drawn containers at several places by identity.
+
+    The last drawn container recurs as siblings at one depth, at other
+    depths, as dict values (under str, int, float and bool keys) and as
+    list items, and the tree beside it may hold any of them again; with
+    cycle, it is a list that holds itself.
+    """
+    pool = draw(st.lists(regular_trees | containers(scalars), min_size=1, max_size=3))
+    if cycle:
+        loop = [pool[k % len(pool)] for k in draw(st.lists(st.integers(0, 2), max_size=2))]
+        loop.append(loop)
+        pool.append(loop)
+    tree, shared = placed(draw(slotted_trees), pool), pool[-1]
+    layouts = [
+        [[shared, tree, shared]] * 2,
+        {"a": shared, "b": [tree, shared], "c": tree},
+        (tree, [shared, [shared]], tree),
+        {-1: shared, 0.5: [tree], True: shared},
+    ]
+    return layouts[draw(st.integers(0, 3))]
+
+
 class TestDumpsAgainstJson:
     @DIFFERENTIAL
     @given(trees)
@@ -114,6 +170,16 @@ class TestDumpsAgainstJson:
     @DIFFERENTIAL
     @given(regular_trees)
     def test_regular_trees(self, data):
+        assert outcome(dumps, data) == outcome(reference, data)
+
+    @DIFFERENTIAL
+    @given(shared_trees(cycle=False))
+    def test_trees_that_share_containers(self, data):
+        assert outcome(dumps, data) == outcome(reference, data)
+
+    @DIFFERENTIAL
+    @given(shared_trees(cycle=True))
+    def test_trees_that_share_a_container_holding_itself(self, data):
         assert outcome(dumps, data) == outcome(reference, data)
 
     @settings(DIFFERENTIAL, max_examples=100)
@@ -467,6 +533,36 @@ def test_deep_and_undecodable_files_are_rejected_naming_the_file(tmp_path, conte
         assert str(caught.value).startswith(message.format(file))
 
 
+# Reads one good and one undecodable file, and prints the names and the error as JSON.
+READ_IN_A_CHILD = """
+import json, sys
+from coalition_forge.gamefile import GameFileError, load_game
+names = load_game(sys.argv[1])[1]
+try:
+    load_game(sys.argv[2])
+except GameFileError as exc:
+    print(json.dumps([names, str(exc)]))
+"""
+
+
+def test_game_files_are_read_as_utf8_in_any_locale(tmp_path):
+    text = json.dumps(game_to_dict(restricted("bos", 2), ("Zoë", "Bob")), ensure_ascii=False)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_bytes(text.encode("utf-8"))
+    bad.write_bytes(text.encode("latin-1"))
+    # An ASCII locale, with neither locale coercion nor UTF-8 mode to mend it.
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env["PYTHONPATH"] = str(Path(gamefile.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", READ_IN_A_CHILD, str(good), str(bad)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    names, error = json.loads(child.stdout)
+    assert names == ["Zoë", "Bob"]
+    assert error.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xeb")
+
+
 @pytest.mark.parametrize(
     "document, message",
     [
@@ -635,6 +731,56 @@ def test_deeply_nested_player_name_is_refused_with_its_message():
         assert str(caught.value) == (
             "mechanism.table['0,0'] block 0 names unknown player [[[[[[[...]]]]]]]"
         )
+
+
+# -- the writer's work, once per distinct row ----------------------------------
+
+
+def reference_payoffs(game):
+    """The payoffs of game_to_dict as written before equal rows shared one list: a list per profile."""
+    rows = game.payoff_ints.reshape(-1, game.n_players).tolist()
+    text = {v: str(Fraction(v, game.payoff_scale)) for v in set(itertools.chain.from_iterable(rows))}
+    return dict(zip(gamefile._profile_keys(game.shape), [list(map(text.__getitem__, row)) for row in rows]))
+
+
+def counted_encoders(monkeypatch):
+    """Calls of the C encoders dumps builds, counted per id of the value encoded."""
+    make, calls = gamefile.c_make_encoder, collections.Counter()
+
+    def counting(*args):
+        encoder = make(*args)
+
+        def encode(value, level):
+            calls[id(value)] += 1
+            return encoder(value, level)
+
+        return encode
+
+    monkeypatch.setattr(gamefile, "c_make_encoder", counting)
+    return calls
+
+
+def test_each_distinct_payoff_row_of_a_game_file_is_written_once(monkeypatch):
+    game = restricted("lunch", 4)
+    document = game_to_dict(game, ("A", "B", "C", "D"))
+    rows = {id(row): row for row in document["payoffs"].values()}
+    assert (len(document["payoffs"]), len(rows)) == (50_625, 8)
+    assert document["payoffs"] == reference_payoffs(game)
+    encoded = counted_encoders(monkeypatch)
+    text = dumps(document)
+    # Each row's own call, not one call for the whole table.
+    assert [encoded[i] for i in rows] == [1] * 8
+    assert encoded[id(document["payoffs"])] == 0
+    assert text == reference(document)
+
+
+def test_each_distinct_literal_of_a_table_file_is_written_once(monkeypatch):
+    _, document = lunch_table_document()
+    lifted = counted(monkeypatch, "_lift")
+    dumps(document["mechanism"])
+    assert (len(document["mechanism"]["table"]), len(lifted), sum(lifted.values())) == (38_416, 14, 14)
+    monkeypatch.undo()
+    assert dumps(document) == reference(document)
 
 
 # -- the dense table limit -----------------------------------------------------

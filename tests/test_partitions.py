@@ -370,6 +370,15 @@ class TestFamilyValue:
         assert repr(enumerate_partitions(3, 2)) == self.ENUMERATED_REPR
         assert repr(self.hand_built()) == self.HAND_BUILT_REPR
 
+    def test_repr_of_a_large_family_shows_a_few_structures_from_its_rows(self):
+        family = enumerate_partitions(10, 10)
+        text = repr(family)
+        assert len(text) < 2_000 and text.endswith(", ...))")
+        assert "structures" not in vars(family)
+        family = enumerate_partitions(4, 2)  # 10 structures, the first 6 shown
+        shown = ", ".join(map(repr, family.structures[:6]))
+        assert repr(family) == f"PartitionFamily(n_players=4, max_block=2, structures=({shown}, ...))"
+
     @pytest.mark.parametrize(
         "change, message",
         [
