@@ -84,15 +84,20 @@ def equilibrium_partitions(
     """Push the equilibrium profile through the mechanism.
 
     Adds the probability of every pure profile with positive weight
-    onto its realized partition, in support grid order.
+    onto its realized partition, in support grid order: exact masses in
+    integers, one Fraction per partition.
     """
     _require_equilibrium(result)
     _check_mixed(game, result.profile)
-    _, codes, probs = _support_grid(game, result.profile)
+    _, codes, probs, denominator = _support_grid(game, result.profile)
     sums = {}
     for code, p in zip(codes, probs):
         sums[code] = sums.get(code, 0) + p
-    masses = {game.family[code]: sums[code] for code in sorted(sums)}
+    exact = result.profile.is_exact
+    masses = {
+        game.family[code]: Fraction(sums[code], denominator) if exact else sums[code]
+        for code in sorted(sums)
+    }
     positive = tuple(s for s, p in masses.items() if p > 0)
     return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
 

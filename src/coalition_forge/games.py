@@ -286,6 +286,11 @@ class CoalitionGame:
         """Each player's highest payoff anywhere in the game, in payoff_ints units."""
         return tuple(self.payoff_ints.reshape(-1, self.n_players).max(axis=0).tolist())
 
+    @cached_property
+    def _payoff_magnitude(self) -> int:
+        """The largest payoff_ints entry in absolute value, as a Python int."""
+        return max(-int(self.payoff_ints.min()), int(self.payoff_ints.max()))
+
     # -- mechanism and payoffs -------------------------------------------
 
     def realized_partition(self, profile: Profile) -> CoalitionStructure:

@@ -15,8 +15,11 @@ responses lock in.
 Verification, expected utilities and fictitious play read the game's
 one payoff tensor, payoff_ints, through one contraction: a player's
 deviation values are the tensor, sliced to the other players' supports
-and contracted with their weights. Exact profiles contract the integers
-with Fraction weights and divide each value by payoff_scale once; float
+and contracted with their weights. An exact profile holds each row's
+weights as integer numerators over one denominator D, so exact profiles
+contract the integers with the numerators, and each expected value,
+best response and regret is one Fraction of two integers, an integer
+sum over payoff_scale times the denominators it was weighted by. Float
 profiles contract each payoff rounded once from its exact value, the
 float(Fraction) of it. The pure lane reads best-reply counts for the
 unilateral test and screens the survivors for group redesires in one
@@ -26,8 +29,9 @@ survivors go in chunks whose gathered payoffs fit a byte budget. Its
 equilibria are one (E, n) profile array, which the CLI prints from
 directly; is_pure_equilibrium and the stability diagnostics screen
 their own rows through the same function, and results are built per
-array. Lotteries walk the support grid, adding up by the game's
-realized-structure index.
+array, each point-mass row built once per (player, strategy). Lotteries
+walk the support grid, adding up integer probabilities by the game's
+realized-structure index, one Fraction per reported value.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import gcd, inf, lcm, prod
 from numbers import Real
 
 import numpy as np
@@ -106,10 +110,14 @@ class SolverConfig:
 class MixedProfile:
     """One weight vector per player, each summing to one.
 
-    Exact profiles carry Fraction weights and must sum to exactly one;
-    float profiles get a small normalization slack. Validation finds
-    whether the profile is exact and each row's support, the (index,
-    weight) pairs with nonzero weight.
+    Exact profiles carry Fraction (or int) weights and must sum to
+    exactly one; float profiles get a small normalization slack.
+    Validation finds whether the profile is exact and each row's
+    support, the (index, weight) pairs with nonzero weight. An exact row
+    also gets its units, (D, numerators): D is the least common
+    denominator of its support weights and the numerators are those
+    weights times D, so they are non-negative integers summing to D.
+    Exact readers contract in these integers.
     """
 
     weights: tuple[tuple[Fraction | float, ...], ...]
@@ -119,25 +127,46 @@ class MixedProfile:
         if not self.weights:
             raise ValueError("mixed profile needs at least one player")
         exact = all(isinstance(w, (Fraction, int)) for row in self.weights for w in row)
-        supports = []
+        supports, units = [], []
         for i, row in enumerate(self.weights):
             if not row:
                 raise ValueError(f"player {i} has an empty weight vector")
             support = tuple((k, w) for k, w in enumerate(row) if w)
-            # Exact zeros change neither the sign check nor the exact sum;
-            # float rows keep theirs, so an all-zero row still sums to 0.0.
-            weights = [w for _, w in support] if exact else row
-            if any(w < 0 for w in weights):
-                raise ValueError(f"player {i} has a negative weight")
-            total = sum(weights)
-            if exact:
-                if total != 1:
-                    raise ValueError(f"player {i} weights sum to {total}, expected 1")
-            elif not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
-                raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
             supports.append(support)
+            if exact:
+                # Exact zeros change neither the sign check nor the exact sum.
+                denominator = lcm(*[w.denominator for _, w in support])
+                numerators = tuple(w.numerator * (denominator // w.denominator) for _, w in support)
+                if any(v < 0 for v in numerators):
+                    raise ValueError(f"player {i} has a negative weight")
+                if sum(numerators) != denominator:
+                    total = Fraction(sum(numerators), denominator)
+                    raise ValueError(f"player {i} weights sum to {total}, expected 1")
+                units.append((denominator, numerators))
+                continue
+            # Float rows keep their zeros, so an all-zero row still sums to 0.0.
+            if any(w < 0 for w in row):
+                raise ValueError(f"player {i} has a negative weight")
+            total = sum(row)
+            if not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
+                raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
         # Not fields, so equality, hashing and repr read only the weights.
-        self.__dict__.update(is_exact=exact, _support_items=tuple(supports))
+        self.__dict__.update(
+            is_exact=exact, _support_items=tuple(supports), _units=tuple(units) if exact else None
+        )
+
+    @classmethod
+    def _built(cls, weights: tuple, support_items: tuple, units: tuple) -> MixedProfile:
+        """An exact profile from rows the package built and knows to be valid.
+
+        weights is a tuple of row tuples, and support_items and units are
+        what validation would find for them; nothing is checked.
+        """
+        mixed = object.__new__(cls)
+        mixed.__dict__.update(
+            weights=weights, is_exact=True, _support_items=support_items, _units=units
+        )
+        return mixed
 
     @property
     def mode(self) -> str:
@@ -253,7 +282,8 @@ def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
     and scale all lie within 2**53 in size converts both to floats exactly,
     so one float division rounds each quotient once, as int / int does.
     Any other tensor divides as Python ints: int64 division would round
-    the dividend first once it passes 2**53.
+    the dividend first once it passes 2**53. A payoff beyond the float
+    range raises ValueError.
     """
     scale = game.payoff_scale
     if (
@@ -263,35 +293,72 @@ def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
         and ints.max() <= _FLOAT_EXACT
     ):
         return ints.astype(float) / float(scale)
-    return (ints.astype(object) / scale).astype(float)
+    try:
+        return (ints.astype(object) / scale).astype(float)
+    except OverflowError:
+        raise ValueError(
+            "a payoff lies beyond the float range, so float profiles cannot read this game; "
+            "exact profiles can"
+        ) from None
 
 
-def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> list:
-    """Expected payoff of each pure strategy of one player vs the rest."""
-    exact = mixed.is_exact
+def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> tuple[list, int]:
+    """Expected payoff of each pure strategy of one player vs the rest, over one denominator.
+
+    The payoff tensor is sliced to the other players' supports and
+    contracted with their weights. Exact profiles contract the integers
+    with the others' numerators, so the values are integers over
+    payoff_scale times the product of the others' D. That runs in int64
+    when the game's largest payoff magnitude times that product lies
+    below 2**63: each row's numerators are non-negative and sum to its D,
+    so this bounds every partial sum. Otherwise it runs in Python ints.
+    Float profiles contract each payoff rounded once to a float with the
+    float weights, over 1.
+    """
     tensor = game.payoff_ints[..., player]
-    weights = []
     for j, row in enumerate(mixed.support_items()):
         if j != player:
             tensor = tensor.take([k for k, _ in row], axis=j)
-        weights.append(np.array([w for _, w in row], dtype=object if exact else float))
-    values = _contract(tensor if exact else _float_payoffs(game, tensor), weights, player).tolist()
-    return [Fraction(v, game.payoff_scale) for v in values] if exact else values
+    if not mixed.is_exact:
+        weights = [np.array([w for _, w in row], dtype=float) for row in mixed.support_items()]
+        return _contract(_float_payoffs(game, tensor), weights, player).tolist(), 1
+    others = prod(d for j, (d, _) in enumerate(mixed._units) if j != player)
+    if tensor.dtype == np.int64 and others * max(1, game._payoff_magnitude) < 2**63:
+        dtype = np.int64
+    else:
+        dtype, tensor = object, tensor.astype(object)
+    # The player's own numerators are never read, and need not fit the dtype.
+    weights = [
+        None if j == player else np.array(numerators, dtype=dtype)
+        for j, (_, numerators) in enumerate(mixed._units)
+    ]
+    return _contract(tensor, weights, player).tolist(), others * game.payoff_scale
 
 
 def _expected(mixed: MixedProfile, player: int, values: list):
-    """Expected payoff of a player from their deviation values."""
-    zero = Fraction(0) if mixed.is_exact else 0.0
-    return sum((w * values[k] for k, w in mixed.support_items()[player]), zero)
+    """A player's support weights times their deviation values, summed.
+
+    Exact profiles sum their integer numerators times the values, so the
+    sum is over D_i times the values' denominator; float profiles sum the
+    weights times the values in support order from 0.0.
+    """
+    items = mixed.support_items()[player]
+    if mixed.is_exact:
+        return sum(v * values[k] for (k, _), v in zip(items, mixed._units[player][1]))
+    return sum((w * values[k] for k, w in items), 0.0)
+
+
+def _expected_value(game: CoalitionGame, mixed: MixedProfile, player: int):
+    """A player's expected payoff: exact ones as one Fraction from two integers."""
+    values, denominator = _deviation_values(game, player, mixed)
+    total = _expected(mixed, player, values)
+    return Fraction(total, mixed._units[player][0] * denominator) if mixed.is_exact else total
 
 
 def expected_utilities(game: CoalitionGame, mixed: MixedProfile) -> tuple:
     """Expected payoff vector under independent mixing."""
     _check_mixed(game, mixed)
-    return tuple(
-        _expected(mixed, i, _deviation_values(game, i, mixed))
-        for i in range(game.n_players)
-    )
+    return tuple(_expected_value(game, mixed, i) for i in range(game.n_players))
 
 
 def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
@@ -299,24 +366,31 @@ def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
     if not 0 <= player < game.n_players:
         raise ValueError(f"player index {player} out of range")
     _check_mixed(game, mixed)
-    return _expected(mixed, player, _deviation_values(game, player, mixed))
+    return _expected_value(game, mixed, player)
 
 
 def _support_grid(game: CoalitionGame, mixed: MixedProfile):
     """The profiles of supported strategies, in lexicographic order.
 
     Returns their flat indices into the game's profile axes, their
-    realized_index codes and their probabilities. Index and probability
-    are built prefix by prefix, the probability as the product of the
-    players' weights in player order: exact weights as they are, float
-    weights as Python floats.
+    realized_index codes, their probabilities and the probabilities'
+    denominator. Index and probability are built prefix by prefix, the
+    probability as the product of the players' weights in player order:
+    exact profiles multiply the rows' integer numerators, over the
+    product of the rows' D; float profiles multiply the weights as
+    Python floats, over 1.
     """
     exact = mixed.is_exact
-    flat, probs = [0], [1]
-    for row, size in zip(mixed.support_items(), game.shape):
+    flat, probs, denominator = [0], [1], 1
+    for j, (row, size) in enumerate(zip(mixed.support_items(), game.shape)):
         flat = [at * size + k for at in flat for k, _ in row]
-        probs = [p * (w if exact else float(w)) for p in probs for _, w in row]
-    return flat, game.realized_index.take(flat).tolist(), probs
+        if exact:
+            d, numerators = mixed._units[j]
+            probs = [p * v for p in probs for v in numerators]
+            denominator *= d
+        else:
+            probs = [p * float(w) for p in probs for _, w in row]
+    return flat, game.realized_index.take(flat).tolist(), probs, denominator
 
 
 def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> dict:
@@ -325,20 +399,22 @@ def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> d
     Values over all keys sum to the flat expected utility. Only
     partitions realized with positive probability appear, in family
     order. Summed row by row in grid order, so float sums keep one order
-    whatever the shape.
+    whatever the shape. Exact sums run in integers, one Fraction per
+    reported value.
     """
     _check_mixed(game, mixed)
     exact = mixed.is_exact
-    scale = game.payoff_scale
-    flat, codes, probs = _support_grid(game, mixed)
-    rows = game.payoff_ints.reshape(-1, game.n_players).take(flat, axis=0).tolist()
+    flat, codes, probs, denominator = _support_grid(game, mixed)
+    rows = game.payoff_ints.reshape(-1, game.n_players).take(flat, axis=0)
+    rows = (rows if exact else _float_payoffs(game, rows)).tolist()
     sums = {}
     for code, p, row in zip(codes, probs, rows):
-        terms = [p * v for v in row] if exact else [p * (v / scale) for v in row]
+        terms = [p * v for v in row]
         total = sums.get(code)
         sums[code] = terms if total is None else [t + v for t, v in zip(total, terms)]
+    denominator *= game.payoff_scale
     return {
-        game.family[code]: tuple(Fraction(v, scale) for v in sums[code]) if exact else tuple(sums[code])
+        game.family[code]: tuple(Fraction(v, denominator) if exact else v for v in sums[code])
         for code in sorted(sums)
     }
 
@@ -352,7 +428,8 @@ def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):
     if not 0 <= player < game.n_players:
         raise ValueError(f"player index {player} out of range")
     _check_mixed(game, mixed)
-    return max(_deviation_values(game, player, mixed))
+    values, denominator = _deviation_values(game, player, mixed)
+    return Fraction(max(values), denominator) if mixed.is_exact else max(values)
 
 
 def verify_epsilon_nash(
@@ -361,20 +438,31 @@ def verify_epsilon_nash(
     """Check that no player can gain more than tolerance by deviating.
 
     Default tolerance is exact zero for rational profiles and 1e-9 for
-    float ones.
+    float ones. Exact expected values, best deviations and regrets are
+    each one Fraction from two integers.
     """
     _check_mixed(game, mixed)
+    exact = mixed.is_exact
     if tolerance is None:
-        tolerance = Fraction(0) if mixed.is_exact else 1e-9
-    values = [_deviation_values(game, i, mixed) for i in range(game.n_players)]
-    expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
-    best = tuple(max(v) for v in values)
-    regrets = tuple(b - e for b, e in zip(best, expected))
+        tolerance = _ZERO if exact else 1e-9
+    expected, best, regrets = [], [], []
+    for i in range(game.n_players):
+        values, denominator = _deviation_values(game, i, mixed)
+        total, top = _expected(mixed, i, values), max(values)
+        if exact:
+            d = mixed._units[i][0]
+            expected.append(Fraction(total, d * denominator))
+            best.append(Fraction(top, denominator))
+            regrets.append(Fraction(top * d - total, d * denominator))
+        else:
+            expected.append(total)
+            best.append(top)
+            regrets.append(top - total)
     max_regret = max(regrets)
     return VerificationReport(
-        expected=expected,
-        best_response=best,
-        regrets=regrets,
+        expected=tuple(expected),
+        best_response=tuple(best),
+        regrets=tuple(regrets),
         max_regret=max_regret,
         tolerance=tolerance,
         passed=max_regret <= tolerance,
@@ -467,18 +555,36 @@ def _degenerate(game: CoalitionGame, rows: np.ndarray) -> list[bool]:
 
 
 def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations=0):
-    """The point-mass result of each profile of an (E, n) int array, in order."""
+    """The point-mass result of each profile of an (E, n) int array, in order.
+
+    Each point-mass row a profile uses is built once per (player,
+    strategy) with its support and units (1, (1,)), and each payoff
+    integer becomes its Fraction once per call.
+    """
+    weights, supports = [], []
+    for size, column in zip(game.shape, rows.T.tolist()):
+        used = set(column)
+        row = {k: tuple([_ONE if j == k else _ZERO for j in range(size)]) for k in used}
+        support = {k: ((k, _ONE),) for k in used}
+        weights.append(map(row.__getitem__, column))
+        supports.append(map(support.__getitem__, column))
+    units = ((1, (1,)),) * game.n_players
+    payoffs = game.payoff_ints[tuple(rows.T)].tolist()
+    scale = game.payoff_scale
+    value = {v: Fraction(v, scale) for v in set(itertools.chain.from_iterable(payoffs))}
     return tuple(
         EquilibriumResult(
-            profile=point_mass(game, profile),
-            expected_payoffs=game.payoff(profile),
-            max_regret=Fraction(0),
+            profile=MixedProfile._built(row_weights, row_supports, units),
+            expected_payoffs=tuple(map(value.__getitem__, pay)),
+            max_regret=_ZERO,
             method=method,
             is_equilibrium=True,
             degenerate=degenerate,
             iterations=iterations,
         )
-        for profile, degenerate in zip(map(tuple, rows.tolist()), _degenerate(game, rows))
+        for row_weights, row_supports, pay, degenerate in zip(
+            zip(*weights), zip(*supports), payoffs, _degenerate(game, rows)
+        )
     )
 
 
@@ -646,11 +752,20 @@ def mixed_nash_2p_support_enum(
 
     def result(pair, weights, best, degenerate):
         rows = [[_ZERO] * size for size in sizes]
+        supports, units = [], []
         for row, support, (numerators, denominator) in zip(rows, pair, weights):
-            for k, w in zip(support, numerators):
-                row[k] = Fraction(w, denominator)
+            # In lowest terms, denominator is the least common one, as validation finds it.
+            common = gcd(denominator, *numerators)
+            numerators = tuple(w // common for w in numerators)
+            denominator //= common
+            items = tuple((k, Fraction(w, denominator)) for k, w in zip(support, numerators))
+            for k, w in items:
+                row[k] = w
+            supports.append(items)
+            units.append((denominator, numerators))
+        profile = MixedProfile._built(tuple(map(tuple, rows)), tuple(supports), tuple(units))
         expected = tuple(Fraction(b, d * scale) for b, (_, d) in zip(best, weights[::-1]))
-        return EquilibriumResult(MixedProfile(rows), expected, _ZERO, SUPPORT, True, degenerate)
+        return EquilibriumResult(profile, expected, _ZERO, SUPPORT, True, degenerate)
 
     found = []
     for s0, (dominated1, best1, replies1) in zip(supports[0], facing[1]):

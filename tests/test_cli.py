@@ -191,6 +191,18 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "contractions handle at most 52 players, game has 53" in err
 
+    def test_payoffs_beyond_the_float_range_exit_2(self, tmp_path):
+        huge = build_game("bos", eps=Fraction(10**400))
+        path = write_json(tmp_path / "huge.json", game_to_dict(huge))
+        code, out, err = run("solve", path, "--method", "iterative")
+        assert (code, out) == (2, "")
+        assert err == (
+            "coalition-forge: error: a payoff lies beyond the float range, "
+            "so float profiles cannot read this game; exact profiles can\n"
+        )
+        document = run_json("solve", path, "--method", "support")
+        assert document["equilibria"]
+
     def test_human_grid(self):
         code, out, _ = run("solve", "bos")
         assert code == 0

@@ -617,6 +617,34 @@ def test_more_players_than_einsum_axes_are_refused():
             call()
 
 
+def test_float_readers_refuse_payoffs_beyond_the_float_range():
+    """A payoff past the float range is refused by name; exact readers still read it."""
+    g = game("bos", eps=Fraction(10**400))
+    floats = MixedProfile(((0.25,) * 4,) * 2)
+    message = (
+        "^a payoff lies beyond the float range, "
+        "so float profiles cannot read this game; exact profiles can$"
+    )
+    for call in (
+        lambda: expected_utilities(g, floats),
+        lambda: expected_utility(g, floats, 1),
+        lambda: verify_epsilon_nash(g, floats),
+        lambda: best_response_value(g, floats, 0),
+        lambda: expected_utility_by_structure(g, floats),
+        lambda: mixed_nash_iterative(g),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    exact = MixedProfile(((Fraction(1, 4),) * 4,) * 2)
+    by_hand = tuple(sum(g.payoff(p)[i] for p in g.profiles()) / 16 for i in range(2))
+    assert by_hand[0] > 10**399
+    assert expected_utilities(g, exact) == verify_epsilon_nash(g, exact).expected == by_hand
+    by_structure = expected_utility_by_structure(g, exact)
+    assert tuple(map(sum, zip(*by_structure.values()))) == by_hand
+    results = mixed_nash_2p_support_enum(g).equilibria + pure_nash_enumerate(g)
+    assert results and all(verify_epsilon_nash(g, r.profile).passed for r in results)
+
+
 HALVES = MixedProfile(((Fraction(1, 2),) * 2,) * 2)
 
 

@@ -5,8 +5,8 @@ mechanism table directly, walking whole profile spaces one profile at a
 time, so it shares no code with the tensor contractions it checks. The
 one exception is the Fraction support lane, the integer support lane's
 reference, which solves on the payoffs mapping but checks candidates
-through the same exact deviation values that the brute-force checks of
-verification cover.
+through the Fraction contraction that the exact readers used before
+they moved to integer units, kept here as their reference.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _shared import game as catalog_game
-from _shared import random_two_player_game, restricted
+from _shared import lunch_claimed_profile, random_two_player_game, restricted
 from coalition_forge import solver
 from coalition_forge.catalog import CATALOG, _lunch_payoffs
 from coalition_forge.cli import (
@@ -76,11 +76,11 @@ from coalition_forge.solver import (
     MixedProfile,
     SolverConfig,
     SupportEnumeration,
-    _deviation_values,
-    _expected,
     _pure_profiles,
     _solve_fraction_free,
+    best_response_value,
     expected_utilities,
+    expected_utility,
     expected_utility_by_structure,
     first_pure_equilibrium,
     is_pure_equilibrium,
@@ -234,12 +234,86 @@ def brute_nash(game):
     return found
 
 
+# -- the Fraction contraction --------------------------------------------------------
+#
+# The exact readers as they stood before they moved to integer units:
+# payoff_ints contracted with Fraction weights in object arrays, and
+# lottery probabilities as products of the weights themselves. The
+# integer readers must give equal values.
+
+
+def reference_deviation_values(game, player, mixed):
+    """Expected payoff of each pure strategy of one player vs the rest."""
+    exact = mixed.is_exact
+    tensor = game.payoff_ints[..., player]
+    weights = []
+    for j, row in enumerate(mixed.support_items()):
+        if j != player:
+            tensor = tensor.take([k for k, _ in row], axis=j)
+        weights.append(np.array([w for _, w in row], dtype=object if exact else float))
+    tensor = tensor if exact else solver._float_payoffs(game, tensor)
+    values = solver._contract(tensor, weights, player).tolist()
+    return [Fraction(v, game.payoff_scale) for v in values] if exact else values
+
+
+def reference_expected(mixed, player, values):
+    """Expected payoff of a player from their deviation values."""
+    zero = Fraction(0) if mixed.is_exact else 0.0
+    return sum((w * values[k] for k, w in mixed.support_items()[player]), zero)
+
+
+def reference_support_grid(game, mixed):
+    """Flat indices, realized_index codes and probabilities of the support grid."""
+    exact = mixed.is_exact
+    flat, probs = [0], [1]
+    for row, size in zip(mixed.support_items(), game.shape):
+        flat = [at * size + k for at in flat for k, _ in row]
+        probs = [p * (w if exact else float(w)) for p in probs for _, w in row]
+    return flat, game.realized_index.take(flat).tolist(), probs
+
+
+def reference_verify(game, mixed, tolerance=None):
+    if tolerance is None:
+        tolerance = Fraction(0) if mixed.is_exact else 1e-9
+    values = [reference_deviation_values(game, i, mixed) for i in range(game.n_players)]
+    expected = tuple(reference_expected(mixed, i, v) for i, v in enumerate(values))
+    best = tuple(max(v) for v in values)
+    regrets = tuple(b - e for b, e in zip(best, expected))
+    return solver.VerificationReport(
+        expected, best, regrets, max(regrets), tolerance, max(regrets) <= tolerance
+    )
+
+
+def reference_masses(game, mixed):
+    _, codes, probs = reference_support_grid(game, mixed)
+    sums = {}
+    for code, p in zip(codes, probs):
+        sums[code] = sums.get(code, 0) + p
+    return {game.family[code]: sums[code] for code in sorted(sums)}
+
+
+def reference_by_structure(game, mixed):
+    exact = mixed.is_exact
+    scale = game.payoff_scale
+    flat, codes, probs = reference_support_grid(game, mixed)
+    rows = game.payoff_ints.reshape(-1, game.n_players).take(flat, axis=0).tolist()
+    sums = {}
+    for code, p, row in zip(codes, probs, rows):
+        terms = [p * v for v in row] if exact else [p * (v / scale) for v in row]
+        total = sums.get(code)
+        sums[code] = terms if total is None else [t + v for t, v in zip(total, terms)]
+    return {
+        game.family[code]: tuple(Fraction(v, scale) for v in sums[code]) if exact else tuple(sums[code])
+        for code in sorted(sums)
+    }
+
+
 # -- the Fraction support lane ----------------------------------------------------
 #
 # The support lane as it stood before it moved to integer units: Fraction
-# Gaussian elimination for the indifference weights and the exact
-# deviation values for the check. The integer lane must give the same
-# results, repr for repr.
+# Gaussian elimination for the indifference weights and the Fraction
+# contraction for the check. The integer lane must give the same results,
+# repr for repr.
 
 
 def fraction_solve(matrix, rhs):
@@ -294,8 +368,8 @@ def fraction_support_enum(game, max_support=None):
                 row[k] = Fraction(w)
             rows.append(tuple(row))
         mixed = MixedProfile(tuple(rows))
-        values = [_deviation_values(game, i, mixed) for i in range(2)]
-        expected = tuple(_expected(mixed, i, v) for i, v in enumerate(values))
+        values = [reference_deviation_values(game, i, mixed) for i in range(2)]
+        expected = tuple(reference_expected(mixed, i, v) for i, v in enumerate(values))
         if any(max(v) != e for v, e in zip(values, expected)):
             continue
         degenerate = any(
@@ -1955,3 +2029,150 @@ def test_integer_and_string_payoffs_load_alike():
     numbers["payoffs"]["1,1"][0] = "1"
     game, _ = game_from_dict(document)
     assert payoff_isomorphic(game_from_dict(numbers)[0], game)
+
+
+# -- exact readers in integer units ------------------------------------------------
+
+
+@st.composite
+def wide_unit_profiles(draw):
+    """An exact-payoff game and an exact profile whose units stretch past int64.
+
+    Each row is drawn integers over their sum. In a wide row some of
+    them sit beyond 2**63, so its D and the product of the others' D pass
+    2**63 and its numerators can too. Whole weights, 0 and 1, are
+    written as int or Fraction at random.
+    """
+    game = draw(exact_games)
+    rows = []
+    for strategies in game.strategy_sets:
+        size = len(strategies)
+        offsets = draw(st.sampled_from([(0,), (0, 2**62 + 1, 2**64 + 3, 3**41)]))
+        raw = draw(
+            st.lists(
+                st.builds(lambda w, o: w + o, st.integers(0, 3), st.sampled_from(offsets)),
+                min_size=size,
+                max_size=size,
+            ).filter(any)
+        )
+        row = []
+        for w in raw:
+            weight = Fraction(w, sum(raw))
+            if weight.denominator == 1 and draw(st.booleans()):
+                weight = int(weight)
+            row.append(weight)
+        rows.append(tuple(row))
+    return game, MixedProfile(tuple(rows))
+
+
+@DIFFERENTIAL
+@given(wide_unit_profiles())
+def test_exact_readers_match_the_fraction_contraction(case):
+    game, mixed = case
+    report = reference_verify(game, mixed)
+    assert verify_epsilon_nash(game, mixed) == report
+    assert expected_utilities(game, mixed) == report.expected
+    players = range(game.n_players)
+    assert tuple(expected_utility(game, mixed, i) for i in players) == report.expected
+    assert tuple(best_response_value(game, mixed, i) for i in players) == report.best_response
+    by_structure = expected_utility_by_structure(game, mixed)
+    assert by_structure == reference_by_structure(game, mixed)
+    result = EquilibriumResult(mixed, report.expected, 0, "given", True)
+    lottery = equilibrium_partitions(game, result)
+    assert lottery.probabilities == reference_masses(game, mixed)
+    values = [*report.expected, *report.best_response, *report.regrets, report.max_regret]
+    values += [*lottery.probabilities.values(), *itertools.chain(*by_structure.values())]
+    assert all(type(v) is Fraction for v in values)
+
+
+@DIFFERENTIAL
+@given(coalition_games(alone=True, payoff_values=exact_payoffs[1]), st.data())
+def test_stability_scan_matches_the_fraction_contraction(game, data):
+    """The scan with the integer readers against the same scan on the reference verification."""
+    games = [game.restrict(K) for K in range(1, game.max_coalition + 1)]
+    K0 = data.draw(st.integers(1, game.max_coalition))
+    base = games[K0 - 1]
+    profiles = [r.profile for r in pure_nash_enumerate(base)[:2]]
+    if base.n_players == 2:
+        profiles += [r.profile for r in mixed_nash_2p_support_enum(base).equilibria[:2]]
+    profiles.append(data.draw(profiles_of(base, True)))
+    for mixed in profiles:
+        result = EquilibriumResult(mixed, (), 0, "given", True)
+        got = outcome(stability_K_star, games, K0, result)
+        with mock.patch("coalition_forge.analysis.verify_epsilon_nash", reference_verify):
+            assert got == outcome(stability_K_star, games, K0, result)
+
+
+@pytest.mark.parametrize("product, dtype", [(2**63 - 1, np.int64), (2**63, object)])
+def test_exact_contraction_dtype_boundary(product, dtype, monkeypatch):
+    """int64 while the largest payoff magnitude times the others' D lies below 2**63.
+
+    2**63 - 1 is 7 times an integer. Every payoff is that peak or its
+    negative, so player 0's sum of numerators times the peak is the
+    product itself, which int64 would wrap at 2**63.
+    """
+    denominator = 7 if product % 7 == 0 else 2
+    peak = product // denominator
+    game = table_game()
+    payoffs = dict.fromkeys(game.payoffs, (Fraction(peak), Fraction(-peak)))
+    game = CoalitionGame(2, 2, game.family, game.strategy_sets, game.mechanism, payoffs)
+    assert game.payoff_ints.dtype == np.int64
+    row = (Fraction(1, denominator), Fraction(denominator - 1, denominator))
+    mixed = MixedProfile((row, row))
+    contract, dtypes = solver._contract, []
+
+    def spy(tensor, weights, player):
+        dtypes.append(tensor.dtype)
+        return contract(tensor, weights, player)
+
+    monkeypatch.setattr(solver, "_contract", spy)
+    report = verify_epsilon_nash(game, mixed)
+    assert dtypes == [dtype, dtype]
+    assert report.expected == report.best_response == (peak, -peak)
+    assert report.passed and report.max_regret == 0
+
+
+def test_exact_work_builds_few_fractions(monkeypatch):
+    """Verification builds three Fractions per player, a point-mass lottery one per partition.
+
+    Counted through Fraction.__new__, so the bound does not depend on the host.
+    """
+    game = catalog_game("lunch")
+    mixed = lunch_claimed_profile(game)
+    assert all(len(row) == 3 for row in mixed.support_items())
+    point = pure_nash_enumerate(game)[0]
+    new, built = Fraction.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert verify_epsilon_nash(game, mixed).passed
+    assert len(built) <= 3 * game.n_players + 1
+    built.clear()
+    lottery = equilibrium_partitions(game, point)
+    # One mass per partition, and one more for the sum that validates them.
+    assert len(lottery) == 1 and len(built) <= 2
+
+
+@DIFFERENTIAL
+@given(
+    st.one_of(
+        two_player_games(binary_payoffs),
+        two_player_games(exact_payoffs[1]),
+        coalition_games(payoff_values=binary_payoffs),
+    )
+)
+def test_built_profiles_match_validated_ones(game):
+    """Profiles the lanes build without validation are what validation would make."""
+    results = pure_nash_enumerate(game)
+    if game.n_players == 2:
+        results += mixed_nash_2p_support_enum(game).equilibria
+    for result in results:
+        built = result.profile
+        again = MixedProfile(built.weights)
+        assert vars(built) == vars(again)
+        assert built.is_exact and built.support_items() == again.support_items()
+        assert built._units == again._units
+        assert built == again and hash(built) == hash(again) and repr(built) == repr(again)
