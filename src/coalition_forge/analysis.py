@@ -11,7 +11,6 @@ equilibrium can still be displaced by a new focal one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -27,6 +26,7 @@ from .solver import (
     _check_mixed,
     _pure_profiles,
     _support_grid,
+    _value,
     verify_epsilon_nash,
 )
 
@@ -88,16 +88,13 @@ def equilibrium_partitions(
     integers, one Fraction per partition.
     """
     _require_equilibrium(result)
-    _check_mixed(game, result.profile)
-    _, codes, probs, denominator = _support_grid(game, result.profile)
+    mixed = result.profile
+    _check_mixed(game, mixed)
+    _, codes, probs, denominator = _support_grid(game, mixed)
     sums = {}
     for code, p in zip(codes, probs):
         sums[code] = sums.get(code, 0) + p
-    exact = result.profile.is_exact
-    masses = {
-        game.family[code]: Fraction(sums[code], denominator) if exact else sums[code]
-        for code in sorted(sums)
-    }
+    masses = {game.family[code]: _value(mixed, sums[code], denominator) for code in sorted(sums)}
     positive = tuple(s for s, p in masses.items() if p > 0)
     return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
 
@@ -241,15 +238,16 @@ def _pareto_dominating_pures(
     The comparison runs on the game's integer payoffs against the
     baseline scaled exactly (a float baseline exactly as its binary
     value): an integer is >= q when it is >= ceil(q), and > q when it
-    is > floor(q).
+    is > floor(q). Both come from each value's integer ratio n / d as
+    integer divisions of n times payoff_scale by d.
     """
     pay = game.payoff_ints
-    scaled = [Fraction(b) * game.payoff_scale for b in baseline]
+    scaled = [(n * game.payoff_scale, d) for n, d in (b.as_integer_ratio() for b in baseline)]
     # Object arrays keep the thresholds Python ints: numpy would infer
     # uint64 for [2**63] and float64 for [2**63, -1], and the comparison
     # would stop being exact.
-    at_least = np.array([math.ceil(q) for q in scaled], dtype=object)
-    above = np.array([math.floor(q) for q in scaled], dtype=object)
+    at_least = np.array([-(-n // d) for n, d in scaled], dtype=object)
+    above = np.array([n // d for n, d in scaled], dtype=object)
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
     for profile in map(tuple, _pure_profiles(game, np.argwhere(dominating)).tolist()):
         yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))

@@ -15,23 +15,24 @@ responses lock in.
 Verification, expected utilities and fictitious play read the game's
 one payoff tensor, payoff_ints, through one contraction: a player's
 deviation values are the tensor, sliced to the other players' supports
-and contracted with their weights. An exact profile holds each row's
-weights as integer numerators over one denominator D, so exact profiles
-contract the integers with the numerators, and each expected value,
-best response and regret is one Fraction of two integers, an integer
-sum over payoff_scale times the denominators it was weighted by. Float
-profiles contract each payoff rounded once from its exact value, the
-float(Fraction) of it. The pure lane reads best-reply counts for the
-unilateral test and screens the survivors for group redesires in one
-array pass per group: the members' payoffs are gathered over their own
-axes, a member already at their payoff peak rules the group out, and
-survivors go in chunks whose gathered payoffs fit a byte budget. Its
-equilibria are one (E, n) profile array, which the CLI prints from
-directly; is_pure_equilibrium and the stability diagnostics screen
-their own rows through the same function, and results are built per
-array, each point-mass row built once per (player, strategy). Lotteries
-walk the support grid, adding up integer probabilities by the game's
-realized-structure index, one Fraction per reported value.
+and contracted with their weights. Every profile row holds its support
+weights as numerators over one denominator D: integers over their least
+common denominator in an exact row, Python floats over 1 in a float
+row. So each reader takes one path, and the modes differ only in the
+payoff operand, the integers or each payoff rounded once to a float
+(the float(Fraction) of it), and in how a value is made: one Fraction
+of an integer sum over payoff_scale times the denominators it was
+weighted by, or the float sum as it stands. The pure lane reads
+best-reply counts for the unilateral test and screens the survivors
+for group redesires in one array pass per group: the members' payoffs
+are gathered over their own axes, a member already at their payoff peak
+rules the group out, and survivors go in chunks whose gathered payoffs
+fit a byte budget. Its equilibria are one (E, n) profile array, which
+the CLI prints from directly; is_pure_equilibrium and the stability
+diagnostics screen their own rows through the same function, and point
+masses, point_mass's too, are built per array, each row once per
+(player, strategy). Lotteries walk the support grid, adding up the
+products of the numerators by the game's realized-structure index.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ ITERATIVE = "iterative"
 _LOCK_WINDOW = 64
 _EINSUM_AXES = 52
 _FLOAT_SUM_SLACK = 1e-12
+# Float verification's default tolerance, and the iterative lane's.
+_FLOAT_TOLERANCE = 1e-9
 # Every integer of at most this size is exact as a float64; 2**53 + 1 is not.
 _FLOAT_EXACT = 2**53
 _ZERO = Fraction(0)
@@ -72,10 +75,11 @@ class SolverConfig:
     play step damping / (t + 2); rng_seed 0 means a uniform start,
     anything else seeds a Dirichlet draw. The three counts must be
     integers, and tolerance and damping real numbers (numpy's too, never
-    bool); tolerance must also be finite.
+    bool); tolerance must also be finite. The counts are stored as int,
+    so results and game files hold no numpy scalars.
     """
 
-    tolerance: float = 1e-9
+    tolerance: float = _FLOAT_TOLERANCE
     max_support: int | None = None
     max_iterations: int = 100_000
     damping: float = 1.0
@@ -88,6 +92,7 @@ class SolverConfig:
                 continue
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("tolerance", "damping"):
             value = getattr(self, name)
             if not isinstance(value, Real) or isinstance(value, bool):
@@ -112,12 +117,13 @@ class MixedProfile:
 
     Exact profiles carry Fraction (or int) weights and must sum to
     exactly one; float profiles get a small normalization slack.
-    Validation finds whether the profile is exact and each row's
-    support, the (index, weight) pairs with nonzero weight. An exact row
-    also gets its units, (D, numerators): D is the least common
-    denominator of its support weights and the numerators are those
-    weights times D, so they are non-negative integers summing to D.
-    Exact readers contract in these integers.
+    Validation finds whether the profile is exact, each row's support,
+    the (index, weight) pairs with nonzero weight, and its units, (D,
+    numerators) with one numerator per support weight. An exact row's D
+    is the least common denominator of its support weights, and its
+    numerators are those weights times D: non-negative integers summing
+    to D. A float row's D is 1 and its numerators are its support
+    weights as Python floats. Every reader contracts in these units.
     """
 
     weights: tuple[tuple[Fraction | float, ...], ...]
@@ -142,18 +148,17 @@ class MixedProfile:
                 if sum(numerators) != denominator:
                     total = Fraction(sum(numerators), denominator)
                     raise ValueError(f"player {i} weights sum to {total}, expected 1")
-                units.append((denominator, numerators))
-                continue
-            # Float rows keep their zeros, so an all-zero row still sums to 0.0.
-            if any(w < 0 for w in row):
-                raise ValueError(f"player {i} has a negative weight")
-            total = sum(row)
-            if not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
-                raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
+            else:
+                # Float rows keep their zeros, so an all-zero row still sums to 0.0.
+                if any(w < 0 for w in row):
+                    raise ValueError(f"player {i} has a negative weight")
+                total = sum(row)
+                if not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
+                    raise ValueError(f"player {i} weights sum to {total!r}, expected 1")
+                denominator, numerators = 1, tuple([float(w) for _, w in support])
+            units.append((denominator, numerators))
         # Not fields, so equality, hashing and repr read only the weights.
-        self.__dict__.update(
-            is_exact=exact, _support_items=tuple(supports), _units=tuple(units) if exact else None
-        )
+        self.__dict__.update(is_exact=exact, _support_items=tuple(supports), _units=tuple(units))
 
     @classmethod
     def _built(cls, weights: tuple, support_items: tuple, units: tuple) -> MixedProfile:
@@ -191,12 +196,8 @@ class MixedProfile:
 def point_mass(game: CoalitionGame, profile: Profile) -> MixedProfile:
     """The exact mixed profile putting all weight on one pure profile."""
     game._check_profile(profile)
-    return MixedProfile(
-        tuple(
-            tuple(_ONE if k == profile[i] else _ZERO for k in range(len(s)))
-            for i, s in enumerate(game.strategy_sets)
-        )
-    )
+    # The safe cast takes bools as ints and refuses fractional indices.
+    return next(_point_masses(game, np.array([profile]).astype(int, casting="safe")))
 
 
 @dataclass(frozen=True)
@@ -302,57 +303,59 @@ def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def _payoff_operand(mixed: MixedProfile, game: CoalitionGame, ints: np.ndarray):
+    """The payoffs a profile's readers contract, with their scale: ints or floats over 1."""
+    return (ints, game.payoff_scale) if mixed.is_exact else (_float_payoffs(game, ints), 1)
+
+
+def _value(mixed: MixedProfile, n, d):
+    """A reported value: one Fraction n / d if exact, else n as it stands, since d is 1."""
+    return Fraction(n, d) if mixed.is_exact else n
+
+
 def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> tuple[list, int]:
     """Expected payoff of each pure strategy of one player vs the rest, over one denominator.
 
-    The payoff tensor is sliced to the other players' supports and
-    contracted with their weights. Exact profiles contract the integers
-    with the others' numerators, so the values are integers over
-    payoff_scale times the product of the others' D. That runs in int64
-    when the game's largest payoff magnitude times that product lies
-    below 2**63: each row's numerators are non-negative and sum to its D,
-    so this bounds every partial sum. Otherwise it runs in Python ints.
-    Float profiles contract each payoff rounded once to a float with the
-    float weights, over 1.
+    The payoff operand is sliced to the other players' supports and
+    contracted with their numerators, so the values lie over its scale
+    times the product of the others' D. Float profiles contract float
+    payoffs with float numerators, over 1. Exact ones contract the
+    integers, in int64 when the game's largest payoff magnitude times
+    that product lies below 2**63: each row's numerators are
+    non-negative and sum to its D, so this bounds every partial sum.
+    Otherwise they run in Python ints.
     """
     tensor = game.payoff_ints[..., player]
     for j, row in enumerate(mixed.support_items()):
         if j != player:
             tensor = tensor.take([k for k, _ in row], axis=j)
-    if not mixed.is_exact:
-        weights = [np.array([w for _, w in row], dtype=float) for row in mixed.support_items()]
-        return _contract(_float_payoffs(game, tensor), weights, player).tolist(), 1
+    tensor, scale = _payoff_operand(mixed, game, tensor)
     others = prod(d for j, (d, _) in enumerate(mixed._units) if j != player)
-    if tensor.dtype == np.int64 and others * max(1, game._payoff_magnitude) < 2**63:
-        dtype = np.int64
-    else:
+    dtype = tensor.dtype
+    if dtype == np.int64 and others * max(1, game._payoff_magnitude) >= 2**63:
         dtype, tensor = object, tensor.astype(object)
     # The player's own numerators are never read, and need not fit the dtype.
     weights = [
         None if j == player else np.array(numerators, dtype=dtype)
         for j, (_, numerators) in enumerate(mixed._units)
     ]
-    return _contract(tensor, weights, player).tolist(), others * game.payoff_scale
+    return _contract(tensor, weights, player).tolist(), others * scale
 
 
 def _expected(mixed: MixedProfile, player: int, values: list):
-    """A player's support weights times their deviation values, summed.
+    """A player's support numerators times their deviation values, summed in support order.
 
-    Exact profiles sum their integer numerators times the values, so the
-    sum is over D_i times the values' denominator; float profiles sum the
-    weights times the values in support order from 0.0.
+    The sum lies over D_i times the values' denominator.
     """
     items = mixed.support_items()[player]
-    if mixed.is_exact:
-        return sum(v * values[k] for (k, _), v in zip(items, mixed._units[player][1]))
-    return sum((w * values[k] for k, w in items), 0.0)
+    return sum(v * values[k] for (k, _), v in zip(items, mixed._units[player][1]))
 
 
 def _expected_value(game: CoalitionGame, mixed: MixedProfile, player: int):
-    """A player's expected payoff: exact ones as one Fraction from two integers."""
+    """A player's expected payoff, made from one sum and its denominator."""
     values, denominator = _deviation_values(game, player, mixed)
     total = _expected(mixed, player, values)
-    return Fraction(total, mixed._units[player][0] * denominator) if mixed.is_exact else total
+    return _value(mixed, total, mixed._units[player][0] * denominator)
 
 
 def expected_utilities(game: CoalitionGame, mixed: MixedProfile) -> tuple:
@@ -375,21 +378,15 @@ def _support_grid(game: CoalitionGame, mixed: MixedProfile):
     Returns their flat indices into the game's profile axes, their
     realized_index codes, their probabilities and the probabilities'
     denominator. Index and probability are built prefix by prefix, the
-    probability as the product of the players' weights in player order:
-    exact profiles multiply the rows' integer numerators, over the
-    product of the rows' D; float profiles multiply the weights as
-    Python floats, over 1.
+    probability as the product of the rows' numerators in player order,
+    over the product of the rows' D: integers for exact profiles,
+    Python floats over 1 for float ones.
     """
-    exact = mixed.is_exact
     flat, probs, denominator = [0], [1], 1
-    for j, (row, size) in enumerate(zip(mixed.support_items(), game.shape)):
+    for row, size, (d, numerators) in zip(mixed.support_items(), game.shape, mixed._units):
         flat = [at * size + k for at in flat for k, _ in row]
-        if exact:
-            d, numerators = mixed._units[j]
-            probs = [p * v for p in probs for v in numerators]
-            denominator *= d
-        else:
-            probs = [p * float(w) for p in probs for _, w in row]
+        probs = [p * v for p in probs for v in numerators]
+        denominator *= d
     return flat, game.realized_index.take(flat).tolist(), probs, denominator
 
 
@@ -403,18 +400,17 @@ def expected_utility_by_structure(game: CoalitionGame, mixed: MixedProfile) -> d
     reported value.
     """
     _check_mixed(game, mixed)
-    exact = mixed.is_exact
     flat, codes, probs, denominator = _support_grid(game, mixed)
     rows = game.payoff_ints.reshape(-1, game.n_players).take(flat, axis=0)
-    rows = (rows if exact else _float_payoffs(game, rows)).tolist()
+    rows, scale = _payoff_operand(mixed, game, rows)
     sums = {}
-    for code, p, row in zip(codes, probs, rows):
+    for code, p, row in zip(codes, probs, rows.tolist()):
         terms = [p * v for v in row]
         total = sums.get(code)
         sums[code] = terms if total is None else [t + v for t, v in zip(total, terms)]
-    denominator *= game.payoff_scale
+    denominator *= scale
     return {
-        game.family[code]: tuple(Fraction(v, denominator) if exact else v for v in sums[code])
+        game.family[code]: tuple(_value(mixed, v, denominator) for v in sums[code])
         for code in sorted(sums)
     }
 
@@ -429,7 +425,7 @@ def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):
         raise ValueError(f"player index {player} out of range")
     _check_mixed(game, mixed)
     values, denominator = _deviation_values(game, player, mixed)
-    return Fraction(max(values), denominator) if mixed.is_exact else max(values)
+    return _value(mixed, max(values), denominator)
 
 
 def verify_epsilon_nash(
@@ -442,22 +438,15 @@ def verify_epsilon_nash(
     each one Fraction from two integers.
     """
     _check_mixed(game, mixed)
-    exact = mixed.is_exact
     if tolerance is None:
-        tolerance = _ZERO if exact else 1e-9
+        tolerance = _ZERO if mixed.is_exact else _FLOAT_TOLERANCE
     expected, best, regrets = [], [], []
     for i in range(game.n_players):
         values, denominator = _deviation_values(game, i, mixed)
-        total, top = _expected(mixed, i, values), max(values)
-        if exact:
-            d = mixed._units[i][0]
-            expected.append(Fraction(total, d * denominator))
-            best.append(Fraction(top, denominator))
-            regrets.append(Fraction(top * d - total, d * denominator))
-        else:
-            expected.append(total)
-            best.append(top)
-            regrets.append(top - total)
+        total, top, d = _expected(mixed, i, values), max(values), mixed._units[i][0]
+        expected.append(_value(mixed, total, d * denominator))
+        best.append(_value(mixed, top, denominator))
+        regrets.append(_value(mixed, top * d - total, d * denominator))
     max_regret = max(regrets)
     return VerificationReport(
         expected=tuple(expected),
@@ -465,7 +454,7 @@ def verify_epsilon_nash(
         regrets=tuple(regrets),
         max_regret=max_regret,
         tolerance=tolerance,
-        passed=max_regret <= tolerance,
+        passed=bool(max_regret <= tolerance),
     )
 
 
@@ -554,12 +543,11 @@ def _degenerate(game: CoalitionGame, rows: np.ndarray) -> list[bool]:
     return (game.best_reply_counts[tuple(rows.T)] > 1).any(axis=-1).tolist()
 
 
-def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations=0):
-    """The point-mass result of each profile of an (E, n) int array, in order.
+def _point_masses(game: CoalitionGame, rows: np.ndarray):
+    """The point-mass profile of each profile of an (E, n) int array, in order.
 
     Each point-mass row a profile uses is built once per (player,
-    strategy) with its support and units (1, (1,)), and each payoff
-    integer becomes its Fraction once per call.
+    strategy) with its support and units (1, (1,)).
     """
     weights, supports = [], []
     for size, column in zip(game.shape, rows.T.tolist()):
@@ -568,13 +556,21 @@ def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations
         support = {k: ((k, _ONE),) for k in used}
         weights.append(map(row.__getitem__, column))
         supports.append(map(support.__getitem__, column))
-    units = ((1, (1,)),) * game.n_players
+    units = itertools.repeat(((1, (1,)),) * game.n_players)
+    return map(MixedProfile._built, zip(*weights), zip(*supports), units)
+
+
+def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations=0):
+    """The point-mass result of each profile of an (E, n) int array, in order.
+
+    Each payoff integer becomes its Fraction once per call.
+    """
     payoffs = game.payoff_ints[tuple(rows.T)].tolist()
     scale = game.payoff_scale
     value = {v: Fraction(v, scale) for v in set(itertools.chain.from_iterable(payoffs))}
     return tuple(
         EquilibriumResult(
-            profile=MixedProfile._built(row_weights, row_supports, units),
+            profile=profile,
             expected_payoffs=tuple(map(value.__getitem__, pay)),
             max_regret=_ZERO,
             method=method,
@@ -582,8 +578,8 @@ def _pure_results(game: CoalitionGame, rows: np.ndarray, method=PURE, iterations
             degenerate=degenerate,
             iterations=iterations,
         )
-        for row_weights, row_supports, pay, degenerate in zip(
-            zip(*weights), zip(*supports), payoffs, _degenerate(game, rows)
+        for profile, pay, degenerate in zip(
+            _point_masses(game, rows), payoffs, _degenerate(game, rows)
         )
     )
 

@@ -124,9 +124,31 @@ class TestMixedProfile:
     def test_config_accepts_numpy_integers(self):
         g = game("pd-standard")
         config = SolverConfig(max_support=np.int64(1), max_iterations=np.int32(50), rng_seed=np.uint8(3))
+        counts = (config.max_support, config.max_iterations, config.rng_seed)
+        assert counts == (1, 50, 3) and all(type(v) is int for v in counts)
         assert SolverConfig(max_support=None).max_support is None
         assert mixed_nash_2p_support_enum(g, config)
         assert mixed_nash_iterative(g, config).iterations <= 50
+        # A Python bool, which game files can write; a numpy one they refuse.
+        assert mixed_nash_2p_support_enum(game("bos"), config).truncated is True
+
+    def test_numpy_tolerance_gives_python_verdicts(self):
+        g = game("bos")
+        tolerance = np.float64(1e-3)
+        result = mixed_nash_iterative(g, SolverConfig(tolerance=tolerance, max_iterations=50))
+        assert result.is_equilibrium is False
+        assert verify_epsilon_nash(g, result.profile, tolerance).passed is False
+        assert verify_epsilon_nash(g, point_mass(g, (0, 0)), tolerance).passed is True
+
+    def test_numpy_weight_gives_python_floats(self):
+        g = game("pd-standard")
+        mixed = MixedProfile(((np.float64(0.25), 0.75), (0.5, 0.5)))
+        report = verify_epsilon_nash(g, mixed)
+        values = [*report.expected, *report.best_response, *report.regrets, report.max_regret]
+        values += [*expected_utilities(g, mixed), best_response_value(g, mixed, 0)]
+        values += itertools.chain(*expected_utility_by_structure(g, mixed).values())
+        assert all(type(v) is float for v in values)
+        assert type(report.passed) is bool
 
 
 class TestExpectedUtility:

@@ -923,6 +923,8 @@ class TestScreenOnGivenRows:
         found = _pure_profiles(game, np.empty((0, game.n_players), dtype=np.int64))
         assert found.shape == (0, game.n_players)
         assert "best_reply_counts" not in vars(game)
+        point_mass(game, (1,) * game.n_players)
+        assert "best_reply_counts" not in vars(game)
 
 
 def pure_entries_agree(game, names):
@@ -2085,6 +2087,63 @@ def test_exact_readers_match_the_fraction_contraction(case):
     assert all(type(v) is Fraction for v in values)
 
 
+@st.composite
+def float_profiles(draw):
+    """A game and a float profile of it, sometimes with one numpy float or one Fraction weight.
+
+    The Fraction is the float weight's own ratio, a small integer over
+    the row's sum, so the row still sums to one within the float slack.
+    """
+    game = draw(exact_games)
+    rows = [list(row) for row in draw(profiles_of(game, False)).weights]
+    i = draw(st.integers(0, game.n_players - 1))
+    k = draw(st.integers(0, len(rows[i]) - 1))
+    kind = draw(st.sampled_from(["float", "numpy", "fraction"]))
+    if kind == "numpy":
+        rows[i][k] = np.float64(rows[i][k])
+    elif kind == "fraction":
+        rows[i][k] = Fraction(rows[i][k]).limit_denominator(100)
+    return game, MixedProfile(tuple(map(tuple, rows)))
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@DIFFERENTIAL
+@given(float_profiles())
+def test_float_readers_match_the_reference(case):
+    """Float readers against the reference, bit for bit and as Python floats.
+
+    The reference keeps numpy types where a weight is one, so both
+    sides are compared through float().
+    """
+    game, mixed = case
+    report = reference_verify(game, mixed)
+    got = verify_epsilon_nash(game, mixed)
+    fields = ("expected", "best_response", "regrets")
+    assert [float_bits(getattr(got, f)) for f in fields] == [float_bits(getattr(report, f)) for f in fields]
+    assert float_bits([got.max_regret]) == float_bits([report.max_regret])
+    assert got.passed is bool(report.passed)
+    players = range(game.n_players)
+    assert float_bits(expected_utilities(game, mixed)) == float_bits(report.expected)
+    assert float_bits(expected_utility(game, mixed, i) for i in players) == float_bits(report.expected)
+    best = [best_response_value(game, mixed, i) for i in players]
+    assert float_bits(best) == float_bits(report.best_response)
+    by_structure = expected_utility_by_structure(game, mixed)
+    reference = reference_by_structure(game, mixed)
+    assert list(by_structure) == list(reference)
+    assert [float_bits(v) for v in by_structure.values()] == [float_bits(v) for v in reference.values()]
+    result = EquilibriumResult(mixed, got.expected, 0.0, "given", True)
+    masses = equilibrium_partitions(game, result).probabilities
+    reference = reference_masses(game, mixed)
+    assert list(masses) == list(reference)
+    assert float_bits(masses.values()) == float_bits(reference.values())
+    values = [*got.expected, *got.best_response, *got.regrets, got.max_regret, *best]
+    values += [*masses.values(), *itertools.chain(*by_structure.values())]
+    assert all(type(v) is float for v in values)
+
+
 @DIFFERENTIAL
 @given(coalition_games(alone=True, payoff_values=exact_payoffs[1]), st.data())
 def test_stability_scan_matches_the_fraction_contraction(game, data):
@@ -2135,12 +2194,15 @@ def test_exact_contraction_dtype_boundary(product, dtype, monkeypatch):
 def test_exact_work_builds_few_fractions(monkeypatch):
     """Verification builds three Fractions per player, a point-mass lottery one per partition.
 
-    Counted through Fraction.__new__, so the bound does not depend on the host.
+    The Pareto scan builds none for its thresholds, only the payoffs of
+    the diagnostics it yields. Counted through Fraction.__new__, so the
+    bound does not depend on the host.
     """
     game = catalog_game("lunch")
     mixed = lunch_claimed_profile(game)
     assert all(len(row) == 3 for row in mixed.support_items())
     point = pure_nash_enumerate(game)[0]
+    baseline = (Fraction(17, 3), 9.5, Fraction(-1, 2), 3)
     new, built = Fraction.__new__, []
 
     def counted(cls, *args, **kwargs):
@@ -2154,6 +2216,9 @@ def test_exact_work_builds_few_fractions(monkeypatch):
     lottery = equilibrium_partitions(game, point)
     # One mass per partition, and one more for the sum that validates them.
     assert len(lottery) == 1 and len(built) <= 2
+    built.clear()
+    diagnostics = list(_pareto_dominating_pures(game, baseline))
+    assert diagnostics and len(built) == game.n_players * len(diagnostics)
 
 
 @DIFFERENTIAL
@@ -2165,12 +2230,13 @@ def test_exact_work_builds_few_fractions(monkeypatch):
     )
 )
 def test_built_profiles_match_validated_ones(game):
-    """Profiles the lanes build without validation are what validation would make."""
+    """Profiles the lanes and point_mass build without validation are what validation would make."""
     results = pure_nash_enumerate(game)
     if game.n_players == 2:
         results += mixed_nash_2p_support_enum(game).equilibria
-    for result in results:
-        built = result.profile
+    corners = [(0,) * game.n_players, tuple(m - 1 for m in game.shape)]
+    profiles = [r.profile for r in results] + [point_mass(game, p) for p in corners]
+    for built in profiles:
         again = MixedProfile(built.weights)
         assert vars(built) == vars(again)
         assert built.is_exact and built.support_items() == again.support_items()
