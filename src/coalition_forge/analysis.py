@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .games import CoalitionGame, Profile, ValidationError, _strategy_map, payoff_isomorphic
-from .partitions import Coalition, CoalitionStructure
+from .partitions import Coalition, CoalitionStructure, _is_integer
 from .solver import (
     EquilibriumResult,
     MixedProfile,
@@ -291,6 +291,9 @@ def stability_K_star(
                 f"family is not nested between caps {small.max_coalition} "
                 f"and {big.max_coalition}"
             )
+    if not _is_integer(K0):
+        raise ValueError(f"K0 must be an integer, got {K0!r}")
+    K0 = int(K0)
     if K0 not in caps:
         raise ValueError(f"no family member has coalition cap {K0}")
     _require_equilibrium(result)

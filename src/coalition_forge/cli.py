@@ -388,7 +388,7 @@ def cmd_analyze(args) -> int:
     if report is None:
         report = solver.verify_epsilon_nash(game, result.profile)
     # A bad --coalition is a usage error whether or not the profile is an equilibrium.
-    coalition = _parse_coalition(args.coalition, names) if args.coalition else None
+    coalition = _parse_coalition(args.coalition, names) if args.coalition is not None else None
     stochastic = coop = None
     if result.is_equilibrium:
         stochastic = analysis.classify_stochastic(game, result)

@@ -28,7 +28,8 @@ its mechanism's view (_TableView), neither read in a pass.
 
 Profiles are plain tuples of per-player strategy indices, ordered by
 player. They index both tensors, and their lexicographic order is the
-iteration order used everywhere deterministic output is promised.
+iteration order used everywhere deterministic output is promised. A
+caller's profile is read once, by _check_profile, into Python ints.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .partitions import (
     Coalition,
     CoalitionStructure,
     PartitionFamily,
+    _index,
     _is_integer,
     _row,
     enumerate_partitions,
@@ -169,7 +171,7 @@ class CoalitionGame:
             if len(set(strategies)) != len(strategies):
                 raise ValidationError(f"player {i} has duplicate strategies")
             for s in strategies:
-                if not 0 <= s.desired_partition < len(self.family):
+                if _index(s.desired_partition, len(self.family)) is None:
                     raise ValidationError(
                         f"player {i} desires partition index {s.desired_partition}, "
                         f"family has {len(self.family)}"
@@ -213,12 +215,21 @@ class CoalitionGame:
         s = self.strategy_sets[player][strategy_index]
         return self.family[s.desired_partition], s.action
 
-    def _check_profile(self, profile: Profile) -> None:
+    def _check_profile(self, profile: Profile) -> Profile:
+        """The caller's profile as a tuple of ints, each read by _index.
+
+        The one reader of a caller's profile: every entry point that takes
+        one indexes with what this returns. An entry that is not an
+        integer in range, a float or a bool included, gets the
+        out-of-range message.
+        """
         if len(profile) != self.n_players:
             raise ValueError(f"profile {profile} has {len(profile)} entries, expected {self.n_players}")
-        for i, idx in enumerate(profile):
-            if not 0 <= idx < len(self.strategy_sets[i]):
-                raise ValueError(f"profile {profile}: index {idx} out of range for player {i}")
+        checked = tuple(map(_index, profile, self.shape))
+        if None in checked:
+            i = checked.index(None)
+            raise ValueError(f"profile {profile}: index {profile[i]} out of range for player {i}")
+        return checked
 
     # -- exact tensors ---------------------------------------------------
 
@@ -295,12 +306,10 @@ class CoalitionGame:
 
     def realized_partition(self, profile: Profile) -> CoalitionStructure:
         """The structure the mechanism produces for a pure profile."""
-        self._check_profile(profile)
-        return self.family[int(self.realized_index[tuple(profile)])]
+        return self.family[int(self.realized_index[self._check_profile(profile)])]
 
     def payoff(self, profile: Profile) -> tuple[Fraction, ...]:
-        self._check_profile(profile)
-        return self._tensor.row(tuple(profile))
+        return self._tensor.row(self._check_profile(profile))
 
     def coalition_value(self, profile: Profile, coalition: Coalition) -> Fraction:
         """Sum of members' payoffs at a profile, if the coalition is realized there."""
@@ -539,14 +548,19 @@ class _ProfileView(Mapping):
     """Read-only map over the profiles of a space, in profile order.
 
     A subclass gives space, the shape of the profile space, and row, the
-    value at a profile. A key outside the space is missing: numpy would
-    wrap a negative index.
+    value at a profile. A key is present when it is a tuple of one index
+    per axis that _index reads; anything else is missing, so [] raises
+    KeyError and get and in never raise. Numpy would wrap a negative
+    index, read a bool as a mask and refuse a float.
     """
 
     def __getitem__(self, profile: Profile):
-        if len(profile) != len(self.space) or not all(0 <= k < m for k, m in zip(profile, self.space)):
+        if not isinstance(profile, tuple) or len(profile) != len(self.space):
             raise KeyError(profile)
-        return self.row(tuple(profile))
+        key = tuple(map(_index, profile, self.space))
+        if None in key:
+            raise KeyError(profile)
+        return self.row(key)
 
     def __iter__(self):
         return itertools.product(*map(range, self.space))

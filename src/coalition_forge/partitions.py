@@ -40,14 +40,22 @@ from operator import attrgetter
 
 @dataclass(frozen=True, order=True)
 class Coalition:
-    """Non-empty group of players, stored sorted and duplicate-free."""
+    """Non-empty group of players, stored as sorted, duplicate-free ints.
+
+    Members follow the rule of every index: integers, numpy's too, but
+    not bools. A coalition knows no player count, so only negative
+    members are refused here.
+    """
 
     members: tuple[int, ...]
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("a coalition needs at least one member")
-        ordered = tuple(sorted(self.members))
+        for m in self.members:
+            if not _is_integer(m):
+                raise ValueError(f"coalition member {m!r} of {self.members!r} is not an integer")
+        ordered = tuple(sorted(map(int, self.members)))
         if ordered[0] < 0:
             raise ValueError(f"negative player index in {self.members!r}")
         if len(set(ordered)) != len(ordered):
@@ -114,13 +122,11 @@ class CoalitionStructure:
         return cls(tuple(Coalition.of(i) for i in range(n_players)), n_players)
 
     def block_of(self, player: int) -> Coalition:
-        """The coalition containing the given player."""
-        if not 0 <= player < self.n_players:
+        """The coalition containing the given player, an index read by _index."""
+        i = _index(player, self.n_players)
+        if i is None:
             raise ValueError(f"player {player} out of range 0..{self.n_players - 1}")
-        for b in self.blocks:
-            if player in b:
-                return b
-        raise AssertionError("unreachable: blocks cover all players")
+        return next(b for b in self.blocks if i in b.members)
 
     def contains_block(self, coalition: Coalition) -> bool:
         """Whether the given coalition appears as one of the blocks."""
@@ -244,6 +250,17 @@ def _row(structure) -> tuple[tuple[int, ...], ...] | None:
 def _is_integer(value) -> bool:
     """Whether value is an integer, numpy's too, but not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _index(value, size: int) -> int | None:
+    """A caller's index into 0..size-1 as an int, or None for anything else.
+
+    The one reader of caller indices (profiles, players, desired
+    partitions): an integer by _is_integer, in range. Callers index with
+    what it returns, so numpy never reads a float, a bool or a negative
+    index of theirs.
+    """
+    return int(value) if _is_integer(value) and 0 <= value < size else None
 
 
 def _check_args(n_players: int, max_block: int) -> None:

@@ -46,7 +46,7 @@ from numbers import Real
 import numpy as np
 
 from .games import CoalitionGame, Profile
-from .partitions import _is_integer
+from .partitions import _index, _is_integer
 
 PURE = "pure-enum"
 SUPPORT = "support-enum"
@@ -194,10 +194,12 @@ class MixedProfile:
 
 
 def point_mass(game: CoalitionGame, profile: Profile) -> MixedProfile:
-    """The exact mixed profile putting all weight on one pure profile."""
-    game._check_profile(profile)
-    # The safe cast takes bools as ints and refuses fractional indices.
-    return next(_point_masses(game, np.array([profile]).astype(int, casting="safe")))
+    """The exact mixed profile putting all weight on one pure profile.
+
+    The profile is read by CoalitionGame._check_profile, so an entry that
+    is not an integer in range, a bool or a float included, is refused.
+    """
+    return next(_point_masses(game, np.array([game._check_profile(profile)])))
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,14 @@ def _check_mixed(game: CoalitionGame, mixed: MixedProfile) -> None:
                 f"player {i} weight vector has length {len(row)}, "
                 f"strategy set has {len(game.strategy_sets[i])}"
             )
+
+
+def _player(game: CoalitionGame, player) -> int:
+    """A caller's player index as an int, read by _index."""
+    i = _index(player, game.n_players)
+    if i is None:
+        raise ValueError(f"player index {player} out of range")
+    return i
 
 
 def _einsum_operands(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> list:
@@ -366,8 +376,7 @@ def expected_utilities(game: CoalitionGame, mixed: MixedProfile) -> tuple:
 
 def expected_utility(game: CoalitionGame, mixed: MixedProfile, player: int):
     """Expected payoff of one player under independent mixing."""
-    if not 0 <= player < game.n_players:
-        raise ValueError(f"player index {player} out of range")
+    player = _player(game, player)
     _check_mixed(game, mixed)
     return _expected_value(game, mixed, player)
 
@@ -421,8 +430,7 @@ def best_response_value(game: CoalitionGame, mixed: MixedProfile, player: int):
     Mixed deviations are convex combinations of pure ones, so this also
     bounds every mixed deviation.
     """
-    if not 0 <= player < game.n_players:
-        raise ValueError(f"player index {player} out of range")
+    player = _player(game, player)
     _check_mixed(game, mixed)
     values, denominator = _deviation_values(game, player, mixed)
     return _value(mixed, max(values), denominator)
@@ -609,8 +617,7 @@ def pure_nash_enumerate(game: CoalitionGame) -> tuple[EquilibriumResult, ...]:
 
 def is_pure_equilibrium(game: CoalitionGame, profile: Profile) -> bool:
     """Single profile check, same semantics as pure_nash_enumerate."""
-    game._check_profile(profile)
-    return len(_pure_profiles(game, np.array([profile]))) == 1
+    return len(_pure_profiles(game, np.array([game._check_profile(profile)]))) == 1
 
 
 def first_pure_equilibrium(game: CoalitionGame) -> EquilibriumResult | None:

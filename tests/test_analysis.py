@@ -7,6 +7,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _shared import game, lunch_claimed_profile, restricted, unnested_pair
@@ -375,6 +376,18 @@ class TestStability:
         result = first_pure_equilibrium(g)
         with pytest.raises(ValueError):
             stability_K_star([g, g], 2, result)
+
+    def test_K0_is_read_as_an_integer(self):
+        family = [game("bos").restrict(1), game("bos")]
+        result = first_pure_equilibrium(family[0])
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError) as caught:
+                stability_K_star(family, bad, result)
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == f"K0 must be an integer, got {bad!r}"
+        report = stability_K_star(family, np.int64(1), result)
+        assert type(report.K0) is int
+        assert report == stability_K_star(family, 1, result)
 
     def test_base_game_must_be_present(self):
         g = game("pd-extended")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -398,6 +401,11 @@ class TestAnalyze:
             assert len(err.encode()) < 1000
         assert "unknown player 'zzzzzzzzzzzz...zzzzzzzzzzzzz';" in err
 
+    def test_empty_coalition_is_refused(self):
+        code, out, err = run("analyze", "bos", "--coalition", "")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unknown player ''; players are: Ann, Bob\n")
+
     def test_repeated_coalition_member_exits_2(self):
         code, out, err = run("analyze", "pd-extroverts", "--coalition", "1,1")
         assert (code, out) == (2, "")
@@ -653,6 +661,21 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "15\n"
+
+    def test_console_script_target_runs(self, monkeypatch):
+        # Python 3.10 has no tomllib, so the [project.scripts] line is read as text.
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^coalition-forge = "([\w.]+):(\w+)"$', pyproject, re.M)
+        assert target, "no coalition-forge console script"
+        entry = getattr(importlib.import_module(target[1]), target[2])
+        expected = run("catalog")
+        assert expected[0] == 0
+        monkeypatch.setattr(sys, "argv", ["coalition-forge", "catalog"])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            entry()
+        assert exited.value.code == 0
+        assert (out.getvalue(), err.getvalue()) == expected[1:]
 
 
 class TestOneRenderingPerRun:

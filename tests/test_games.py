@@ -464,9 +464,20 @@ ALONE = (Strategy(0),)
             ValidationError,
             "player 1 has an empty strategy set",
         ),
+        (
+            lambda: CoalitionGame(2, 2, enumerate_partitions(2, 2), (ALONE, (Strategy(0), Strategy(1.0)))),
+            ValidationError,
+            "player 1 desires partition index 1.0, family has 2",
+        ),
+        (
+            lambda: CoalitionGame(2, 2, enumerate_partitions(2, 2), ((Strategy(True),), ALONE)),
+            ValidationError,
+            "player 0 desires partition index True, family has 2",
+        ),
     ],
     ids=["unknown kind", "table without map", "unanimity with table", "no players",
-         "cap above n", "too few strategy sets", "empty strategy set"],
+         "cap above n", "too few strategy sets", "empty strategy set", "float desire",
+         "bool desire"],
 )
 def test_construction_faults_keep_their_type_and_message(build, error, message):
     with pytest.raises(ValueError) as caught:

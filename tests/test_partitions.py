@@ -220,6 +220,9 @@ class TestStructures:
             ((1, 1, 3), "duplicate members in (1, 1, 3)"),
             ((-1,), "negative player index in (-1,)"),
             ((2, -1, 0), "negative player index in (2, -1, 0)"),
+            ((0.5,), "coalition member 0.5 of (0.5,) is not an integer"),
+            ((0, True), "coalition member True of (0, True) is not an integer"),
+            ((1, "2"), "coalition member '2' of (1, '2') is not an integer"),
         ]
         for members, message in cases:
             with pytest.raises(ValueError) as excinfo:
@@ -437,9 +440,12 @@ class TestFamilyValue:
     [
         (lambda s: s.block_of(2), "player 2 out of range 0..1"),
         (lambda s: s.block_of(-1), "player -1 out of range 0..1"),
+        (lambda s: s.block_of(0.5), "player 0.5 out of range 0..1"),
+        (lambda s: s.block_of(True), "player True out of range 0..1"),
         (lambda s: s.contains_block(Coalition.of(0, 5)), "coalition {0,5} out of range for n=2"),
     ],
-    ids=["block of player 2", "block of player -1", "block beyond n"],
+    ids=["block of player 2", "block of player -1", "block of player 0.5", "block of player True",
+         "block beyond n"],
 )
 def test_structure_reads_out_of_range_keep_their_message(call, message):
     with pytest.raises(ValueError) as caught:

@@ -18,7 +18,7 @@ from _shared import (
     restricted,
 )
 from coalition_forge import solver
-from coalition_forge.analysis import equilibrium_partitions
+from coalition_forge.analysis import equilibrium_partitions, lift_profile
 from coalition_forge.games import CoalitionGame, Mechanism, Strategy
 from coalition_forge.partitions import enumerate_partitions
 from coalition_forge.solver import (
@@ -676,18 +676,52 @@ HALVES = MixedProfile(((Fraction(1, 2),) * 2,) * 2)
         (lambda: MixedProfile(()), "mixed profile needs at least one player"),
         (lambda: MixedProfile(((Fraction(1),), ())), "player 1 has an empty weight vector"),
         (
+            lambda: verify_epsilon_nash(game("pd-standard"), THREE_PLAYERS),
+            "profile covers 3 players, game has 2",
+        ),
+        (
             lambda: verify_epsilon_nash(game("pd-standard"), MixedProfile(((1, 0, 0), (1, 0)))),
             "player 0 weight vector has length 3, strategy set has 2",
         ),
         (lambda: expected_utility(game("pd-standard"), HALVES, 2), "player index 2 out of range"),
         (lambda: expected_utility(game("pd-standard"), HALVES, -1), "player index -1 out of range"),
+        (lambda: expected_utility(game("pd-standard"), HALVES, 0.5), "player index 0.5 out of range"),
+        (lambda: expected_utility(game("pd-standard"), HALVES, True), "player index True out of range"),
         (lambda: best_response_value(game("pd-standard"), HALVES, 2), "player index 2 out of range"),
+        (lambda: best_response_value(game("pd-standard"), HALVES, 0.5), "player index 0.5 out of range"),
+        (lambda: best_response_value(game("pd-standard"), HALVES, True), "player index True out of range"),
     ],
-    ids=["no players", "empty row", "row length", "utility of player 2", "utility of player -1",
-         "best response of player 2"],
+    ids=["no players", "empty row", "player count", "row length", "utility of player 2",
+         "utility of player -1", "utility of player 0.5", "utility of player True",
+         "best response of player 2", "best response of player 0.5", "best response of player True"],
 )
 def test_profile_faults_keep_their_message(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+THREE_PLAYERS = MixedProfile(((Fraction(1), Fraction(0)),) * 3)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        expected_utilities,
+        lambda g, m: expected_utility(g, m, 0),
+        lambda g, m: best_response_value(g, m, 0),
+        verify_epsilon_nash,
+        expected_utility_by_structure,
+        lambda g, m: equilibrium_partitions(g, EquilibriumResult(m, (0,) * 3, 0, PURE, True)),
+        lambda g, m: lift_profile(g, m, game("pd-extended")),
+        lambda g, m: mixed_nash_iterative(g, start=m),
+    ],
+    ids=["expected utilities", "expected utility", "best response", "verification",
+         "by structure", "equilibrium partitions", "lift", "iterative start"],
+)
+def test_profile_readers_refuse_another_player_count(read):
+    with pytest.raises(ValueError) as caught:
+        read(game("pd-standard"), THREE_PLAYERS)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "profile covers 3 players, game has 2"

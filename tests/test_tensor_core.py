@@ -1730,7 +1730,10 @@ def test_package_runs_as_a_module():
 # -- profile arguments ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (4, 0), (0, 4), (0,), (0, 0, 0)])
+@pytest.mark.parametrize(
+    "bad",
+    [(-1, 0), (0, -1), (4, 0), (0, 4), (0,), (0, 0, 0), (1.0, 0), (True, 0), (np.float64(0), 0), ("0", 0)],
+)
 def test_profile_entry_points_reject_bad_indices(bad):
     g = catalog_game("pd-extended")
     calls = (
@@ -1743,6 +1746,70 @@ def test_profile_entry_points_reject_bad_indices(bad):
     for call in calls:
         with pytest.raises(ValueError, match="out of range|entries"):
             call(bad)
+
+
+def test_numpy_integer_indices_are_read_as_ints():
+    g = catalog_game("pd-extended")
+    profile, plain = (np.int64(1), 0), (1, 0)
+    assert g.payoff(profile) == g.payoff(plain)
+    assert g.realized_partition(profile) == g.realized_partition(plain)
+    assert g.coalition_value(profile, Coalition.of(np.int64(0))) == g.coalition_value(plain, Coalition.of(0))
+    assert is_pure_equilibrium(g, profile) == is_pure_equilibrium(g, plain)
+    mass = point_mass(g, profile)
+    assert mass == point_mass(g, plain)
+    assert all(type(k) is int for i in range(2) for k in mass.support(i))
+    assert g.payoffs[profile] == g.payoffs[plain] and g.payoffs.get(profile) == g.payoffs[plain]
+    for player in (np.int64(1), np.int32(1)):
+        assert expected_utility(g, mass, player) == expected_utility(g, mass, 1)
+        assert best_response_value(g, mass, player) == best_response_value(g, mass, 1)
+        assert g.realized_partition(plain).block_of(player) == g.realized_partition(plain).block_of(1)
+    assert all(type(v) is Fraction for v in (expected_utility(g, mass, np.int64(0)), *g.payoff(profile)))
+    members = Coalition.of(np.int64(1), np.int32(0)).members
+    assert members == (0, 1) and all(type(m) is int for m in members)
+
+
+def view_games():
+    """A restricted game whose payoffs and table are both views of its arrays."""
+    return table_copy(catalog_game("pd-extended")).restrict(1)
+
+
+KEY_ENTRIES = st.one_of(
+    st.integers(-2, 3),
+    st.integers(-2, 3).map(np.int64),
+    st.integers(0, 2).map(np.int8),
+    st.sampled_from([0.0, 1.0, 0.5, np.float64(1), float("nan")]),
+    st.booleans(),
+)
+VIEW_KEYS = st.one_of(
+    st.tuples(KEY_ENTRIES, KEY_ENTRIES),
+    st.lists(KEY_ENTRIES, max_size=4).map(tuple),
+    st.lists(KEY_ENTRIES, max_size=3),
+    KEY_ENTRIES,
+    st.sampled_from([None, "00", "01", b"\x00\x00", frozenset({0, 1}), np.zeros(2, dtype=int)]),
+)
+
+
+def is_integer_key(key) -> bool:
+    return isinstance(key, tuple) and all(
+        isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in key
+    )
+
+
+@DIFFERENTIAL
+@given(st.lists(VIEW_KEYS, min_size=1, max_size=8))
+def test_views_read_keys_as_their_dicts_do(keys):
+    small = view_games()
+    for view in (small.payoffs, small.mechanism.table):
+        plain = dict(view)
+        for key in keys:
+            present = is_integer_key(key) and key in plain
+            assert (key in view) is present
+            assert view.get(key) == (plain[key] if present else None)
+            if present:
+                assert view[key] == plain[key]
+            else:
+                with pytest.raises(KeyError):
+                    view[key]
 
 
 def test_returned_profiles_hold_python_ints():
