@@ -49,8 +49,6 @@ from .partitions import (
     Coalition,
     CoalitionStructure,
     PartitionFamily,
-    coalition_of,
-    contains_coalition,
     enumerate_partitions,
     is_nested,
     restricted_bell,
@@ -58,6 +56,7 @@ from .partitions import (
 from .solver import (
     EquilibriumResult,
     MixedProfile,
+    Solution,
     SolverConfig,
     SupportEnumeration,
     VerificationReport,
@@ -71,6 +70,7 @@ from .solver import (
     mixed_nash_iterative,
     pure_nash_enumerate,
     point_mass,
+    solve,
     verify_epsilon_nash,
 )
 
@@ -92,6 +92,7 @@ __all__ = [
     "MixedProfile",
     "PartitionFamily",
     "Profile",
+    "Solution",
     "SolverConfig",
     "StabilityCheck",
     "StabilityDiagnostic",
@@ -103,9 +104,7 @@ __all__ = [
     "best_response_value",
     "build_game",
     "classify_stochastic",
-    "coalition_of",
     "compare_domains",
-    "contains_coalition",
     "enumerate_partitions",
     "equilibrium_partitions",
     "expected_utilities",
@@ -131,6 +130,7 @@ __all__ = [
     "restrict_game",
     "restricted_bell",
     "save_game",
+    "solve",
     "stability_K_star",
     "verify_epsilon_nash",
 ]

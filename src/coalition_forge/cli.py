@@ -130,33 +130,18 @@ def _make_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _chosen_equilibrium(
-    game: CoalitionGame, args, config: SolverConfig
-) -> tuple[EquilibriumResult, VerificationReport | None]:
-    """The --profile file with its verification report, else a default.
-
-    The default is the first pure equilibrium, else a mixed one by the
-    cheapest route, and comes without a report.
-    """
-    if args.profile:
-        mixed = load_profile(args.profile, game)
-        report = solver.verify_epsilon_nash(game, mixed)
-        supplied = EquilibriumResult(
-            profile=mixed,
-            expected_payoffs=report.expected,
-            max_regret=report.max_regret,
-            method="supplied",
-            is_equilibrium=report.passed,
-        )
-        return supplied, report
-    result = solver.first_pure_equilibrium(game)
-    if result is None and game.n_players == 2:
-        found = solver.mixed_nash_2p_support_enum(game, config)
-        if found.equilibria:
-            result = found.equilibria[0]
-    if result is None:
-        result = solver.mixed_nash_iterative(game, config)
-    return result, None
+def _chosen_equilibrium(game: CoalitionGame, path: str) -> tuple[EquilibriumResult, VerificationReport]:
+    """The --profile file's profile as a result, with its verification report."""
+    mixed = load_profile(path, game)
+    report = solver.verify_epsilon_nash(game, mixed)
+    supplied = EquilibriumResult(
+        profile=mixed,
+        expected_payoffs=report.expected,
+        max_regret=report.max_regret,
+        method="supplied",
+        is_equilibrium=report.passed,
+    )
+    return supplied, report
 
 
 def _document(command: str, **fields) -> dict[str, Any]:
@@ -208,7 +193,7 @@ def _pure_entries(game: CoalitionGame, names, labels, profiles) -> list[dict]:
     at = tuple(profiles.T)
     ints = game.payoff_ints[at]
     text = {v: _fr(Fraction(v, game.payoff_scale)) for v in set(ints.ravel().tolist())}
-    degenerate = solver._degenerate(game, profiles)
+    degenerate = (game.best_reply_counts[at] > 1).any(axis=-1).tolist()
     codes = game.realized_index[at].tolist()
     partitions = {}
     entries = []
@@ -326,42 +311,28 @@ def cmd_enumerate(args) -> int:
 def cmd_solve(args) -> int:
     params = _parse_params(args.param)
     game, names = _load_source(args.source, params)
-    config = _make_config(args)
-    truncated = False
-    converged = exact = True
-    entries = _result_entries
-    if args.method == "pure":
-        # The pure lane's profile array: every entry is a gather at its profile.
-        results = solver._pure_profiles(game)
-        method = solver.PURE
-        entries = _pure_entries
-    elif args.method == "support":
-        found = solver.mixed_nash_2p_support_enum(game, config)
-        results = list(found.equilibria)
-        truncated = found.truncated
-        method = solver.SUPPORT
-    else:
-        one = solver.mixed_nash_iterative(game, config)
-        results = [one]
-        converged = one.is_equilibrium
-        exact = one.profile.is_exact
-        method = solver.ITERATIVE
+    solution = solver.solve(game, args.method, _make_config(args))
+    # A pure solution's entries are gathers at its profiles: no result is built.
+    results, entries = solution.profiles, _pure_entries
+    if results is None:
+        results, entries = solution.results, _result_entries
+    exact = solution.profiles is not None or all(r.profile.is_exact for r in results)
     labels = _strategy_labels(game, names)
 
     if args.json:
         document = _game_document("solve", args.source, game, names)
-        document["method"] = method
+        document["method"] = solution.method
         document["equilibria"] = entries(game, names, labels, results)
         if params:
             document["parameters"] = {k: _fr(v) for k, v in sorted(params.items())}
-        if truncated:
+        if solution.truncated:
             document["truncated"] = True
-        if not converged:
+        if not solution.converged:
             document["converged"] = False
         return _emit(dumps(document))
 
     lines = [
-        f"{args.source}: {game.n_players} players, K={game.max_coalition}, method {method}"
+        f"{args.source}: {game.n_players} players, K={game.max_coalition}, method {solution.method}"
     ]
     if game.n_players == 2:
         lines.append("")
@@ -374,9 +345,9 @@ def cmd_solve(args) -> int:
         lines.extend(_entry_lines(index, entry, names, exact))
     if len(results) > len(shown):
         lines.append(f"... and {len(results) - len(shown)} more ({len(results)} total)")
-    if truncated:
+    if solution.truncated:
         lines.append("note: support search truncated by max_support cap")
-    if not converged:
+    if not solution.converged:
         lines.append("note: iteration budget exhausted without convergence")
     return _emit("\n".join(lines))
 
@@ -384,8 +355,10 @@ def cmd_solve(args) -> int:
 def cmd_analyze(args) -> int:
     params = _parse_params(args.param)
     game, names = _load_source(args.source, params)
-    result, report = _chosen_equilibrium(game, args, _make_config(args))
-    if report is None:
+    if args.profile:
+        result, report = _chosen_equilibrium(game, args.profile)
+    else:
+        result = solver.solve(game, "first", _make_config(args)).results[0]
         report = solver.verify_epsilon_nash(game, result.profile)
     # A bad --coalition is a usage error whether or not the profile is an equilibrium.
     coalition = _parse_coalition(args.coalition, names) if args.coalition is not None else None
@@ -470,7 +443,10 @@ def cmd_stability(args) -> int:
     if base is None:
         raise ValueError(f"no family member has K={args.K0}")
     config = _make_config(args)
-    result, _ = _chosen_equilibrium(base, args, config)
+    if args.profile:
+        result, _ = _chosen_equilibrium(base, args.profile)
+    else:
+        result = solver.solve(base, "first", config).results[0]
     report = analysis.stability_K_star(family, args.K0, result, config)
     source_text = " ".join(args.source)
     entry = _equilibrium_entry(base, names, _strategy_labels(base, names), result)

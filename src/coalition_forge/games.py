@@ -204,15 +204,25 @@ class CoalitionGame:
     def n_profiles(self) -> int:
         return prod(self.shape)
 
+    def _strategy(self, player: int, strategy_index: int) -> Strategy:
+        """A caller's player and strategy index, each read by _index, as the strategy."""
+        i = _index(player, self.n_players)
+        if i is None:
+            raise ValueError(f"player index {player} out of range")
+        k = _index(strategy_index, len(self.strategy_sets[i]))
+        if k is None:
+            raise ValueError(f"strategy index {strategy_index} out of range for player {i}")
+        return self.strategy_sets[i][k]
+
     def desired_structure(self, player: int, strategy_index: int) -> CoalitionStructure:
-        return self.family[self.strategy_sets[player][strategy_index].desired_partition]
+        return self.family[self._strategy(player, strategy_index).desired_partition]
 
     def strategy_key(self, player: int, strategy_index: int) -> tuple[CoalitionStructure, str]:
         """Identity of a strategy independent of family indexing: desired structure and action.
 
         The package matches strategies across games by family row instead (_strategy_map).
         """
-        s = self.strategy_sets[player][strategy_index]
+        s = self._strategy(player, strategy_index)
         return self.family[s.desired_partition], s.action
 
     def _check_profile(self, profile: Profile) -> Profile:

@@ -71,7 +71,8 @@ class Coalition:
         return len(self.members)
 
     def __contains__(self, player) -> bool:
-        return player in self.members
+        """Whether player is a member; anything but an integer by _is_integer is not."""
+        return _is_integer(player) and player in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -351,12 +352,3 @@ def is_nested(smaller: PartitionFamily, larger: PartitionFamily) -> bool:
         )
     return set(larger._rows).issuperset(smaller._rows)
 
-
-def coalition_of(structure: CoalitionStructure, player: int) -> Coalition:
-    """Functional form of CoalitionStructure.block_of."""
-    return structure.block_of(player)
-
-
-def contains_coalition(structure: CoalitionStructure, coalition: Coalition) -> bool:
-    """Functional form of CoalitionStructure.contains_block."""
-    return structure.contains_block(coalition)

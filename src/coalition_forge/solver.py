@@ -2,7 +2,7 @@
 
 Three solvers cover the usual cases: an exhaustive pure profile search
 with a group redesire screen, exact support enumeration for two player
-games, and damped fictitious play for everything else. The exact lanes
+games, and fictitious play for everything else. The exact lanes
 compare payoffs, and the support lane also solves, in the game's integer
 units (payoff_ints), with Fractions only in their results. The support
 lane skips support pairs that conditional strict dominance rules out
@@ -28,17 +28,21 @@ for group redesires in one array pass per group: the members' payoffs
 are gathered over their own axes, a member already at their payoff peak
 rules the group out, and survivors go in chunks whose gathered payoffs
 fit a byte budget. Its equilibria are one (E, n) profile array, which
-the CLI prints from directly; is_pure_equilibrium and the stability
-diagnostics screen their own rows through the same function, and point
-masses, point_mass's too, are built per array, each row once per
-(player, strategy). Lotteries walk the support grid, adding up the
+a pure Solution holds as its profiles; is_pure_equilibrium and the
+stability diagnostics screen their own rows through the same function,
+and point masses, point_mass's too, are built per array, each row once
+per (player, strategy). Lotteries walk the support grid, adding up the
 products of the numerators by the game's realized-structure index.
+
+solve is the one place that picks a lane, by name or by the "first"
+chain, and returns a Solution.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from numbers import Real
@@ -71,18 +75,16 @@ class SolverConfig:
 
     tolerance applies to float verification and iterative convergence.
     max_support caps the support sizes tried by enumeration (None picks
-    min(6, the smaller strategy count)). damping scales the fictitious
-    play step damping / (t + 2); rng_seed 0 means a uniform start,
-    anything else seeds a Dirichlet draw. The three counts must be
-    integers, and tolerance and damping real numbers (numpy's too, never
-    bool); tolerance must also be finite. The counts are stored as int,
-    so results and game files hold no numpy scalars.
+    min(6, the smaller strategy count)). rng_seed 0 means a uniform
+    fictitious play start, anything else seeds a Dirichlet draw. The
+    three counts must be integers, and tolerance a finite real number
+    (numpy's too, never bool). The counts are stored as int, so results
+    and game files hold no numpy scalars.
     """
 
     tolerance: float = _FLOAT_TOLERANCE
     max_support: int | None = None
     max_iterations: int = 100_000
-    damping: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -93,10 +95,8 @@ class SolverConfig:
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        for name in ("tolerance", "damping"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.tolerance, Real) or isinstance(self.tolerance, bool):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not self.tolerance < inf:
@@ -105,8 +105,6 @@ class SolverConfig:
             raise ValueError(f"max_support must be at least 1, got {self.max_support}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -826,8 +824,10 @@ def mixed_nash_iterative(
     config: SolverConfig | None = None,
     start: MixedProfile | None = None,
 ) -> EquilibriumResult:
-    """Damped fictitious play on the average strategy profile.
+    """Fictitious play on the average strategy profile.
 
+    Step t moves 1 / (t + 2) of each player's weight onto their best
+    reply, so the distributions stay the running average of the replies.
     Stops when the regret of the running average drops under tolerance,
     or earlier when best responses stay put long enough to suggest a
     pure profile, which is then verified exactly and snapped to. Runs
@@ -867,7 +867,7 @@ def mixed_nash_iterative(
             stable = 0
             if (game.best_reply_counts[br] > 0).all():
                 return _pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
-        alpha = config.damping / (t + 2)
+        alpha = 1.0 / (t + 2)
         for d, b in zip(dists, br):
             d *= 1.0 - alpha
             d[b] += alpha
@@ -881,3 +881,72 @@ def mixed_nash_iterative(
         is_equilibrium=report.passed,
         iterations=iterations,
     )
+
+
+# -- one entry point -----------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """What solve found: the answering lane's result name, its equilibria and flags.
+
+    method is PURE, SUPPORT or ITERATIVE. profiles is the pure lane's
+    (E, n) int array of equilibrium profiles, in lexicographic order, and
+    None for the other lanes. results holds one EquilibriumResult per
+    equilibrium; a pure solution builds them from profiles on the first
+    read of results, so a caller that reads only the array builds none.
+    truncated is the support lane's flag, and converged is False only
+    for a fictitious-play run that ended unverified.
+    """
+
+    method: str
+    profiles: np.ndarray | None
+    truncated: bool
+
+    def __init__(self, method: str, results, truncated: bool = False) -> None:
+        self.__dict__.update(
+            method=method, profiles=None, results=tuple(results), truncated=truncated
+        )
+
+    @classmethod
+    def _pure(cls, game: CoalitionGame, profiles: np.ndarray) -> Solution:
+        """The pure lane's solution over an (E, n) profile array, its results built on first read."""
+        solution = cls.__new__(cls)
+        solution.__dict__.update(method=PURE, profiles=profiles, truncated=False, _game=game)
+        return solution
+
+    @cached_property
+    def results(self) -> tuple[EquilibriumResult, ...]:
+        return _pure_results(self._game, self.profiles)
+
+    @property
+    def converged(self) -> bool:
+        return self.method != ITERATIVE or self.results[0].is_equilibrium
+
+
+def solve(game: CoalitionGame, method: str = "pure", config: SolverConfig | None = None) -> Solution:
+    """Equilibria of the game by one lane, or the first one the lanes find.
+
+    method "pure" runs pure_nash_enumerate's screen, "support"
+    mixed_nash_2p_support_enum and "iterative" mixed_nash_iterative.
+    "first" answers with one equilibrium: the first pure one, else for
+    two players the first the support lane finds, else the fictitious
+    play run, verified or not.
+    """
+    if method == "pure":
+        return Solution._pure(game, _pure_profiles(game))
+    if method == "support":
+        found = mixed_nash_2p_support_enum(game, config)
+        return Solution(SUPPORT, found.equilibria, found.truncated)
+    if method == "iterative":
+        return Solution(ITERATIVE, (mixed_nash_iterative(game, config),))
+    if method != "first":
+        raise ValueError(f"unknown method {method!r}; methods are pure, support, iterative and first")
+    first = _pure_profiles(game)[:1]
+    if len(first):
+        return Solution._pure(game, first)
+    if game.n_players == 2:
+        found = mixed_nash_2p_support_enum(game, config)
+        if found.equilibria:
+            return Solution(SUPPORT, found.equilibria[:1], found.truncated)
+    return Solution(ITERATIVE, (mixed_nash_iterative(game, config),))

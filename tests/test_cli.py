@@ -731,6 +731,21 @@ class TestOneRenderingPerRun:
             assert before[0] == 0
             assert run(*argv, "--json") == before
 
+    def test_pure_results_are_built_only_where_read(self, monkeypatch):
+        # solve prints from the profile array; stability reads one result at its base cap.
+        built = []
+        pure_results = solver._pure_results
+
+        def counted(game, rows, *args):
+            built.append((game.max_coalition, len(rows)))
+            return pure_results(game, rows, *args)
+
+        monkeypatch.setattr(solver, "_pure_results", counted)
+        assert run("solve", "lunch", "--method", "pure", "--json")[0] == 0
+        assert built == []
+        assert run("stability", "lunch", "--K0", "2", "--json")[0] == 0
+        assert built == [(2, 1)]
+
     def test_supplied_profile_is_verified_once(self, monkeypatch, tmp_path):
         uniform = MixedProfile(((Fraction(1, 2), Fraction(1, 2)),) * 2)
         path = write_json(tmp_path / "uniform.json", profile_to_dict(uniform))

@@ -302,6 +302,28 @@ class TestValidation:
                 ((Strategy(0), Strategy(1)), (Strategy(0),)),
             )
 
+    @pytest.mark.parametrize(
+        "player, strategy, message",
+        [
+            (0, -1, "strategy index -1 out of range for player 0"),
+            (0, 4, "strategy index 4 out of range for player 0"),
+            (0, True, "strategy index True out of range for player 0"),
+            (0, 1.0, "strategy index 1.0 out of range for player 0"),
+            (2, 0, "player index 2 out of range"),
+            (-1, 0, "player index -1 out of range"),
+            (True, 0, "player index True out of range"),
+            (1.0, 0, "player index 1.0 out of range"),
+        ],
+    )
+    def test_strategy_reads_reject_bad_indices(self, player, strategy, message):
+        game = build_game("bos")
+        for read in (game.desired_structure, game.strategy_key):
+            with pytest.raises(ValueError) as caught:
+                read(player, strategy)
+            assert str(caught.value) == message
+        assert game.desired_structure(np.int64(1), np.int64(3)) == game.desired_structure(1, 3)
+        assert game.strategy_key(np.int64(1), np.int64(3)) == game.strategy_key(1, 3)
+
     def test_duplicate_strategies_rejected(self):
         family = enumerate_partitions(2, 1)
         with pytest.raises(ValidationError):

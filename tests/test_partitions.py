@@ -16,8 +16,6 @@ from coalition_forge.partitions import (
     Coalition,
     CoalitionStructure,
     PartitionFamily,
-    coalition_of,
-    contains_coalition,
     enumerate_partitions,
     is_nested,
     restricted_bell,
@@ -232,23 +230,23 @@ class TestStructures:
     def test_block_lookup(self):
         s = CoalitionStructure.of([[0, 2], [1], [3]], 4)
         assert s.block_of(2) == Coalition.of(0, 2)
-        assert coalition_of(s, 1) == Coalition.of(1)
-        assert contains_coalition(s, Coalition.of(0, 2))
-        assert not contains_coalition(s, Coalition.of(0,))
-        assert not contains_coalition(s, Coalition.of(1, 3))
+        assert s.block_of(1) == Coalition.of(1)
+        assert s.contains_block(Coalition.of(0, 2))
+        assert not s.contains_block(Coalition.of(0,))
+        assert not s.contains_block(Coalition.of(1, 3))
         assert s.max_block_size == 2
 
-    def test_coalition_of_partitions_family(self):
+    def test_block_of_partitions_family(self):
         rng = random.Random(7)
         family = enumerate_partitions(6, 3)
         for _ in range(50):
             s = family[rng.randrange(len(family))]
             player = rng.randrange(6)
-            block = coalition_of(s, player)
+            block = s.block_of(player)
             assert player in block
-            assert contains_coalition(s, block)
+            assert s.contains_block(block)
             for other in block:
-                assert coalition_of(s, other) == block
+                assert s.block_of(other) == block
 
 
 LOOKUPS = settings(
@@ -452,3 +450,13 @@ def test_structure_reads_out_of_range_keep_their_message(call, message):
         call(CoalitionStructure.singletons(2))
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "player, member",
+    [(1, True), (np.int64(1), True), (0, False), (2, False), (True, False), (1.0, False),
+     (np.float64(1), False), ("1", False), (None, False)],
+    ids=["1", "np.int64 1", "0", "2", "True", "1.0", "np.float64 1", "'1'", "None"],
+)
+def test_membership_reads_integers_only(player, member):
+    assert (player in Coalition.of(1)) is member

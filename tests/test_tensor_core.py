@@ -75,6 +75,7 @@ from coalition_forge.solver import (
     EquilibriumResult,
     MixedProfile,
     SolverConfig,
+    Solution,
     SupportEnumeration,
     _pure_profiles,
     _solve_fraction_free,
@@ -88,6 +89,7 @@ from coalition_forge.solver import (
     mixed_nash_iterative,
     point_mass,
     pure_nash_enumerate,
+    solve,
     verify_epsilon_nash,
 )
 from coalition_forge.analysis import (
@@ -950,6 +952,121 @@ class TestPureEntries:
         pure_entries_agree(restricted("lunch", cap), ("A", "B", "C", "D"))
 
 
+# -- the one solve entry point ------------------------------------------------
+
+# A short fictitious-play budget keeps the iterative lane quick on every game.
+SHORT_PLAY = SolverConfig(max_iterations=300)
+
+
+def lanes_agree(game):
+    """solve by each lane's name gives that lane's results and flags."""
+    pure = solve(game, "pure")
+    assert pure.method == PURE and not pure.truncated and pure.converged
+    assert pure.profiles.tolist() == [list(pure_profile_of(r)) for r in pure.results]
+    assert repr(pure.results) == repr(pure_nash_enumerate(game))
+    played = solve(game, "iterative", SHORT_PLAY)
+    expected = mixed_nash_iterative(game, SHORT_PLAY)
+    assert played.method == ITERATIVE and played.profiles is None and not played.truncated
+    assert repr(played.results) == repr((expected,))
+    assert played.converged == expected.is_equilibrium
+    if game.n_players != 2:
+        message = f"^support enumeration handles exactly 2 players, game has {game.n_players}$"
+        with pytest.raises(ValueError, match=message):
+            solve(game, "support")
+        return
+    found = solve(game, "support")
+    expected = mixed_nash_2p_support_enum(game)
+    assert found.method == SUPPORT and found.profiles is None and found.converged
+    assert repr(found.results) == repr(expected.equilibria)
+    assert found.truncated == expected.truncated
+
+
+def reference_first_equilibrium(game, config):
+    """The default chain the CLI's analyze and stability ran before solve held it."""
+    result = first_pure_equilibrium(game)
+    if result is None and game.n_players == 2:
+        found = mixed_nash_2p_support_enum(game, config)
+        if found.equilibria:
+            result = found.equilibria[0]
+    if result is None:
+        result = mixed_nash_iterative(game, config)
+    return result
+
+
+def pennies_game(n):
+    """Matching pennies around a ring: each player but the last wants to match the next.
+
+    The last wants to differ from the first. At cap 1 with two players it
+    has no pure equilibrium; neither has the three-player ring (Jordan's
+    game).
+    """
+    family = enumerate_partitions(n, 1)
+    coins = (Strategy(0, "heads"), Strategy(0, "tails"))
+    payoffs = {
+        p: tuple(Fraction(1 if (p[i] == p[(i + 1) % n]) != (i == n - 1) else -1) for i in range(n))
+        for p in itertools.product(range(2), repeat=n)
+    }
+    return CoalitionGame(n, 1, family, (coins,) * n, Mechanism(), payoffs)
+
+
+class TestSolve:
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_random_games_match_the_lanes(self, game):
+        lanes_agree(game)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_games_match_the_lanes(self, name):
+        lanes_agree(catalog_game(name))
+
+    @pytest.mark.parametrize(
+        "build, method",
+        [
+            (lambda: catalog_game("bos"), PURE),
+            (lambda: restricted("lunch", 2), PURE),
+            (lambda: pennies_game(2), SUPPORT),
+            (lambda: pennies_game(3), ITERATIVE),
+        ],
+        ids=["bos", "lunch-2", "pennies", "jordan"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_first_is_the_default_chain(self, build, method, seed):
+        game = build()
+        config = SolverConfig(max_iterations=300, rng_seed=seed)
+        first = solve(game, "first", config)
+        assert first.method == method and len(first.results) == 1
+        assert repr(first.results[0]) == repr(reference_first_equilibrium(game, config))
+        if method == PURE:
+            assert first.profiles.tolist() == [list(pure_profile_of(first.results[0]))]
+
+    @DIFFERENTIAL
+    @given(exact_games)
+    def test_first_on_random_games(self, game):
+        first = solve(game, "first", SHORT_PLAY).results
+        assert repr(first) == repr((reference_first_equilibrium(game, SHORT_PLAY),))
+
+    def test_pure_results_are_built_on_first_read(self):
+        solution = solve(restricted("lunch", 2), "pure")
+        assert solution.converged and len(solution.profiles) == 2304
+        assert "results" not in vars(solution)
+        results = solution.results
+        assert vars(solution)["results"] is results and len(results) == 2304
+        assert solution.results is results
+
+    def test_solution_is_frozen(self):
+        solution = solve(catalog_game("bos"), "pure")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solution.method = SUPPORT
+        assert isinstance(solution, Solution)
+
+    @pytest.mark.parametrize("method", ["auto", "Pure", "", None])
+    def test_unknown_method_names_the_accepted_ones(self, method):
+        message = f"unknown method {method!r}; methods are pure, support, iterative and first"
+        with pytest.raises(ValueError) as caught:
+            solve(catalog_game("bos"), method)
+        assert str(caught.value) == message
+
+
 def reference_equilibrium_lines(game, names, labels, index, result):
     """The text lines of one result, as the CLI built them before it read them from its entry."""
 
@@ -1348,7 +1465,7 @@ def reference_mixed_nash_iterative(game, config, start=None):
             stable = 0
             if (game.best_reply_counts[br] > 0).all():
                 return solver._pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
-        alpha = config.damping / (t + 2)
+        alpha = 1.0 / (t + 2)
         for i in range(n):
             dists[i] *= 1.0 - alpha
             dists[i][br[i]] += alpha
@@ -1388,17 +1505,14 @@ iterative_games = st.one_of(
 @given(
     game=iterative_games,
     rng_seed=st.one_of(st.just(0), st.integers(1, 2**32)),
-    damping=st.sampled_from([1.0, 0.5, 0.37]),
     tolerance=st.sampled_from([1e-9, 1e-3, 0.05]),
     max_iterations=st.integers(1, 150),
     data=st.data(),
 )
 def test_fictitious_play_matches_the_reference_bit_for_bit(
-    game, rng_seed, damping, tolerance, max_iterations, data
+    game, rng_seed, tolerance, max_iterations, data
 ):
-    config = SolverConfig(
-        tolerance=tolerance, max_iterations=max_iterations, damping=damping, rng_seed=rng_seed
-    )
+    config = SolverConfig(tolerance=tolerance, max_iterations=max_iterations, rng_seed=rng_seed)
     start = data.draw(st.none() | exact_starts(game))
     expected = reference_mixed_nash_iterative(game, config, start)
     assert repr(mixed_nash_iterative(game, config, start)) == repr(expected)
