@@ -63,6 +63,13 @@ class EquilibriumPartitionSet:
         elif not abs(total - 1) <= _FLOAT_SUM_SLACK:  # a NaN sum fails too
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
+    @classmethod
+    def _built(cls, partitions: tuple, probabilities: dict) -> EquilibriumPartitionSet:
+        """A lottery from masses the package computed and knows to be valid; nothing is checked."""
+        lottery = object.__new__(cls)
+        lottery.__dict__.update(partitions=partitions, probabilities=probabilities)
+        return lottery
+
     def probability(self, structure: CoalitionStructure):
         return self.probabilities.get(structure, 0)
 
@@ -96,7 +103,7 @@ def equilibrium_partitions(
         sums[code] = sums.get(code, 0) + p
     masses = {game.family[code]: _value(mixed, sums[code], denominator) for code in sorted(sums)}
     positive = tuple(s for s, p in masses.items() if p > 0)
-    return EquilibriumPartitionSet(partitions=positive, probabilities=masses)
+    return EquilibriumPartitionSet._built(positive, masses)
 
 
 @dataclass(frozen=True)
@@ -152,20 +159,28 @@ def lift_profile(
     Strategies are matched by what they mean, the desired partition plus
     the action label: each support weight goes to its index in the
     strategy map, and everything new in the target gets zero weight.
+    The lift keeps the source's weights and units, so its rows are
+    handed over unchecked, with each row's support items and numerators
+    put in target index order.
     """
     _check_mixed(source, mixed)
     if source.n_players != target.n_players:
         raise ValueError("games cover different player counts")
     zero = Fraction(0) if mixed.is_exact else 0.0
-    rows = []
-    for i, places in enumerate(_strategy_map(source, target)):
+    rows, supports, units = [], [], []
+    for i, (places, items, (denominator, numerators)) in enumerate(
+        zip(_strategy_map(source, target), mixed.support_items(), mixed._units)
+    ):
+        if any(places[k] < 0 for k, _ in items):
+            raise ValueError(f"player {i} has support strategies with no counterpart in the target game")
         row = [zero] * len(target.strategy_sets[i])
-        for k, w in mixed.support_items()[i]:
-            if places[k] < 0:
-                raise ValueError(f"player {i} has support strategies with no counterpart in the target game")
+        for k, w in items:
             row[places[k]] = w
         rows.append(tuple(row))
-    return MixedProfile(tuple(rows))
+        order = sorted(range(len(items)), key=lambda j: places[items[j][0]])
+        supports.append(tuple((places[items[j][0]], items[j][1]) for j in order))
+        units.append((denominator, tuple(numerators[j] for j in order)))
+    return MixedProfile._built(tuple(rows), tuple(supports), tuple(units), mixed.is_exact)
 
 
 def compare_domains(

@@ -45,6 +45,7 @@ from numbers import Rational
 import numpy as np
 
 from .partitions import (
+    _DENSE_LIMIT,
     Coalition,
     CoalitionStructure,
     PartitionFamily,
@@ -58,12 +59,6 @@ Profile = tuple[int, ...]
 
 UNANIMITY = "unanimity"
 TABLE = "table"
-
-# The most entries a dense payoff tensor or realized-structure index may
-# hold: 1 GiB as int64. The largest table in the tests and the benchmark
-# holds 3.24 million entries; 5 players over all 52 partitions would need
-# 380 million profiles.
-_DENSE_LIMIT = 2**27
 
 
 class ValidationError(ValueError):
@@ -220,7 +215,7 @@ class CoalitionGame:
     def strategy_key(self, player: int, strategy_index: int) -> tuple[CoalitionStructure, str]:
         """Identity of a strategy independent of family indexing: desired structure and action.
 
-        The package matches strategies across games by family row instead (_strategy_map).
+        The package matches strategies across games by family lookup instead (_strategy_map).
         """
         s = self._strategy(player, strategy_index)
         return self.family[s.desired_partition], s.action
@@ -367,8 +362,9 @@ class CoalitionGame:
         if max_coalition == self.max_coalition:
             return self
         sub_family = enumerate_partitions(self.n_players, max_coalition)
-        # The new family code of each old one, -1 for a block above the cap.
-        codes = [sub_family._position.get(row, -1) for row in self.family._rows]
+        # The new family position of each old structure, -1 for a block above the cap.
+        found = sub_family._lookup(self.family)
+        codes = found.tolist()
         kept: list[list[int]] = []
         new_sets: list[tuple[Strategy, ...]] = []
         for i, strategies in enumerate(self.strategy_sets):
@@ -392,7 +388,7 @@ class CoalitionGame:
         if not table and "realized_index" not in vars(self):
             return _handed(sub_family, new_sets, payoffs)
         sliced = self.realized_index[np.ix_(*kept)]
-        index = np.array(codes, dtype=np.int64)[sliced]
+        index = found[sliced]
         # Under unanimity a formed block is one every member desired, so
         # only a table can realize a block above the cap.
         outside = np.argwhere(index < 0)
@@ -422,11 +418,16 @@ def payoff_isomorphic(a: CoalitionGame, b: CoalitionGame) -> bool:
 
 
 def _strategy_map(source: CoalitionGame, target: CoalitionGame) -> list[list[int]]:
-    """Per player, the target index of each source strategy with the same family row and action, or -1."""
+    """Per player, the target index of each source strategy with the same desired structure and action, or -1.
+
+    The source's desired partitions are found in the target family in one lookup.
+    """
+    desired = [s.desired_partition for mine in source.strategy_sets for s in mine]
+    found = iter(target.family._lookup(source.family, desired).tolist())
     maps = []
     for mine, theirs in zip(source.strategy_sets, target.strategy_sets):
-        where = {(target.family._rows[s.desired_partition], s.action): k for k, s in enumerate(theirs)}
-        maps.append([where.get((source.family._rows[s.desired_partition], s.action), -1) for s in mine])
+        where = {(s.desired_partition, s.action): k for k, s in enumerate(theirs)}
+        maps.append([where.get((d, s.action), -1) for s, d in zip(mine, found)])
     return maps
 
 
@@ -455,35 +456,53 @@ def _unanimity_index(family: PartitionFamily, strategy_sets) -> np.ndarray:
     """The realized-structure index of the unanimity rule, read-only.
 
     A block forms exactly when every member desires it, so the structure
-    depends only on own desired blocks, read from the family rows: the
-    rule runs once per combination of each player's distinct own blocks,
-    and np.ix_ gathers that table onto the profile space.
+    depends only on own desired blocks: the rule runs once per
+    combination of each player's distinct own blocks, in one array pass
+    per player over all combinations. Each player's block leader, its
+    smallest member where its block forms and the player alone
+    otherwise, is found in the family in one lookup, and np.ix_ gathers
+    that table onto the profile space. Own blocks are numbered in order
+    of first appearance, so a structure missing from a hand-built family
+    is named at the first combination, in that order, that realizes it.
     """
     n = len(strategy_sets)
-    own = [
-        [next(b for b in family._rows[s.desired_partition] if i in b) for s in strategies]
-        for i, strategies in enumerate(strategy_sets)
-    ]
-    blocks = [list(dict.fromkeys(row)) for row in own]
-    codes: dict[tuple, int] = {}
-    table = []
-    for combo in itertools.product(*blocks):
-        # A block forms when every member desires it; its first member checks.
-        formed = tuple(
-            b for i, b in enumerate(combo) if b[0] == i and all(combo[m] == b for m in b)
-        )
-        if formed not in codes:
-            covered = {m for b in formed for m in b}
-            alone = [(m,) for m in range(n) if m not in covered]
-            codes[formed] = family.index_of(CoalitionStructure.of([*formed, *alone], n))
-        table.append(codes[formed])
-    table = np.array(table, dtype=np.int64).reshape([len(b) for b in blocks])
-    picks = [list(map(b.index, row)) for b, row in zip(blocks, own)]
-    return _frozen(table[np.ix_(*picks)])
+    ids: dict[tuple, int] = {}  # each distinct own block, a row of n bools, numbered across players
+    choices, picks = [], []
+    for i, strategies in enumerate(strategy_sets):
+        own = family._own_blocks(i, [s.desired_partition for s in strategies]).tolist()
+        mine: dict[int, int] = {}
+        picks.append([mine.setdefault(ids.setdefault(tuple(row), len(ids)), len(mine)) for row in own])
+        choices.append(list(mine))
+    members = np.array(list(ids), dtype=bool)
+    sizes, firsts = members.sum(axis=1), members.argmax(axis=1)
+    shape = [len(c) for c in choices]
+    # Per player, their block in every combination, the last player's choice varying fastest.
+    chosen = np.empty((n, *shape), dtype=np.intp)
+    for i, choice in enumerate(choices):
+        chosen[i] = np.reshape(choice, [-1 if axis == i else 1 for axis in range(n)])
+    chosen = chosen.reshape(n, -1)
+    leaders = np.empty_like(chosen)
+    for i, mine in enumerate(chosen):
+        # Only members desire a block, so it forms where as many players desire it as it has members.
+        formed = sum(mine == theirs for theirs in chosen) == sizes[mine]
+        leaders[i] = np.where(formed, firsts[mine], i)
+    leaders = leaders.T
+    table = family._find(leaders)
+    if (table < 0).any():
+        # index_of names the first structure the family lacks.
+        row = leaders[np.argmax(table < 0)].tolist()
+        family.index_of(CoalitionStructure.of([[m for m in range(n) if row[m] == b] for b in sorted(set(row))], n))
+    return _frozen(table.reshape(shape)[np.ix_(*picks)])
 
 
 def _require_dense(shape, width: int) -> None:
-    """Refuse a table of width entries per profile of shape above _DENSE_LIMIT, before it is built."""
+    """Refuse a table of width entries per profile of shape above _DENSE_LIMIT, before it is built.
+
+    The partition layer holds a family's codes to the same limit. The
+    largest table in the tests and the benchmark holds 3.24 million
+    entries; 5 players over all 52 partitions would need 380 million
+    profiles.
+    """
     profiles = prod(shape)
     if profiles * width > _DENSE_LIMIT:
         raise ValidationError(
@@ -535,8 +554,11 @@ def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) 
     object is looked up once.
     """
     first, inverse = _distinct(entries)
-    codes = [family._position.get(_row(entries[k])) for k in first]
-    bad = min((k for k, code in zip(first, codes) if code is None), default=None)
+    rows = [_row(entries[k]) for k in first]
+    fits = [j for j, row in enumerate(rows) if row is not None and len(row) == family.n_players]
+    codes = np.full(len(rows), -1)
+    codes[fits] = family._find(np.array([rows[j] for j in fits], dtype=np.intp).reshape(-1, family.n_players))
+    bad = min((k for k, code in zip(first, codes.tolist()) if code < 0), default=None)
     if bad is not None:
         profile = tuple(map(int, np.unravel_index(bad, shape)))
         if entries[bad] is None:
@@ -544,7 +566,7 @@ def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) 
         raise ValidationError(
             f"profile {profile} realizes {entries[bad]}, outside the family cap {family.max_block}"
         )
-    return _frozen(np.array(codes, dtype=np.int64)[inverse].reshape(shape))
+    return _frozen(codes[inverse].reshape(shape))
 
 
 def _distinct(values: list) -> tuple[list[int], np.ndarray]:

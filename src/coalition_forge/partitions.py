@@ -6,25 +6,24 @@ coalitions, and a family collects every structure whose blocks stay within
 a size cap. Families for growing caps are nested by inclusion, which the
 game layer builds on.
 
-Enumeration walks restricted growth strings in lexicographic order, the
-order of Knuth's Algorithm H (TAOCP Vol. 4A, 7.2.1.5), in a loop rather
-than by recursion, so no number of players exhausts the stack. It never
-places a player in a full block, so the family for a small cap is
-produced directly instead of being filtered out of the full partition
-lattice. The canonical form that falls out of this walk orders blocks by
-their smallest member, with members ascending inside each block.
+A family is one integer array of restricted growth strings (Knuth, TAOCP
+Vol. 4A, 7.2.1.5), its codes: per structure, the block number of every
+player, blocks numbered in the order of their smallest members, which is
+the canonical order of a structure's blocks. Enumeration builds them in
+lexicographic order, the order of Knuth's Algorithm H, one numpy step per
+player, so no number of players exhausts the stack. It never places a
+player in a full block, so the family for a small cap is produced
+directly instead of being filtered out of the full partition lattice.
 
-The walk keeps each open block as a member tuple, one object for all equal
-tuples of a call, and each leaf records a row: the tuple of these member
-tuples, in one C call. A family, a frozen dataclass over its rows,
-answers its count, membership, positions, equality and nesting from them,
-and a structure's key is tuple(b.members for b in s.blocks), so no lookup
-hashes a structure. It builds its structures only when they are read, all
-at once, with one Coalition per distinct block shared by all its
-structures. Every
-structure, enumerated or not, passes the same constructor check: its
-members, flattened and sorted, must be exactly 0..n-1. Only a structure
-that fails it is walked block by block to name the overlap or the gap.
+A family answers its count, membership, positions, equality and nesting
+from its codes, through one integer key per code (see _keys), which
+ascends in enumeration order, so a lookup is a binary search and no
+lookup hashes a structure. It builds its structures only when they are
+read, all at once, with one Coalition per distinct block shared by all
+its structures. Every structure, enumerated or not, passes the same
+constructor check: its members, flattened and sorted, must be exactly
+0..n-1. Only a structure that fails it is walked block by block to name
+the overlap or the gap.
 """
 
 from __future__ import annotations
@@ -32,10 +31,15 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import comb
 from numbers import Integral
-from operator import attrgetter
+
+import numpy as np
+
+# The most entries a dense array of the package may hold: a family's
+# codes here, and a game's payoff tensor or realized-structure index in
+# the game layer; 1 GiB as int64.
+_DENSE_LIMIT = 2**27
 
 
 @dataclass(frozen=True, order=True)
@@ -149,7 +153,7 @@ class CoalitionStructure:
         return "{" + ",".join(str(b) for b in self.blocks) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionFamily:
     """All coalition structures of n players with blocks of size <= max_block.
 
@@ -157,23 +161,32 @@ class PartitionFamily:
     gives each structure a stable position used by the game layer to
     reference desired partitions.
 
-    A family is a frozen dataclass over n_players, max_block and its rows,
-    one per structure: the tuple of its blocks' member tuples. The
-    decorator derives == and hash (equal n, K and rows, in order) and the
-    frozen checks from these fields, and keeps the __init__ and __repr__
-    written here: __init__ takes structures, and __repr__ shows the first
-    reprlib.aRepr.maxlist of them, built from their rows, then "...".
-    len, in, index_of and is_nested read the rows alone. An enumerated
-    family builds its structures on the first read of structures, of an
-    iterator or of family[i], all in one pass; a family built by hand
-    from structures keeps those objects and takes its rows from them,
-    and refuses anything but distinct structures over n_players with
-    blocks of at most max_block.
+    A family is a frozen dataclass over n_players, max_block and _codes,
+    a read-only (count, n) integer array holding each structure's
+    restricted growth string: the block number of every player, blocks
+    numbered by their smallest member. == and hash read n, K and the
+    codes, in order, and == is False for anything but a family; in,
+    index_of and is_nested read the codes' integer keys (see _keys), by
+    binary search in key order. The decorator keeps the __init__ and
+    __repr__ written here: __init__ takes structures, and __repr__ shows
+    the first reprlib.aRepr.maxlist of them, built from their codes,
+    then "...". An enumerated family builds its structures on the first
+    read of structures, of an iterator or of family[i], all in one pass;
+    a family built by hand from structures keeps those objects and takes
+    its codes from them, and refuses anything but distinct structures
+    over n_players with blocks of at most max_block.
+
+    The game layer reads a family through three private methods, so the
+    code format stays here: _own_blocks, each structure's block of one
+    player; _find, the positions of structures given by each player's
+    block leader (its smallest member); and _lookup, the positions of
+    another family's structures. Both lookups give -1 for a structure
+    outside the family.
     """
 
     n_players: int
     max_block: int
-    _rows: tuple
+    _codes: np.ndarray
 
     def __init__(self, n_players: int, max_block: int, structures) -> None:
         _check_args(n_players, max_block)
@@ -181,71 +194,210 @@ class PartitionFamily:
         structures = tuple(structures)
         position: dict[tuple, int] = {}
         for i, s in enumerate(structures):
-            row = _row(s)
-            if row is None:
+            if not isinstance(s, CoalitionStructure):
                 raise ValueError(f"family entry {i} is not a CoalitionStructure: {s!r}")
             if s.n_players != n:
                 raise ValueError(f"family entry {i} {s} covers {s.n_players} players, expected {n}")
             if s.max_block_size > K:
                 raise ValueError(f"family entry {i} {s} has a block larger than the cap {K}")
-            if position.setdefault(row, i) != i:
-                raise ValueError(f"family entry {i} {s} repeats entry {position[row]}")
-        self.__dict__.update(
-            n_players=n, max_block=K, structures=structures, _rows=tuple(position), _position=position
-        )
+            code = _code(s)
+            if position.setdefault(code, i) != i:
+                raise ValueError(f"family entry {i} {s} repeats entry {position[code]}")
+        codes = np.array(list(position), dtype=_code_dtype(n)).reshape(len(structures), n)
+        codes.flags.writeable = False
+        self.__dict__.update(n_players=n, max_block=K, _codes=codes, structures=structures)
 
     @classmethod
-    def _of_rows(cls, n_players: int, max_block: int, rows: tuple) -> PartitionFamily:
-        """A family over canonical rows, whose structures are built on first read."""
+    def _of_codes(cls, n_players: int, max_block: int, codes: np.ndarray) -> PartitionFamily:
+        """A family over codes in enumeration order, whose structures are built on first read."""
+        codes.flags.writeable = False
         family = cls.__new__(cls)
-        family.__dict__.update(n_players=n_players, max_block=max_block, _rows=rows)
+        family.__dict__.update(n_players=n_players, max_block=max_block, _codes=codes)
         return family
 
     @cached_property
     def structures(self) -> tuple[CoalitionStructure, ...]:
-        # Each distinct block becomes one Coalition, shared by its structures.
-        coalition = {m: Coalition(m) for m in set(chain.from_iterable(self._rows))}.__getitem__
-        n = self.n_players
-        return tuple([CoalitionStructure(tuple(map(coalition, row)), n) for row in self._rows])
+        return _structures(self._codes)
 
     @cached_property
-    def _position(self) -> dict[tuple, int]:
-        return dict(zip(self._rows, range(len(self._rows))))
+    def _keys(self) -> np.ndarray:
+        return _keys(self._codes)
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The keys ascending and, unless they already are, each one's position."""
+        keys = self._keys
+        if (keys[1:] > keys[:-1]).all():
+            return keys, None
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def _search(self, keys: np.ndarray) -> np.ndarray:
+        """The position of each key's structure, -1 for a key outside the family."""
+        ascending, order = self._sorted
+        if not len(ascending):
+            return np.full(len(keys), -1)
+        at = np.minimum(ascending.searchsorted(keys), len(ascending) - 1)
+        hit = ascending[at] == keys
+        return np.where(hit, at if order is None else order[at], -1)
+
+    def _locate(self, structure) -> int:
+        """The position of a structure, -1 for anything else."""
+        if not isinstance(structure, CoalitionStructure) or structure.n_players != self.n_players:
+            return -1
+        key = _key(_code(structure), self._codes.dtype)
+        ascending, order = self._sorted
+        i = int(ascending.searchsorted(key))
+        if i == len(ascending) or ascending[i] != key:
+            return -1
+        return i if order is None else int(order[i])
+
+    def _lookup(self, other: PartitionFamily, at=None) -> np.ndarray:
+        """The position of each of other's structures (those at the indices at, if given), or -1."""
+        if other.n_players != self.n_players:
+            raise ValueError(
+                f"cannot compare families over {other.n_players} and {self.n_players} players"
+            )
+        return self._search(other._keys if at is None else other._keys[at])
+
+    def _find(self, leaders) -> np.ndarray:
+        """The position of each structure given by its players' block leaders, or -1.
+
+        leaders has shape (..., n): per structure, the smallest member of
+        each player's block. The result has shape (...).
+        """
+        leaders = np.asarray(leaders)
+        flat = leaders.reshape(-1, self.n_players)
+        # A block's number is the count of leaders before its own.
+        rank = np.cumsum(flat == np.arange(self.n_players), axis=1, dtype=self._codes.dtype) - 1
+        codes = rank[np.arange(len(flat))[:, None], flat]
+        return self._search(_keys(codes)).reshape(leaders.shape[:-1])
+
+    def _own_blocks(self, player: int, at) -> np.ndarray:
+        """Per structure at the indices at, the player's block as a row of n bools."""
+        codes = self._codes[at]
+        return codes == codes[:, [player]]
 
     def index_of(self, structure: CoalitionStructure) -> int:
-        i = self._position.get(_row(structure))
-        if i is None:
+        i = self._locate(structure)
+        if i < 0:
             raise ValueError(f"{structure} is not in the family (n={self.n_players}, cap={self.max_block})")
         return i
 
     def __contains__(self, structure) -> bool:
-        return _row(structure) in self._position
+        return self._locate(structure) >= 0
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and (self.n_players, self.max_block) == (other.n_players, other.max_block)
+            and np.array_equal(self._codes, other._codes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_players, self.max_block, self._codes.tobytes()))
 
     def __iter__(self):
         return iter(self.structures)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._codes)
 
     def __getitem__(self, i: int) -> CoalitionStructure:
         return self.structures[i]
 
     def __repr__(self) -> str:
-        # At most reprlib's count of structures, each built from its row.
+        # At most reprlib's count of structures, built from their codes.
         cap, n = reprlib.aRepr.maxlist, self.n_players
-        shown = tuple(CoalitionStructure(tuple(map(Coalition, row)), n) for row in self._rows[:cap])
-        text = repr(shown) if len(self._rows) <= cap else f"({', '.join([*map(repr, shown), '...'])})"
+        shown = _structures(self._codes[:cap])
+        text = repr(shown) if len(self) <= cap else f"({', '.join([*map(repr, shown), '...'])})"
         return f"PartitionFamily(n_players={n!r}, max_block={self.max_block!r}, structures={text})"
 
 
-_members = attrgetter("members")
+# Keys are int64 up to this many players: players 1..15 take 4 bits each,
+# and player 0 is always in block 0.
+_KEY_PLAYERS = 16
 
 
-def _row(structure) -> tuple[tuple[int, ...], ...] | None:
-    """A structure's key in a family, its blocks' member tuples; None for a non-structure."""
-    if isinstance(structure, CoalitionStructure):
-        return tuple(map(_members, structure.blocks))
-    return None
+def _code_dtype(n_players: int) -> type:
+    """The narrowest signed integer type that holds n_players, for codes and block sizes."""
+    return np.int8 if n_players < 2**7 else np.int16 if n_players < 2**15 else np.int32
+
+
+def _code(structure: CoalitionStructure) -> tuple[int, ...]:
+    """A structure's code: the number of each player's block, its place in the canonical order."""
+    code = [0] * structure.n_players
+    for b, block in enumerate(structure.blocks):
+        for m in block.members:
+            code[m] = b
+    return tuple(code)
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """One key per code row, ascending in the rows' lexicographic order.
+
+    Up to _KEY_PLAYERS players, each block number after player 0's is a
+    4-bit digit of an int64, built one player at a time so that no
+    wider copy of the codes is made. Wider rows are keyed by their
+    big-endian bytes.
+    """
+    count, n = codes.shape
+    if n > _KEY_PLAYERS:
+        wide = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder(">"))
+        return wide.view(f"S{wide.itemsize * n}").ravel()
+    keys = np.zeros(count, dtype=np.int64)
+    for column in codes.T[1:]:
+        keys <<= 4
+        keys |= column
+    return keys
+
+
+def _key(code: tuple[int, ...], dtype: np.dtype):
+    """The key _keys gives one code, read in Python up to _KEY_PLAYERS players."""
+    if len(code) > _KEY_PLAYERS:
+        return _keys(np.array([code], dtype=dtype))[0]
+    key = 0
+    for digit in code[1:]:
+        key = key << 4 | digit
+    return key
+
+
+def _structures(codes: np.ndarray) -> tuple[CoalitionStructure, ...]:
+    """The structures of code rows, in order, with one Coalition per distinct block.
+
+    Each block is read as the bit set of its members, one column per
+    block number and one numpy step per player, so the distinct blocks
+    are the distinct bit sets (0 for no block). The Coalitions of all
+    structures are gathered at once, one column list per block number,
+    and each structure takes its row's first blocks. Column lists,
+    rather than one list per row, keep the live containers few while
+    the structures are built.
+    """
+    count, n = codes.shape
+    rows = np.arange(count)
+    bits = np.zeros((count, n), dtype=np.int64 if n < 64 else object)
+    for player, column in enumerate(codes.T):
+        bits[rows, column] |= 1 << player
+    distinct = sorted(set(bits.ravel().tolist()))
+    coalitions = np.empty(len(distinct), dtype=object)  # None for 0, no block
+    for i, v in enumerate(distinct):
+        if v:
+            coalitions[i] = Coalition(tuple(m for m in range(n) if v >> m & 1))
+    blocks = coalitions[np.array(distinct, dtype=bits.dtype).searchsorted(bits)]
+    sizes = (codes.max(axis=1, initial=0) + 1).tolist()
+    padded = zip(*[column.tolist() for column in blocks.T])
+    return tuple([CoalitionStructure(row[:size], n) for row, size in zip(padded, sizes)])
+
+
+def _row(structure) -> tuple[int, ...] | None:
+    """A structure as PartitionFamily._find reads it, each player's block leader; None for a non-structure."""
+    if not isinstance(structure, CoalitionStructure):
+        return None
+    row = [0] * structure.n_players
+    for block in structure.blocks:
+        for m in block.members:
+            row[m] = block.members[0]
+    return tuple(row)
 
 
 def _is_integer(value) -> bool:
@@ -277,56 +429,48 @@ def _check_args(n_players: int, max_block: int) -> None:
 def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     """Enumerate every partition of n players with all blocks <= max_block.
 
-    The walk assigns players in index order. Player i may join any existing
-    block that still has room or open a new block, which is exactly the
-    restricted growth string order; capping happens during generation, so
-    no oversized partition is ever materialised. After each structure the
-    walk backs up to the last player with a later block to try, in a loop,
-    so any number of players fits. A player that joins a block replaces
-    its member tuple by a longer one, looked up in one dict for the call so
-    that equal blocks are one object, and backing up restores the tuple
-    from before. Each leaf records the tuple of the open blocks as its row
-    (see PartitionFamily).
+    Builds the family's codes in lexicographic order, one player at a
+    time: every prefix, a partition of the players so far, is extended
+    by each block number the next player may take, the open blocks with
+    room and then a new one, in one numpy step per player. Prefix-major,
+    block-minor order keeps the strings in lexicographic order, and a
+    count per open block enforces the cap during generation, so no
+    oversized partition is ever materialised. Players 0 and 1 seed the
+    loop, so a two-player family takes no step. A family whose codes
+    would hold more than _DENSE_LIMIT entries is refused from its exact
+    count, before anything is built.
     """
     _check_args(n_players, max_block)
-    shared = {}.setdefault  # the first of equal member tuples, for all of them
-    rows: list[tuple[tuple[int, ...], ...]] = []
-    blocks: list[tuple[int, ...]] = []  # the open blocks' member tuples
-    joined = [0] * n_players  # the block each placed player is in
-    before = [()] * n_players  # that block's members before the player joined
-    player, first_choice = 0, 0
-    while True:
-        # Place the player in the first block from first_choice on that has
-        # room, or else in a new block.
-        b = first_choice
-        while b < len(blocks) and len(blocks[b]) >= max_block:
-            b += 1
-        if b == len(blocks):
-            blocks.append(())
-        before[player] = blocks[b]
-        members = blocks[b] + (player,)
-        blocks[b] = shared(members, members)
-        joined[player] = b
-        player += 1
-        if player < n_players:
-            first_choice = 0
-            continue
-        rows.append(tuple(blocks))
-        # Back up to the last player who can move to a later block. A player
-        # left alone in their block opened it, the last choice they have.
-        while True:
-            player -= 1
-            b = joined[player]
-            blocks[b] = before[player]
-            if blocks[b]:
-                first_choice = b + 1
-                break
-            blocks.pop()
-            if player == 0:
-                return PartitionFamily._of_rows(int(n_players), int(max_block), tuple(rows))
+    n, K = int(n_players), int(max_block)
+    count = _bell(n, K)
+    if count * n > _DENSE_LIMIT:
+        raise ValueError(
+            f"the {count} partitions of {n} players with blocks of at most {K} "
+            f"exceed the dense limit of {_DENSE_LIMIT} code entries"
+        )
+    dtype = _code_dtype(n)
+    if n == 1:
+        return PartitionFamily._of_codes(n, K, np.zeros((1, 1), dtype=dtype))
+    codes = np.array([[0, 0], [0, 1]] if K > 1 else [[0, 1]], dtype=dtype)
+    if n > 2:
+        sizes = np.zeros((len(codes), n), dtype=dtype)
+        sizes[:, :2] = [[2, 0], [1, 1]] if K > 1 else [[1, 1]]
+        opened = codes[:, 1] + 1  # the blocks in use
+        for player in range(2, n):
+            room = sizes[:, : player + 1] < K
+            room &= np.arange(player + 1) <= opened[:, None]
+            rows, block = np.nonzero(room)
+            grown = np.empty((len(rows), player + 1), dtype=dtype)
+            grown[:, :player] = codes[rows]
+            grown[:, player] = block
+            codes = grown
+            if player + 1 < n:
+                sizes = sizes[rows]
+                sizes[np.arange(len(rows)), block] += 1
+                opened = np.maximum(opened[rows], block + 1)
+    return PartitionFamily._of_codes(n, K, codes)
 
 
-@lru_cache(maxsize=None, typed=True)
 def restricted_bell(n_players: int, max_block: int) -> int:
     """Count partitions of n players with all blocks of size <= max_block.
 
@@ -335,20 +479,19 @@ def restricted_bell(n_players: int, max_block: int) -> int:
     the rest are partitioned independently.
     """
     _check_args(n_players, max_block)
-    counts = [0] * (n_players + 1)
+    return _bell(int(n_players), int(max_block))
+
+
+@lru_cache(maxsize=None)
+def _bell(n: int, K: int) -> int:
+    """restricted_bell of checked arguments."""
+    counts = [0] * (n + 1)
     counts[0] = 1
-    for m in range(1, n_players + 1):
-        counts[m] = sum(
-            comb(m - 1, j - 1) * counts[m - j] for j in range(1, min(max_block, m) + 1)
-        )
-    return counts[n_players]
+    for m in range(1, n + 1):
+        counts[m] = sum(comb(m - 1, j - 1) * counts[m - j] for j in range(1, min(K, m) + 1))
+    return counts[n]
 
 
 def is_nested(smaller: PartitionFamily, larger: PartitionFamily) -> bool:
     """Whether every structure of the first family appears in the second."""
-    if smaller.n_players != larger.n_players:
-        raise ValueError(
-            f"cannot compare families over {smaller.n_players} and {larger.n_players} players"
-        )
-    return set(larger._rows).issuperset(smaller._rows)
-
+    return bool((larger._lookup(smaller) >= 0).all())

@@ -159,15 +159,15 @@ class MixedProfile:
         self.__dict__.update(is_exact=exact, _support_items=tuple(supports), _units=tuple(units))
 
     @classmethod
-    def _built(cls, weights: tuple, support_items: tuple, units: tuple) -> MixedProfile:
-        """An exact profile from rows the package built and knows to be valid.
+    def _built(cls, weights: tuple, support_items: tuple, units: tuple, is_exact: bool = True) -> MixedProfile:
+        """A profile, exact unless is_exact is False, from rows the package built and knows to be valid.
 
         weights is a tuple of row tuples, and support_items and units are
         what validation would find for them; nothing is checked.
         """
         mixed = object.__new__(cls)
         mixed.__dict__.update(
-            weights=weights, is_exact=True, _support_items=support_items, _units=units
+            weights=weights, is_exact=is_exact, _support_items=support_items, _units=units
         )
         return mixed
 

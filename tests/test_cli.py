@@ -74,6 +74,15 @@ class TestEnumerate:
         singletons = ",".join(f"{{{i}}}" for i in range(1, 1201))
         assert out.splitlines() == ["p(1200,1) = 1", f"  0  {{{singletons}}}"]
 
+    def test_a_family_too_large_to_hold_is_refused_but_counted(self):
+        code, out, err = run("enumerate", "-n", "30", "-K", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "coalition-forge: error: the 606917269909048576 partitions of 30 players "
+            f"with blocks of at most 2 exceed the dense limit of {2**27} code entries\n"
+        )
+        assert run("enumerate", "-n", "30", "-K", "2", "--count-only") == (0, "606917269909048576\n", "")
+
     def test_bad_sizes(self):
         assert run("enumerate", "-n", "0")[0] == 2
         assert run("enumerate", "-n", "4", "-K", "0")[0] == 2

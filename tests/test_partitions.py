@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coalition_forge import partitions
 from coalition_forge.partitions import (
     Coalition,
     CoalitionStructure,
@@ -53,6 +54,48 @@ def reference_walk(n, cap):
 
     walk(0)
     return out
+
+
+def walk_rows(n_players, max_block):
+    """A loop walk over restricted growth strings, the reference for the code arrays.
+
+    It assigns players in index order: each joins the first block from
+    first_choice on that has room, or else opens a new one, and after
+    each structure the walk backs up to the last player with a later
+    block to try. Each leaf records the tuple of the open blocks' member
+    tuples, so the result is every structure as its row, in restricted
+    growth string order.
+    """
+    rows = []
+    blocks = []  # the open blocks' member tuples
+    joined = [0] * n_players  # the block each placed player is in
+    before = [()] * n_players  # that block's members before the player joined
+    player, first_choice = 0, 0
+    while True:
+        b = first_choice
+        while b < len(blocks) and len(blocks[b]) >= max_block:
+            b += 1
+        if b == len(blocks):
+            blocks.append(())
+        before[player] = blocks[b]
+        blocks[b] = blocks[b] + (player,)
+        joined[player] = b
+        player += 1
+        if player < n_players:
+            first_choice = 0
+            continue
+        rows.append(tuple(blocks))
+        # A player left alone in their block opened it, the last choice they have.
+        while True:
+            player -= 1
+            b = joined[player]
+            blocks[b] = before[player]
+            if blocks[b]:
+                first_choice = b + 1
+                break
+            blocks.pop()
+            if player == 0:
+                return rows
 
 
 def as_key(blocks):
@@ -138,6 +181,45 @@ class TestEnumeration:
     def test_many_players_do_not_recurse(self):
         family = enumerate_partitions(1200, 1)
         assert list(family) == [CoalitionStructure.singletons(1200)]
+
+    def test_many_players_are_looked_up_by_wide_keys(self):
+        family = enumerate_partitions(1200, 1)
+        alone = CoalitionStructure.singletons(1200)
+        assert alone in family and family.index_of(alone) == 0
+        assert CoalitionStructure.of([[0, 1], *([m] for m in range(2, 1200))], 1200) not in family
+        assert family == PartitionFamily(1200, 1, [alone]) and hash(family) == hash(PartitionFamily(1200, 1, [alone]))
+
+    def test_codes_that_coincide_across_player_counts_are_told_apart(self):
+        """{0,1} over 2 players has the code of {0,1,2} over 3 players, padded."""
+        family = enumerate_partitions(3, 3)
+        pair = CoalitionStructure.of([[0, 1]], 2)
+        assert pair not in family
+        with pytest.raises(ValueError) as caught:
+            family.index_of(pair)
+        assert str(caught.value) == "{{0,1}} is not in the family (n=3, cap=3)"
+        assert CoalitionStructure.of([[0, 1, 2]], 3) in family
+
+    def test_a_family_too_large_to_hold_is_refused_from_its_count(self):
+        count = restricted_bell(30, 2)
+        assert count == 606917269909048576
+        with pytest.raises(ValueError) as caught:
+            enumerate_partitions(30, 2)
+        assert str(caught.value) == (
+            f"the {count} partitions of 30 players with blocks of at most 2 "
+            f"exceed the dense limit of {2**27} code entries"
+        )
+
+    def test_the_dense_limit_counts_code_entries(self, monkeypatch):
+        # restricted_bell(4, 2) is 10 structures of 4 entries each.
+        monkeypatch.setattr(partitions, "_DENSE_LIMIT", 40)
+        assert len(enumerate_partitions(4, 2)) == 10
+        monkeypatch.setattr(partitions, "_DENSE_LIMIT", 39)
+        with pytest.raises(ValueError, match="^the 10 partitions of 4 players with blocks of at most 2 exceed"):
+            enumerate_partitions(4, 2)
+
+    def test_twelve_players_and_thirteen_at_cap_three_fit_the_limit(self):
+        assert all(restricted_bell(12, K) * 12 <= partitions._DENSE_LIMIT for K in range(1, 13))
+        assert restricted_bell(13, 3) * 13 <= partitions._DENSE_LIMIT < restricted_bell(13, 4) * 13
 
     def test_singleton_structure_always_first_cap_one(self):
         for n in range(1, 6):
@@ -321,7 +403,7 @@ class TestFamilyLookups:
         for value in [None, 0, "{0,1},{2}", ((0, 1), (2,)), [[0, 1], [2]], Coalition.of(0, 1)]:
             assert value not in family
         assert CoalitionStructure.singletons(4) not in family
-        assert family != "family" and family != family._rows
+        assert family != "family" and family != family._codes
 
     def test_reads_build_structures_once_and_only_when_read(self, monkeypatch):
         smaller = enumerate_partitions(10, 2)
@@ -347,6 +429,66 @@ class TestFamilyLookups:
         assert list(family) == list(family.structures) == built
         assert family[0] is first and family[-1] is built[-1]
         assert len(built) == len(family)
+
+
+N_AND_CAP = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+class TestCodesAgainstTheWalk:
+    @LOOKUPS
+    @given(N_AND_CAP)
+    def test_same_structures_in_the_same_order_and_lookups(self, n_and_cap):
+        n, cap = n_and_cap
+        family = enumerate_partitions(n, cap)
+        rows = walk_rows(n, cap)
+        assert len(family) == len(rows) == restricted_bell(n, cap)
+        assert [tuple(b.members for b in s) for s in family] == rows
+        position = {as_key(row): i for i, row in enumerate(rows)}
+        for blocks in all_partitions(n):
+            probe = CoalitionStructure.of(blocks, n)
+            i = position.get(as_key(blocks))
+            assert (probe in family) == (i is not None)
+            if i is None:
+                with pytest.raises(ValueError):
+                    family.index_of(probe)
+            else:
+                assert family.index_of(probe) == i
+        for other_cap in range(1, n + 1):
+            other = enumerate_partitions(n, other_cap)
+            assert is_nested(family, other) == (cap <= other_cap)
+            assert is_nested(other, family) == (other_cap <= cap)
+        hand_built = PartitionFamily(n, cap, rebuilt(family, n))
+        assert hand_built == family and hash(hand_built) == hash(family)
+        if len(family) > 1:
+            assert PartitionFamily(n, cap, rebuilt(family, n)[::-1]) != family
+
+
+@pytest.mark.parametrize("n", [16, 17, 127, 128, 129])
+def test_hand_built_families_at_the_edges_of_the_code_format(n):
+    """Keys change format above 16 players, and codes need 16 bits from 128."""
+    structures = [
+        CoalitionStructure.singletons(n),
+        CoalitionStructure.of([range(n)], n),
+        CoalitionStructure.of([[0, n - 1], *([m] for m in range(1, n - 1))], n),
+        CoalitionStructure.of([range(0, n, 2), range(1, n, 2)], n),
+        CoalitionStructure.of([[m, m + 1] for m in range(0, n - 1, 2)] + ([[n - 1]] if n % 2 else []), n),
+    ]
+    family = PartitionFamily(n, n, structures)
+    backwards = PartitionFamily(n, n, structures[::-1])
+    for i, s in enumerate(structures):
+        assert s in family and family.index_of(s) == i
+        assert backwards.index_of(s) == len(structures) - 1 - i
+    for absent in (
+        CoalitionStructure.of([[0, 1], *([m] for m in range(2, n))], n),
+        CoalitionStructure.of([[0], range(1, n)], n),
+        CoalitionStructure.singletons(n - 1),
+    ):
+        assert absent not in family and absent not in backwards
+    assert is_nested(family, backwards) and is_nested(backwards, family)
+    assert not is_nested(family, PartitionFamily(n, n, structures[1:]))
+    assert family == PartitionFamily(n, n, rebuilt(structures, n)) and family != backwards
+    assert hash(family) == hash(PartitionFamily(n, n, rebuilt(structures, n)))
+    assert list(PartitionFamily._of_codes(n, n, family._codes.copy())) == structures
 
 
 class TestFamilyValue:
@@ -386,7 +528,7 @@ class TestFamilyValue:
             (lambda f: setattr(f, "n_players", 1), "cannot assign to field 'n_players'"),
             (lambda f: setattr(f, "colour", "red"), "cannot assign to field 'colour'"),
             (lambda f: delattr(f, "structures"), "cannot delete field 'structures'"),
-            (lambda f: delattr(f, "_rows"), "cannot delete field '_rows'"),
+            (lambda f: delattr(f, "_codes"), "cannot delete field '_codes'"),
         ],
     )
     def test_is_frozen(self, change, message):
@@ -426,7 +568,8 @@ class TestFamilyValue:
     def test_reads_are_kept(self):
         family = enumerate_partitions(4, 2)
         assert family.structures is family.structures
-        assert family._position is family._position
+        assert family._keys is family._keys
+        assert family._sorted is family._sorted
         structures = tuple(CoalitionStructure.of([b.members for b in s], 4) for s in family)
         hand_built = PartitionFamily(4, 2, structures)
         assert hand_built.structures is structures

@@ -1327,6 +1327,36 @@ def test_strategy_maps_match_the_key_matchings(games, data):
                 assert outcome(compare_domains, mixed, other, a, b) == expected
 
 
+@DIFFERENTIAL
+@given(related_games(), st.data())
+def test_lifted_profiles_carry_what_validation_finds(games, data):
+    """A lift hands its rows over unchecked, with the supports and units a check would find."""
+    for a, b in itertools.product(games, repeat=2):
+        for exact in (True, False):
+            mixed = data.draw(profiles_of(a, exact))
+            try:
+                lifted = lift_profile(a, mixed, b)
+            except ValueError:
+                continue
+            again = MixedProfile(lifted.weights)
+            assert repr(lifted) == repr(again) and lifted == again
+            assert (lifted.is_exact, lifted.support_items(), lifted._units) == (
+                again.is_exact, again.support_items(), again._units
+            )
+
+
+@DIFFERENTIAL
+@given(coalition_games(), st.booleans(), st.data())
+def test_lotteries_hold_what_the_public_constructor_accepts(game, exact, data):
+    """A lottery is handed over unchecked; the checked constructor takes its fields as they are."""
+    mixed = data.draw(profiles_of(game, exact))
+    result = EquilibriumResult(mixed, (0,) * game.n_players, 0, "test", True)
+    lottery = equilibrium_partitions(game, result)
+    again = EquilibriumPartitionSet(lottery.partitions, lottery.probabilities)
+    assert (again.partitions, again.probabilities) == (lottery.partitions, lottery.probabilities)
+    assert lottery.partitions == tuple(s for s in game.family if lottery.probability(s) > 0)
+
+
 def test_nesting_lifting_and_the_scan_build_no_structure():
     """Eight players over all 4,140 structures, and the game's cap 2 restriction.
 
@@ -1343,7 +1373,7 @@ def test_nesting_lifting_and_the_scan_build_no_structure():
     game = CoalitionGame(n, n, family, ((Strategy(alone), Strategy(pair)),) * n, Mechanism(), payoffs)
     assert game.realized_index[(1, 1) + (0,) * (n - 2)] == pair
     small = game.restrict(2)
-    assert small.realized_index[(1, 1) + (0,) * (n - 2)] == small.family._position[family._rows[pair]]
+    assert small.realized_index[(1, 1) + (0,) * (n - 2)] == small.family._lookup(family, [pair])[0] >= 0
     # The pair redesires together out of every profile where it does not form.
     assert len(pure_nash_enumerate(game)) == len(pure_nash_enumerate(small)) == 2 ** (n - 2)
     assert payoff_isomorphic(game.restrict(2), small)
