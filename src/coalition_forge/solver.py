@@ -41,6 +41,7 @@ chain, and returns a Solution.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -57,7 +58,10 @@ SUPPORT = "support-enum"
 ITERATIVE = "iterative"
 
 _LOCK_WINDOW = 64
-_EINSUM_AXES = 52
+# The labels numpy gives sublist axes 0 to 51, so a subscript string
+# names the same contraction the sublist form does.
+_EINSUM_LETTERS = string.ascii_uppercase + string.ascii_lowercase
+_EINSUM_AXES = len(_EINSUM_LETTERS)
 _FLOAT_SUM_SLACK = 1e-12
 # Float verification's default tolerance, and the iterative lane's.
 _FLOAT_TOLERANCE = 1e-9
@@ -67,6 +71,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 # The most bytes of gathered payoffs one chunk of the group screen holds.
 _SCREEN_BYTES = 1 << 20
+
+
+def _check_tolerance(tolerance, zero_ok: bool) -> None:
+    """Refuse a tolerance that is not a finite real number above 0, or at least 0 if zero_ok.
+
+    numpy's reals and Fraction pass, bool does not. A NaN fails the sign test.
+    """
+    if not isinstance(tolerance, Real) or isinstance(tolerance, bool):
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
+    if not (tolerance >= 0 if zero_ok else tolerance > 0):
+        raise ValueError(f"tolerance must be {'non-negative' if zero_ok else 'positive'}, got {tolerance}")
+    if not tolerance < inf:
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +112,7 @@ class SolverConfig:
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not isinstance(self.tolerance, Real) or isinstance(self.tolerance, bool):
-            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.tolerance < inf:
-            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
+        _check_tolerance(self.tolerance, zero_ok=False)
         if self.max_support is not None and self.max_support < 1:
             raise ValueError(f"max_support must be at least 1, got {self.max_support}")
         if self.max_iterations < 1:
@@ -268,15 +280,21 @@ def _einsum_operands(tensor: np.ndarray, weights: list[np.ndarray], player: int)
     """einsum's arguments for summing the tensor down to the player's axis.
 
     Every other axis is summed weighted by its player's weights. The list
-    holds the weight arrays themselves, so it stays valid while they
-    change in place. einsum labels axes 0 to 51, so more players are
-    refused.
+    is a subscript string, such as "ABC,B,C->A" for player 0 of three,
+    then the tensor and the other players' weight arrays in player order.
+    It holds the weight arrays themselves, so it stays valid while they
+    change in place. The letters are A to Z then a to z, the labels numpy
+    gives sublist axes 0 to 51, so the contraction is the one the sublist
+    form names, while einsum's dispatch reads only the string and the
+    arrays. More than 52 players are refused.
     """
     n = len(weights)
     if n > _EINSUM_AXES:
         raise ValueError(f"contractions handle at most {_EINSUM_AXES} players, game has {n}")
-    operands = [x for j in range(n) if j != player for x in (weights[j], [j])]
-    return [tensor, range(n), *operands, [player]]
+    labels = _EINSUM_LETTERS[:n]
+    others = [j for j in range(n) if j != player]
+    subscripts = ",".join([labels, *[labels[j] for j in others]]) + "->" + labels[player]
+    return [subscripts, tensor, *[weights[j] for j in others]]
 
 
 def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
@@ -440,12 +458,17 @@ def verify_epsilon_nash(
     """Check that no player can gain more than tolerance by deviating.
 
     Default tolerance is exact zero for rational profiles and 1e-9 for
-    float ones. Exact expected values, best deviations and regrets are
-    each one Fraction from two integers.
+    float ones. A tolerance given is read as SolverConfig reads one,
+    except that 0 is allowed: a finite real number at least 0 (numpy's
+    and Fraction too, never bool), else ValueError. Exact expected
+    values, best deviations and regrets are each one Fraction from two
+    integers.
     """
     _check_mixed(game, mixed)
     if tolerance is None:
         tolerance = _ZERO if mixed.is_exact else _FLOAT_TOLERANCE
+    else:
+        _check_tolerance(tolerance, zero_ok=True)
     expected, best, regrets = [], [], []
     for i in range(game.n_players):
         values, denominator = _deviation_values(game, i, mixed)
@@ -839,13 +862,19 @@ def mixed_nash_iterative(
     payoff_ints is int64 with every entry and payoff_scale within 2**53
     in size, and by Python int division otherwise; either way each is
     the float nearest its exact value. Each player's contraction
-    operands are built once, so an iteration is n einsum calls plus the
-    best replies, regrets and in-place updates, in a fixed order that
-    keeps the float trajectory the same bit for bit.
+    operands are built once, as a subscript string and arrays, so
+    einsum's dispatch reads no list. Every player's weights are a view
+    into one flat array. An iteration is then n einsum calls, each
+    player's best reply and regret taken in one pass with the same float
+    operations the reference loop makes, one multiply of the flat array
+    and one add per player, in a fixed order that keeps the float
+    trajectory the same bit for bit.
     """
     config = config or SolverConfig()
     tensors = np.ascontiguousarray(np.moveaxis(_float_payoffs(game, game.payoff_ints), -1, 0))
-    dists = _start_distributions(game, config, start)
+    starts = _start_distributions(game, config, start)
+    flat = np.concatenate(starts)
+    dists = np.split(flat, np.cumsum([len(d) for d in starts])[:-1])
     # Built once: the distributions below change in place.
     operands = [_einsum_operands(tensors[i], dists, i) for i in range(game.n_players)]
     last_br: Profile | None = None
@@ -853,10 +882,14 @@ def mixed_nash_iterative(
     iterations = 0
     for t in range(config.max_iterations):
         iterations = t + 1
-        values = [np.einsum(*args) for args in operands]
-        br = tuple([int(v.argmax()) for v in values])
-        regret = max([float(v[b] - v @ d) for v, b, d in zip(values, br, dists)])
-        if regret <= config.tolerance:
+        replies, regrets = [], []
+        for args, d in zip(operands, dists):
+            v = np.einsum(*args)
+            b = int(v.argmax())
+            replies.append(b)
+            regrets.append(v.item(b) - float(v.dot(d)))
+        br = tuple(replies)
+        if max(regrets) <= config.tolerance:
             break
         if br == last_br:
             stable += 1
@@ -868,8 +901,8 @@ def mixed_nash_iterative(
             if (game.best_reply_counts[br] > 0).all():
                 return _pure_results(game, np.array([br]), ITERATIVE, iterations)[0]
         alpha = 1.0 / (t + 2)
+        flat *= 1.0 - alpha
         for d, b in zip(dists, br):
-            d *= 1.0 - alpha
             d[b] += alpha
     profile = _float_profile(dists)
     report = verify_epsilon_nash(game, profile, config.tolerance)

@@ -136,6 +136,37 @@ class TestMixedProfile:
         assert verify_epsilon_nash(g, result.profile, tolerance).passed is False
         assert verify_epsilon_nash(g, point_mass(g, (0, 0)), tolerance).passed is True
 
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (float("nan"), "tolerance must be non-negative, got nan"),
+            (-1, "tolerance must be non-negative, got -1"),
+            (Fraction(-1, 3), "tolerance must be non-negative, got -1/3"),
+            (float("inf"), "tolerance must be finite, got inf"),
+            (np.float64("inf"), "tolerance must be finite, got inf"),
+            (True, "tolerance must be a real number, got True"),
+            (np.bool_(False), "tolerance must be a real number, got np.False_"),
+            ("0.1", "tolerance must be a real number, got '0.1'"),
+            (1j, "tolerance must be a real number, got 1j"),
+        ],
+    )
+    def test_verification_refuses_a_tolerance_the_config_would(self, tolerance, message):
+        """Verification reads a tolerance as SolverConfig does, 0 allowed, for either mode."""
+        g = game("pd-standard")
+        for mixed in (point_mass(g, (0, 0)), MixedProfile(((0.5, 0.5),) * 2)):
+            with pytest.raises(ValueError) as caught:
+                verify_epsilon_nash(g, mixed, tolerance)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "tolerance", [0, Fraction(0), 0.0, np.int64(0), np.float64(1e-3), Fraction(1, 10), 10**400]
+    )
+    def test_verification_takes_finite_non_negative_reals(self, tolerance):
+        g = game("bos")
+        report = verify_epsilon_nash(g, point_mass(g, (0, 0)), tolerance)
+        assert report.passed is True and report.tolerance is tolerance
+        assert verify_epsilon_nash(g, point_mass(g, (0, 1)), tolerance).passed is bool(tolerance >= 1)
+
     def test_numpy_weight_gives_python_floats(self):
         g = game("pd-standard")
         mixed = MixedProfile(((np.float64(0.25), 0.75), (0.5, 0.5)))
@@ -614,8 +645,15 @@ class TestIterative:
 def test_more_players_than_einsum_axes_are_refused():
     """einsum labels at most 52 axes; a 53-player game is refused by name.
 
-    The pure lane and the lottery read no contraction and still answer.
+    At 52 players every contraction reader answers. At 53 the pure lane
+    and the lottery read no contraction and still answer.
     """
+    g = one_profile_game(52)
+    (res,) = pure_nash_enumerate(g)
+    assert verify_epsilon_nash(g, res.profile).passed
+    assert expected_utilities(g, res.profile) == (1,) * 52
+    fp = mixed_nash_iterative(g)
+    assert fp.is_equilibrium and fp.expected_payoffs == (1.0,) * 52
     g = one_profile_game(53)
     (res,) = pure_nash_enumerate(g)
     assert res.profile.support(52) == (0,)

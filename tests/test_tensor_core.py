@@ -1548,6 +1548,42 @@ def test_fictitious_play_matches_the_reference_bit_for_bit(
     assert repr(mixed_nash_iterative(game, config, start)) == repr(expected)
 
 
+def three_player_game(seed, sizes):
+    """A seeded 3-player unanimity game at cap 3 with the given strategy counts.
+
+    Payoffs are thousandths in [-9, 9], so best replies seldom tie.
+    """
+    rng = random.Random(seed)
+    family = enumerate_partitions(3, 3)
+    menu = [Strategy(d, a) for d in range(len(family)) for a in "abcd"]
+    sets = tuple(tuple(rng.sample(menu, m)) for m in sizes)
+    payoffs = {
+        p: tuple(Fraction(rng.randint(-9000, 9000), 1000) for _ in range(3))
+        for p in itertools.product(*map(range, sizes))
+    }
+    return CoalitionGame(3, 3, family, sets, Mechanism(), payoffs)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 5])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: three_player_game(8, (8, 8, 8)),
+        lambda: three_player_game(12, (12, 12, 12)),
+        lambda: three_player_game(16, (16, 16, 16)),
+        lambda: three_player_game(5, (5, 9, 13)),
+        lambda: catalog_game("lunch"),
+    ],
+    ids=["m=8", "m=12", "m=16", "m=5,9,13", "lunch"],
+)
+def test_fictitious_play_matches_the_reference_at_benchmark_sizes(build, rng_seed):
+    """The sizes the benchmark solves, weight rows of unequal length, and lunch."""
+    game = build()
+    config = SolverConfig(max_iterations=300, rng_seed=rng_seed)
+    expected = reference_mixed_nash_iterative(game, config)
+    assert repr(mixed_nash_iterative(game, config)) == repr(expected)
+
+
 @pytest.mark.parametrize("scale", [1, 3, 2**53, 2**53 + 1])
 @pytest.mark.parametrize(
     "entries, dtype",
