@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .games import CoalitionGame, Strategy, _frozen, _handed, _read_payoffs, _TensorPayoffs, _unanimity_index
-from .partitions import CoalitionStructure, enumerate_partitions
+from .partitions import CoalitionStructure, _row, enumerate_partitions
 
 _PD_BASE = {
     ("L", "L"): (Fraction(0), Fraction(0)),
@@ -47,10 +47,8 @@ def _two_player_game(actions, base, adjust) -> CoalitionGame:
     the final cell, where each "where" is ALONE or TOGETHER.
     """
     family = enumerate_partitions(2, 2)
-    where_index = {
-        TOGETHER: family.index_of(CoalitionStructure.of([(0, 1)], 2)),
-        ALONE: family.index_of(CoalitionStructure.singletons(2)),
-    }
+    pair, alone = CoalitionStructure.of([(0, 1)], 2), CoalitionStructure.singletons(2)
+    where_index = dict(zip((TOGETHER, ALONE), family._find([_row(pair), _row(alone)]).tolist()))
     choices = [(a, w) for w in (ALONE, TOGETHER) for a in actions]
     strategies = tuple(Strategy(where_index[w], a) for a, w in choices)
     cells = [adjust(base[(c1[0], c2[0])], c1, c2) for c1 in choices for c2 in choices]

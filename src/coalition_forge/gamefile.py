@@ -25,7 +25,8 @@ tables, reads each distinct entry once and lists the payoff rows and
 the mechanism's structures in canonical key order for the payoff and
 table readers of games. Each distinct payoff text becomes one Fraction
 and each distinct partition literal of the strategy lists one
-structure, and no profile-keyed mapping is built.
+structure, all of which are found in the family in one lookup, and no
+profile-keyed mapping is built.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .games import (
     _read_table,
     _require_dense,
 )
-from .partitions import CoalitionStructure, enumerate_partitions
+from .partitions import CoalitionStructure, _row, enumerate_partitions
 from .solver import MixedProfile
 
 SCHEMA_VERSION = 1
@@ -249,30 +250,31 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     raw_sets = data["strategies"]
     if not isinstance(raw_sets, list) or len(raw_sets) != n:
         raise GameFileError(f"strategies must be a list with one entry per player ({n})")
-    strategy_sets = []
-    structures: dict[Any, CoalitionStructure] = {}  # each distinct partition parsed once
+    leaders: dict[Any, tuple] = {}  # each distinct partition literal's block leaders, parsed once
+    chosen = []  # per player, each strategy's literal and action
     for i, raw_list in enumerate(raw_sets):
         if not isinstance(raw_list, list) or not raw_list:
             raise GameFileError(f"strategies[{i}] must be a non-empty list")
-        strategies = []
+        mine = []
         for j, raw in enumerate(raw_list):
             where = f"strategies[{i}][{j}]"
             raw = _require_mapping(raw, where)
             _check_keys(raw, _STRATEGY_KEYS, {"partition"}, where)
             text = _known_as(raw["partition"], (i, j))
-            if text not in structures:
-                structures[text] = _parse_structure(raw["partition"], f"{where}.partition", by_name, n)
-            try:
-                desired = family.index_of(structures[text])
-            except ValueError:
-                raise GameFileError(
-                    f"{where}.partition has a block larger than K={cap}"
-                ) from None
+            if text not in leaders:
+                structure = _parse_structure(raw["partition"], f"{where}.partition", by_name, n)
+                # The family holds every partition of the players with blocks of at most K.
+                if structure.max_block_size > cap:
+                    raise GameFileError(f"{where}.partition has a block larger than K={cap}")
+                leaders[text] = _row(structure)
             action = raw.get("action", "")
             if not isinstance(action, str):
                 raise GameFileError(f"{where}.action must be a string")
-            strategies.append(Strategy(desired, action))
-        strategy_sets.append(tuple(strategies))
+            mine.append((text, action))
+        chosen.append(mine)
+    # Every distinct partition is found in the family in one lookup.
+    found = dict(zip(leaders, family._find(list(leaders.values())).tolist()))
+    strategy_sets = [tuple(Strategy(found[text], action) for text, action in mine) for mine in chosen]
     shape = [len(s) for s in strategy_sets]
     _require_dense(shape, n)
     position = {key: k for k, key in enumerate(_profile_keys(shape))}

@@ -19,7 +19,8 @@ rounded once from its exact value. A single payoff is its integer over
 payoff_scale.
 
 The public inputs stay mappings: profile-keyed payoffs, and a table
-mechanism's profile-keyed table, each read in one pass on first use.
+mechanism's profile-keyed table, each read in one pass on first use
+and then replaced by the read-only view of its array.
 The catalog builders, restrict and the game file loader make each game
 through _handed from its arrays instead: the payoff tensor as a
 read-only mapping view (_TensorPayoffs) and, where the maker has it,
@@ -129,11 +130,13 @@ class CoalitionGame:
         strategy_sets: per player, an ordered tuple of strategies.
         mechanism: how desires turn into one realized structure, read
             once into realized_index, which a game the package makes is
-            handed instead where its maker has it.
+            handed instead where its maker has it; a table then gives
+            way to the index's view.
         payoffs: total map from profile (tuple of strategy indices, one per
             player) to a tuple of exact rational payoffs, read once into
-            payoff_ints; a built, restricted or loaded game holds a
-            read-only view of its tensor.
+            payoff_ints and then replaced by a read-only view of the
+            tensor, which a built, restricted or loaded game holds from
+            the start.
     """
 
     n_players: int
@@ -243,13 +246,15 @@ class CoalitionGame:
         """payoff_ints over payoff_scale, from one pass over the payoffs mapping.
 
         Built on first use, so a user may fill the mapping after
-        constructing the game; a tensor view given as payoffs, as the
-        package's own builders, restrict and loader give, is adopted at
-        construction instead.
+        constructing the game, which then holds the view as payoffs, so
+        a later write raises TypeError. A tensor view given as payoffs,
+        as the package's own builders, restrict and loader give, is
+        adopted at construction instead.
         """
         _require_dense(self.shape, self.n_players)
         rows = list(map(self.payoffs.get, self.profiles()))
-        return _read_payoffs(rows, (*self.shape, self.n_players))
+        self.__dict__["payoffs"] = _read_payoffs(rows, (*self.shape, self.n_players))
+        return self.payoffs
 
     @property
     def payoff_scale(self) -> int:
@@ -273,15 +278,18 @@ class CoalitionGame:
         """Family index of the structure each profile realizes, as a read-only array.
 
         Under unanimity, _unanimity_index runs the rule on first use; a
-        table mapping is read in one pass. A game the package builds,
-        restricts or loads adopts its index at construction instead,
-        under either mechanism, where it has one.
+        table mapping is read in one pass and then replaced by the
+        index's view, so a later write raises TypeError. A game the
+        package builds, restricts or loads adopts its index at
+        construction instead, under either mechanism, where it has one.
         """
         _require_dense(self.shape, 1)
-        if self.mechanism.kind == TABLE:
-            entries = list(map(self.mechanism.table.get, self.profiles()))
-            return _read_table(entries, self.family, self.shape)
-        return _unanimity_index(self.family, self.strategy_sets)
+        if self.mechanism.kind == UNANIMITY:
+            return _unanimity_index(self.family, self.strategy_sets)
+        entries = list(map(self.mechanism.table.get, self.profiles()))
+        index = _read_table(entries, self.family, self.shape)
+        self.__dict__["mechanism"] = Mechanism(TABLE, _TableView(index, self.family))
+        return index
 
     @cached_property
     def best_reply_counts(self) -> np.ndarray:

@@ -18,12 +18,14 @@ directly instead of being filtered out of the full partition lattice.
 A family answers its count, membership, positions, equality and nesting
 from its codes, through one integer key per code (see _keys), which
 ascends in enumeration order, so a lookup is a binary search and no
-lookup hashes a structure. It builds its structures only when they are
-read, all at once, with one Coalition per distinct block shared by all
-its structures. Every structure, enumerated or not, passes the same
-constructor check: its members, flattened and sorted, must be exactly
-0..n-1. Only a structure that fails it is walked block by block to name
-the overlap or the gap.
+lookup hashes a structure. Every structure, looked up or built into a
+family by hand, is read as each player's block leader (the block's
+smallest member), which _codes_of turns into its code. A family builds
+its structures only when they are read, all at once, with one Coalition
+per distinct block shared by all of them. Every structure, enumerated or
+not, passes the same constructor check: its members, flattened and
+sorted, must be exactly 0..n-1. Only a structure that fails it is walked
+block by block to name the overlap or the gap.
 """
 
 from __future__ import annotations
@@ -165,23 +167,24 @@ class PartitionFamily:
     a read-only (count, n) integer array holding each structure's
     restricted growth string: the block number of every player, blocks
     numbered by their smallest member. == and hash read n, K and the
-    codes, in order, and == is False for anything but a family; in,
-    index_of and is_nested read the codes' integer keys (see _keys), by
-    binary search in key order. The decorator keeps the __init__ and
-    __repr__ written here: __init__ takes structures, and __repr__ shows
-    the first reprlib.aRepr.maxlist of them, built from their codes,
-    then "...". An enumerated family builds its structures on the first
-    read of structures, of an iterator or of family[i], all in one pass;
-    a family built by hand from structures keeps those objects and takes
-    its codes from them, and refuses anything but distinct structures
-    over n_players with blocks of at most max_block.
+    codes, in order, and == is False for anything but a family; in and
+    index_of find a structure's block leaders (_row) with _find, and
+    is_nested searches the codes' keys (see _keys) in key order. The
+    decorator keeps the __init__ and __repr__ written here: __init__
+    takes structures, and __repr__ shows the first reprlib.aRepr.maxlist
+    of them, built from their codes, then "...". An enumerated family
+    builds its structures on the first read of structures, of an
+    iterator or of family[i], all in one pass; a family built by hand
+    from structures keeps those objects and takes its codes from their
+    block leaders, as _find does, and refuses all but distinct
+    structures over n_players with blocks of at most max_block.
 
     The game layer reads a family through three private methods, so the
     code format stays here: _own_blocks, each structure's block of one
     player; _find, the positions of structures given by each player's
-    block leader (its smallest member); and _lookup, the positions of
-    another family's structures. Both lookups give -1 for a structure
-    outside the family.
+    block leader (its smallest member), which in and index_of use too;
+    and _lookup, the positions of another family's structures. Both
+    give -1 for a structure outside the family.
     """
 
     n_players: int
@@ -192,7 +195,7 @@ class PartitionFamily:
         _check_args(n_players, max_block)
         n, K = int(n_players), int(max_block)
         structures = tuple(structures)
-        position: dict[tuple, int] = {}
+        position: dict[tuple, int] = {}  # by block leaders, as _find reads a structure
         for i, s in enumerate(structures):
             if not isinstance(s, CoalitionStructure):
                 raise ValueError(f"family entry {i} is not a CoalitionStructure: {s!r}")
@@ -200,10 +203,11 @@ class PartitionFamily:
                 raise ValueError(f"family entry {i} {s} covers {s.n_players} players, expected {n}")
             if s.max_block_size > K:
                 raise ValueError(f"family entry {i} {s} has a block larger than the cap {K}")
-            code = _code(s)
-            if position.setdefault(code, i) != i:
-                raise ValueError(f"family entry {i} {s} repeats entry {position[code]}")
-        codes = np.array(list(position), dtype=_code_dtype(n)).reshape(len(structures), n)
+            row = _row(s)
+            if position.setdefault(row, i) != i:
+                raise ValueError(f"family entry {i} {s} repeats entry {position[row]}")
+        leaders = np.array(list(position), dtype=np.intp).reshape(len(structures), n)
+        codes = _codes_of(leaders, _code_dtype(n))
         codes.flags.writeable = False
         self.__dict__.update(n_players=n, max_block=K, _codes=codes, structures=structures)
 
@@ -241,17 +245,6 @@ class PartitionFamily:
         hit = ascending[at] == keys
         return np.where(hit, at if order is None else order[at], -1)
 
-    def _locate(self, structure) -> int:
-        """The position of a structure, -1 for anything else."""
-        if not isinstance(structure, CoalitionStructure) or structure.n_players != self.n_players:
-            return -1
-        key = _key(_code(structure), self._codes.dtype)
-        ascending, order = self._sorted
-        i = int(ascending.searchsorted(key))
-        if i == len(ascending) or ascending[i] != key:
-            return -1
-        return i if order is None else int(order[i])
-
     def _lookup(self, other: PartitionFamily, at=None) -> np.ndarray:
         """The position of each of other's structures (those at the indices at, if given), or -1."""
         if other.n_players != self.n_players:
@@ -267,16 +260,20 @@ class PartitionFamily:
         each player's block. The result has shape (...).
         """
         leaders = np.asarray(leaders)
-        flat = leaders.reshape(-1, self.n_players)
-        # A block's number is the count of leaders before its own.
-        rank = np.cumsum(flat == np.arange(self.n_players), axis=1, dtype=self._codes.dtype) - 1
-        codes = rank[np.arange(len(flat))[:, None], flat]
+        codes = _codes_of(leaders.reshape(-1, self.n_players), self._codes.dtype)
         return self._search(_keys(codes)).reshape(leaders.shape[:-1])
 
     def _own_blocks(self, player: int, at) -> np.ndarray:
         """Per structure at the indices at, the player's block as a row of n bools."""
         codes = self._codes[at]
         return codes == codes[:, [player]]
+
+    def _locate(self, structure) -> int:
+        """The position of a structure, by _find on its row; -1 for anything else."""
+        row = _row(structure)
+        if row is None or len(row) != self.n_players:
+            return -1
+        return int(self._find(row))
 
     def index_of(self, structure: CoalitionStructure) -> int:
         i = self._locate(structure)
@@ -324,13 +321,12 @@ def _code_dtype(n_players: int) -> type:
     return np.int8 if n_players < 2**7 else np.int16 if n_players < 2**15 else np.int32
 
 
-def _code(structure: CoalitionStructure) -> tuple[int, ...]:
-    """A structure's code: the number of each player's block, its place in the canonical order."""
-    code = [0] * structure.n_players
-    for b, block in enumerate(structure.blocks):
-        for m in block.members:
-            code[m] = b
-    return tuple(code)
+def _codes_of(leaders: np.ndarray, dtype) -> np.ndarray:
+    """The codes, of dtype, of (count, n) rows of each player's block leader."""
+    count, n = leaders.shape
+    # A block's number is the count of leaders before its own.
+    rank = (leaders == np.arange(n)).cumsum(axis=1, dtype=dtype) - 1
+    return rank[np.arange(count)[:, None], leaders]
 
 
 def _keys(codes: np.ndarray) -> np.ndarray:
@@ -350,16 +346,6 @@ def _keys(codes: np.ndarray) -> np.ndarray:
         keys <<= 4
         keys |= column
     return keys
-
-
-def _key(code: tuple[int, ...], dtype: np.dtype):
-    """The key _keys gives one code, read in Python up to _KEY_PLAYERS players."""
-    if len(code) > _KEY_PLAYERS:
-        return _keys(np.array([code], dtype=dtype))[0]
-    key = 0
-    for digit in code[1:]:
-        key = key << 4 | digit
-    return key
 
 
 def _structures(codes: np.ndarray) -> tuple[CoalitionStructure, ...]:

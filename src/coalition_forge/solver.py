@@ -924,10 +924,11 @@ class Solution:
     """What solve found: the answering lane's result name, its equilibria and flags.
 
     method is PURE, SUPPORT or ITERATIVE. profiles is the pure lane's
-    (E, n) int array of equilibrium profiles, in lexicographic order, and
-    None for the other lanes. results holds one EquilibriumResult per
-    equilibrium; a pure solution builds them from profiles on the first
-    read of results, so a caller that reads only the array builds none.
+    read-only (E, n) int array of equilibrium profiles, in lexicographic
+    order, and None for the other lanes. results holds one
+    EquilibriumResult per equilibrium; a pure solution builds them from
+    profiles on the first read of results, so a caller that reads only
+    the array builds none.
     truncated is the support lane's flag, and converged is False only
     for a fictitious-play run that ended unverified.
     """
@@ -943,7 +944,8 @@ class Solution:
 
     @classmethod
     def _pure(cls, game: CoalitionGame, profiles: np.ndarray) -> Solution:
-        """The pure lane's solution over an (E, n) profile array, its results built on first read."""
+        """The pure lane's solution over an (E, n) profile array, made read-only; results built on first read."""
+        profiles.flags.writeable = False
         solution = cls.__new__(cls)
         solution.__dict__.update(method=PURE, profiles=profiles, truncated=False, _game=game)
         return solution

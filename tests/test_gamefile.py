@@ -46,6 +46,7 @@ from coalition_forge.gamefile import (
     profile_from_dict,
     save_game,
 )
+from coalition_forge.partitions import PartitionFamily
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -640,6 +641,23 @@ def test_a_table_file_looks_up_each_distinct_structure_once(monkeypatch):
     game, _ = game_from_dict(document)
     assert np.array_equal(game.realized_index, table.realized_index)
     assert len(rows) <= 14 and set(rows.values()) == {1}
+
+
+def test_the_loader_finds_each_distinct_strategy_partition_once(lunch_folder, monkeypatch):
+    document = json.loads((lunch_folder / "lunch_K4.json").read_text(encoding="utf-8"))
+    literals = [repr(s["partition"]) for strategies in document["strategies"] for s in strategies]
+    assert (len(literals), len(set(literals))) == (60, 15)
+    looked_up = []  # per call of the family lookup, how many structures it finds
+    find = PartitionFamily._find
+
+    def counted_find(family, leaders):
+        looked_up.append(int(np.prod(np.shape(leaders)[:-1])))
+        return find(family, leaders)
+
+    monkeypatch.setattr(PartitionFamily, "_find", counted_find)
+    game, _ = game_from_dict(document)
+    assert len(looked_up) <= 15 and sum(looked_up) == 15
+    assert game.strategy_sets == restricted("lunch", 4).strategy_sets
 
 
 def test_a_repeated_faulty_literal_is_named_at_its_first_key():

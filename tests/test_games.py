@@ -25,7 +25,7 @@ from coalition_forge.partitions import (
     CoalitionStructure,
     enumerate_partitions,
 )
-from coalition_forge.solver import first_pure_equilibrium
+from coalition_forge.solver import first_pure_equilibrium, pure_nash_enumerate
 
 PAIR = CoalitionStructure.of([[0, 1]], 2)
 SPLIT = CoalitionStructure.singletons(2)
@@ -187,6 +187,50 @@ class TestPayoffs:
         for profile in game.profiles():
             for value in game.payoff(profile):
                 assert isinstance(value, Fraction)
+
+
+class TestMappingsAfterTheirRead:
+    """A game built from mappings holds the read-only view of what it read in each mapping's place."""
+
+    SETS = ((Strategy(1, "x"), Strategy(0, "y")),) * 2
+
+    def test_payoffs_written_after_the_first_read_are_refused(self):
+        game = CoalitionGame(2, 2, enumerate_partitions(2, 2), self.SETS, payoffs={})
+        # Filled after construction, as demos/custom_games.py fills its game.
+        for profile in game.profiles():
+            game.payoffs[profile] = (Fraction(sum(profile)), Fraction(1))
+        game.payoffs[(0, 0)] = (Fraction(3), Fraction(3))
+        assert game.payoff((0, 0)) == (3, 3)
+        before = repr(pure_nash_enumerate(game))
+        with pytest.raises(TypeError):
+            game.payoffs[(0, 0)] = (5, 5)
+        assert game.payoffs[(0, 0)] == game.payoff((0, 0)) == (3, 3)
+        assert repr(pure_nash_enumerate(game)) == before
+        assert dict(game.payoffs) == {p: game.payoff(p) for p in game.profiles()}
+
+    def test_payoffs_stay_writable_after_a_failed_read(self):
+        game = CoalitionGame(2, 2, enumerate_partitions(2, 2), self.SETS, payoffs={(0, 0): (1, 1)})
+        with pytest.raises(ValidationError, match=r"no entry for profile \(0, 1\)"):
+            game.payoff((0, 0))
+        for profile in game.profiles():
+            game.payoffs[profile] = (Fraction(2), Fraction(2))
+        assert game.payoff((1, 1)) == (2, 2)
+        with pytest.raises(TypeError):
+            game.payoffs[(1, 1)] = (1, 1)
+
+    def test_a_table_written_after_the_first_read_is_refused(self):
+        payoffs = {p: (Fraction(0), Fraction(0)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        game = CoalitionGame(2, 2, enumerate_partitions(2, 2), self.SETS, Mechanism("table", {}), payoffs)
+        for profile in game.profiles():
+            game.mechanism.table[profile] = SPLIT
+        game.mechanism.table[(1, 1)] = PAIR
+        assert game.realized_partition((1, 1)) == PAIR
+        with pytest.raises(TypeError):
+            game.mechanism.table[(1, 1)] = SPLIT
+        assert game.mechanism.kind == "table"
+        assert game.mechanism.table[(1, 1)] == game.realized_partition((1, 1)) == PAIR
+        assert dict(game.mechanism.table) == {p: game.realized_partition(p) for p in game.profiles()}
+        assert [len(profiles) for _, profiles in game.validate_domains()] == [1, 3]
 
 
 class TestRestriction:

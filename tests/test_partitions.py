@@ -491,6 +491,26 @@ def test_hand_built_families_at_the_edges_of_the_code_format(n):
     assert list(PartitionFamily._of_codes(n, n, family._codes.copy())) == structures
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_single_lookups_agree_with_the_family_lookup_on_hand_built_families(n):
+    """in and index_of give what _lookup gives, on both sides of the change of key format."""
+    rng = np.random.default_rng(n)
+    labels = [rng.integers(0, k, n) for k in (2, 3, 5, 8, 13, n)]
+    drawn = [CoalitionStructure.of([np.flatnonzero(row == v) for v in np.unique(row)], n) for row in labels]
+    # The last two differ only in the last player's block, the digit a 16-player key has no room for.
+    edges = [CoalitionStructure.of([range(n)], n), CoalitionStructure.of([range(n - 1), [n - 1]], n)]
+    probes = PartitionFamily(n, n, dict.fromkeys([*drawn, CoalitionStructure.singletons(n), *edges]))
+    family = PartitionFamily(n, n, probes[::-2])  # every other probe, out of key order
+    found = family._lookup(probes).tolist()
+    assert sorted(found) == [-1] * (len(probes) - len(family)) + list(range(len(family)))
+    assert [s in family for s in probes] == [i >= 0 for i in found]
+    assert [family.index_of(s) for s in probes if s in family] == [i for i in found if i >= 0]
+    for s in probes:
+        if s not in family:
+            with pytest.raises(ValueError, match="is not in the family"):
+                family.index_of(s)
+
+
 class TestFamilyValue:
     ENUMERATED_REPR = (
         "PartitionFamily(n_players=3, max_block=2, structures=("

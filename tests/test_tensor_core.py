@@ -1059,6 +1059,16 @@ class TestSolve:
             solution.method = SUPPORT
         assert isinstance(solution, Solution)
 
+    @pytest.mark.parametrize("method", ["pure", "first"])
+    def test_a_pure_solution_profile_array_is_read_only(self, method):
+        game = catalog_game("bos")
+        solution = solve(game, method)
+        assert not is_pure_equilibrium(game, (1, 0))
+        with pytest.raises(ValueError, match="read-only"):
+            solution.profiles[0] = (1, 0)
+        for row, result in zip(solution.profiles.tolist(), solution.results, strict=True):
+            assert is_pure_equilibrium(game, tuple(row)) and pure_profile_of(result) == tuple(row)
+
     @pytest.mark.parametrize("method", ["auto", "Pure", "", None])
     def test_unknown_method_names_the_accepted_ones(self, method):
         message = f"unknown method {method!r}; methods are pure, support, iterative and first"
