@@ -361,8 +361,11 @@ class CoalitionGame:
         its own scale and int64 when it fits, and, when the game holds its
         index or has a table, of realized_index, mapped onto the smaller
         family, of which only the blocks are checked again, against the new
-        cap.
+        cap. The cap is an integer by _is_integer, numpy's read as int.
         """
+        if not _is_integer(max_coalition):
+            raise ValueError(f"restriction cap must be an integer, got {max_coalition!r}")
+        max_coalition = int(max_coalition)
         if not 1 <= max_coalition <= self.max_coalition:
             raise ValueError(
                 f"restriction cap must satisfy 1 <= K <= {self.max_coalition}, got {max_coalition}"
@@ -506,8 +509,8 @@ def _unanimity_index(family: PartitionFamily, strategy_sets) -> np.ndarray:
 def _require_dense(shape, width: int) -> None:
     """Refuse a table of width entries per profile of shape above _DENSE_LIMIT, before it is built.
 
-    The partition layer holds a family's codes to the same limit. The
-    largest table in the tests and the benchmark holds 3.24 million
+    The partition layer holds a family's leader rows to the same limit.
+    The largest table in the tests and the benchmark holds 3.24 million
     entries; 5 players over all 52 partitions would need 380 million
     profiles.
     """

@@ -6,23 +6,25 @@ coalitions, and a family collects every structure whose blocks stay within
 a size cap. Families for growing caps are nested by inclusion, which the
 game layer builds on.
 
-A family is one integer array of restricted growth strings (Knuth, TAOCP
-Vol. 4A, 7.2.1.5), its codes: per structure, the block number of every
-player, blocks numbered in the order of their smallest members, which is
-the canonical order of a structure's blocks. Enumeration builds them in
-lexicographic order, the order of Knuth's Algorithm H, one numpy step per
-player, so no number of players exhausts the stack. It never places a
-player in a full block, so the family for a small cap is produced
-directly instead of being filtered out of the full partition lattice.
+A family is one integer array of leader rows: per structure, each
+player's block leader, the smallest member of the player's block. Two
+players share a block exactly when they share a leader, and a block's
+leader grows with its number in the canonical order of a structure's
+blocks, so the rows ascend in the lexicographic order of the restricted
+growth strings they stand for (Knuth, TAOCP Vol. 4A, 7.2.1.5), the order
+of Knuth's Algorithm H. Enumeration builds them in that order, one numpy
+step per player, so no number of players exhausts the stack. It never
+places a player in a full block, so the family for a small cap is
+produced directly instead of being filtered out of the full partition
+lattice.
 
 A family answers its count, membership, positions, equality and nesting
-from its codes, through one integer key per code (see _keys), which
-ascends in enumeration order, so a lookup is a binary search and no
+from its rows. Each row is keyed by its big-endian bytes (see _keys),
+which ascend in enumeration order, so a lookup is a binary search and no
 lookup hashes a structure. Every structure, looked up or built into a
-family by hand, is read as each player's block leader (the block's
-smallest member), which _codes_of turns into its code. A family builds
-its structures only when they are read, all at once, with one Coalition
-per distinct block shared by all of them. Every structure, enumerated or
+family by hand, is read as its leader row (_row). A family builds its
+structures only when they are read, all at once, with one Coalition per
+distinct block shared by all of them. Every structure, enumerated or
 not, passes the same constructor check: its members, flattened and
 sorted, must be exactly 0..n-1. Only a structure that fails it is walked
 block by block to name the overlap or the gap.
@@ -39,8 +41,8 @@ from numbers import Integral
 import numpy as np
 
 # The most entries a dense array of the package may hold: a family's
-# codes here, and a game's payoff tensor or realized-structure index in
-# the game layer; 1 GiB as int64.
+# leader rows here, and a game's payoff tensor or realized-structure
+# index in the game layer; 1 GiB as int64.
 _DENSE_LIMIT = 2**27
 
 
@@ -96,13 +98,16 @@ class CoalitionStructure:
 
     Blocks are kept in canonical order (sorted by smallest member), so two
     structures over the same players compare equal exactly when they induce
-    the same grouping.
+    the same grouping. n_players is an integer of at least 1, numpy's read
+    as int.
     """
 
     blocks: tuple[Coalition, ...]
     n_players: int
 
     def __post_init__(self):
+        if type(self.n_players) is not int or self.n_players < 1:
+            object.__setattr__(self, "n_players", _player_count(self.n_players))
         blocks = tuple(sorted(self.blocks, key=lambda b: b.members[0]))
         object.__setattr__(self, "blocks", blocks)
         if sorted([m for b in blocks for m in b.members]) == list(range(self.n_players)):
@@ -126,7 +131,8 @@ class CoalitionStructure:
 
     @classmethod
     def singletons(cls, n_players: int) -> CoalitionStructure:
-        return cls(tuple(Coalition.of(i) for i in range(n_players)), n_players)
+        n = _player_count(n_players)
+        return cls(tuple(Coalition.of(i) for i in range(n)), n)
 
     def block_of(self, player: int) -> Coalition:
         """The coalition containing the given player, an index read by _index."""
@@ -163,39 +169,38 @@ class PartitionFamily:
     gives each structure a stable position used by the game layer to
     reference desired partitions.
 
-    A family is a frozen dataclass over n_players, max_block and _codes,
-    a read-only (count, n) integer array holding each structure's
-    restricted growth string: the block number of every player, blocks
-    numbered by their smallest member. == and hash read n, K and the
-    codes, in order, and == is False for anything but a family; in and
-    index_of find a structure's block leaders (_row) with _find, and
-    is_nested searches the codes' keys (see _keys) in key order. The
-    decorator keeps the __init__ and __repr__ written here: __init__
-    takes structures, and __repr__ shows the first reprlib.aRepr.maxlist
-    of them, built from their codes, then "...". An enumerated family
-    builds its structures on the first read of structures, of an
-    iterator or of family[i], all in one pass; a family built by hand
-    from structures keeps those objects and takes its codes from their
-    block leaders, as _find does, and refuses all but distinct
-    structures over n_players with blocks of at most max_block.
+    A family is a frozen dataclass over n_players, max_block and
+    _leaders, a read-only (count, n) integer array holding each
+    structure's leader row (_row): the smallest member of every player's
+    block. == and hash read n, K and the rows, in order, and == is False
+    for anything but a family; in and index_of find a structure's row
+    with _find, and is_nested searches the rows' keys (see _keys) in key
+    order. The decorator keeps the __init__ and __repr__ written here:
+    __init__ takes structures, and __repr__ shows the first
+    reprlib.aRepr.maxlist of them, built from their rows, then "...". An
+    enumerated family builds its structures on the first read of
+    structures, of an iterator or of family[i], all in one pass; a
+    family built by hand from structures keeps those objects and stores
+    their rows, and refuses all but distinct structures over n_players
+    with blocks of at most max_block.
 
     The game layer reads a family through three private methods, so the
-    code format stays here: _own_blocks, each structure's block of one
-    player; _find, the positions of structures given by each player's
-    block leader (its smallest member), which in and index_of use too;
-    and _lookup, the positions of another family's structures. Both
-    give -1 for a structure outside the family.
+    row format stays here: _own_blocks, each structure's block of one
+    player; _find, the positions of structures given by their leader
+    rows, which in and index_of use too; and _lookup, the positions of
+    another family's structures. Both give -1 for a structure outside
+    the family.
     """
 
     n_players: int
     max_block: int
-    _codes: np.ndarray
+    _leaders: np.ndarray
 
     def __init__(self, n_players: int, max_block: int, structures) -> None:
         _check_args(n_players, max_block)
         n, K = int(n_players), int(max_block)
         structures = tuple(structures)
-        position: dict[tuple, int] = {}  # by block leaders, as _find reads a structure
+        position: dict[tuple, int] = {}  # by leader row, as _find reads a structure
         for i, s in enumerate(structures):
             if not isinstance(s, CoalitionStructure):
                 raise ValueError(f"family entry {i} is not a CoalitionStructure: {s!r}")
@@ -206,41 +211,37 @@ class PartitionFamily:
             row = _row(s)
             if position.setdefault(row, i) != i:
                 raise ValueError(f"family entry {i} {s} repeats entry {position[row]}")
-        leaders = np.array(list(position), dtype=np.intp).reshape(len(structures), n)
-        codes = _codes_of(leaders, _code_dtype(n))
-        codes.flags.writeable = False
-        self.__dict__.update(n_players=n, max_block=K, _codes=codes, structures=structures)
+        leaders = np.array(list(position), dtype=_leader_dtype(n)).reshape(len(structures), n)
+        leaders.flags.writeable = False
+        self.__dict__.update(n_players=n, max_block=K, _leaders=leaders, structures=structures)
 
     @classmethod
-    def _of_codes(cls, n_players: int, max_block: int, codes: np.ndarray) -> PartitionFamily:
-        """A family over codes in enumeration order, whose structures are built on first read."""
-        codes.flags.writeable = False
+    def _of_leaders(cls, n_players: int, max_block: int, leaders: np.ndarray) -> PartitionFamily:
+        """A family over leader rows in enumeration order, whose structures are built on first read."""
+        leaders.flags.writeable = False
         family = cls.__new__(cls)
-        family.__dict__.update(n_players=n_players, max_block=max_block, _codes=codes)
+        family.__dict__.update(n_players=n_players, max_block=max_block, _leaders=leaders)
         return family
 
     @cached_property
     def structures(self) -> tuple[CoalitionStructure, ...]:
-        return _structures(self._codes)
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        return _keys(self._codes)
+        return _structures(self._leaders)
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The keys ascending and, unless they already are, each one's position."""
-        keys = self._keys
+        keys = _keys(self._leaders)
         if (keys[1:] > keys[:-1]).all():
             return keys, None
         order = np.argsort(keys)
         return keys[order], order
 
-    def _search(self, keys: np.ndarray) -> np.ndarray:
-        """The position of each key's structure, -1 for a key outside the family."""
+    def _search(self, leaders: np.ndarray) -> np.ndarray:
+        """The position of each (count, n) leader row's structure, -1 for a row outside the family."""
         ascending, order = self._sorted
         if not len(ascending):
-            return np.full(len(keys), -1)
+            return np.full(len(leaders), -1)
+        keys = _keys(leaders.astype(self._leaders.dtype, copy=False))
         at = np.minimum(ascending.searchsorted(keys), len(ascending) - 1)
         hit = ascending[at] == keys
         return np.where(hit, at if order is None else order[at], -1)
@@ -251,22 +252,21 @@ class PartitionFamily:
             raise ValueError(
                 f"cannot compare families over {other.n_players} and {self.n_players} players"
             )
-        return self._search(other._keys if at is None else other._keys[at])
+        return self._search(other._leaders if at is None else other._leaders[at])
 
     def _find(self, leaders) -> np.ndarray:
-        """The position of each structure given by its players' block leaders, or -1.
+        """The position of each structure given by its leader row, or -1.
 
         leaders has shape (..., n): per structure, the smallest member of
         each player's block. The result has shape (...).
         """
         leaders = np.asarray(leaders)
-        codes = _codes_of(leaders.reshape(-1, self.n_players), self._codes.dtype)
-        return self._search(_keys(codes)).reshape(leaders.shape[:-1])
+        return self._search(leaders.reshape(-1, self.n_players)).reshape(leaders.shape[:-1])
 
     def _own_blocks(self, player: int, at) -> np.ndarray:
         """Per structure at the indices at, the player's block as a row of n bools."""
-        codes = self._codes[at]
-        return codes == codes[:, [player]]
+        leaders = self._leaders[at]
+        return leaders == leaders[:, [player]]
 
     def _locate(self, structure) -> int:
         """The position of a structure, by _find on its row; -1 for anything else."""
@@ -288,89 +288,70 @@ class PartitionFamily:
         return self is other or (
             type(other) is type(self)
             and (self.n_players, self.max_block) == (other.n_players, other.max_block)
-            and np.array_equal(self._codes, other._codes)
+            and np.array_equal(self._leaders, other._leaders)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_players, self.max_block, self._codes.tobytes()))
+        return hash((self.n_players, self.max_block, self._leaders.tobytes()))
 
     def __iter__(self):
         return iter(self.structures)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self._leaders)
 
     def __getitem__(self, i: int) -> CoalitionStructure:
         return self.structures[i]
 
     def __repr__(self) -> str:
-        # At most reprlib's count of structures, built from their codes.
+        # At most reprlib's count of structures, built from their rows.
         cap, n = reprlib.aRepr.maxlist, self.n_players
-        shown = _structures(self._codes[:cap])
+        shown = _structures(self._leaders[:cap])
         text = repr(shown) if len(self) <= cap else f"({', '.join([*map(repr, shown), '...'])})"
         return f"PartitionFamily(n_players={n!r}, max_block={self.max_block!r}, structures={text})"
 
 
-# Keys are int64 up to this many players: players 1..15 take 4 bits each,
-# and player 0 is always in block 0.
-_KEY_PLAYERS = 16
-
-
-def _code_dtype(n_players: int) -> type:
-    """The narrowest signed integer type that holds n_players, for codes and block sizes."""
+def _leader_dtype(n_players: int) -> type:
+    """The narrowest signed integer type that holds n_players, for leader rows and block sizes."""
     return np.int8 if n_players < 2**7 else np.int16 if n_players < 2**15 else np.int32
 
 
-def _codes_of(leaders: np.ndarray, dtype) -> np.ndarray:
-    """The codes, of dtype, of (count, n) rows of each player's block leader."""
+def _keys(leaders: np.ndarray) -> np.ndarray:
+    """One key per leader row, its big-endian bytes, ascending in the rows' lexicographic order.
+
+    Leaders are never negative, so their big-endian bytes order as they
+    do. The keys of int8 rows are a view of them.
+    """
+    wide = np.ascontiguousarray(leaders, dtype=leaders.dtype.newbyteorder(">"))
+    return wide.view(f"S{wide.itemsize * wide.shape[1]}").ravel()
+
+
+def _structures(leaders: np.ndarray) -> tuple[CoalitionStructure, ...]:
+    """The structures of leader rows, in order, with one Coalition per distinct block.
+
+    Each block is read as the bit set of its members at its leader's
+    column, one numpy step per player, so the distinct blocks are the
+    distinct bit sets (0 where a column leads no block). The Coalitions
+    of all structures are gathered at once, one column list per column,
+    after each row's bit sets are sorted in descending order, so its
+    blocks come first and the empty columns last; each structure takes
+    its row's blocks, which its constructor puts in canonical order.
+    Column lists, rather than one list per row, keep the live containers
+    few while the structures are built.
+    """
     count, n = leaders.shape
-    # A block's number is the count of leaders before its own.
-    rank = (leaders == np.arange(n)).cumsum(axis=1, dtype=dtype) - 1
-    return rank[np.arange(count)[:, None], leaders]
-
-
-def _keys(codes: np.ndarray) -> np.ndarray:
-    """One key per code row, ascending in the rows' lexicographic order.
-
-    Up to _KEY_PLAYERS players, each block number after player 0's is a
-    4-bit digit of an int64, built one player at a time so that no
-    wider copy of the codes is made. Wider rows are keyed by their
-    big-endian bytes.
-    """
-    count, n = codes.shape
-    if n > _KEY_PLAYERS:
-        wide = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder(">"))
-        return wide.view(f"S{wide.itemsize * n}").ravel()
-    keys = np.zeros(count, dtype=np.int64)
-    for column in codes.T[1:]:
-        keys <<= 4
-        keys |= column
-    return keys
-
-
-def _structures(codes: np.ndarray) -> tuple[CoalitionStructure, ...]:
-    """The structures of code rows, in order, with one Coalition per distinct block.
-
-    Each block is read as the bit set of its members, one column per
-    block number and one numpy step per player, so the distinct blocks
-    are the distinct bit sets (0 for no block). The Coalitions of all
-    structures are gathered at once, one column list per block number,
-    and each structure takes its row's first blocks. Column lists,
-    rather than one list per row, keep the live containers few while
-    the structures are built.
-    """
-    count, n = codes.shape
     rows = np.arange(count)
     bits = np.zeros((count, n), dtype=np.int64 if n < 64 else object)
-    for player, column in enumerate(codes.T):
+    for player, column in enumerate(leaders.T):
         bits[rows, column] |= 1 << player
+    bits = np.sort(bits, axis=1)[:, ::-1]
     distinct = sorted(set(bits.ravel().tolist()))
     coalitions = np.empty(len(distinct), dtype=object)  # None for 0, no block
     for i, v in enumerate(distinct):
         if v:
             coalitions[i] = Coalition(tuple(m for m in range(n) if v >> m & 1))
     blocks = coalitions[np.array(distinct, dtype=bits.dtype).searchsorted(bits)]
-    sizes = (codes.max(axis=1, initial=0) + 1).tolist()
+    sizes = np.count_nonzero(bits, axis=1).tolist()
     padded = zip(*[column.tolist() for column in blocks.T])
     return tuple([CoalitionStructure(row[:size], n) for row, size in zip(padded, sizes)])
 
@@ -402,6 +383,13 @@ def _index(value, size: int) -> int | None:
     return int(value) if _is_integer(value) and 0 <= value < size else None
 
 
+def _player_count(value) -> int:
+    """A structure's player count as an int: an integer by _is_integer, at least 1."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"n_players must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _check_args(n_players: int, max_block: int) -> None:
     for name, value in (("n_players", n_players), ("max_block", max_block)):
         if not _is_integer(value):
@@ -415,16 +403,17 @@ def _check_args(n_players: int, max_block: int) -> None:
 def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     """Enumerate every partition of n players with all blocks <= max_block.
 
-    Builds the family's codes in lexicographic order, one player at a
-    time: every prefix, a partition of the players so far, is extended
-    by each block number the next player may take, the open blocks with
-    room and then a new one, in one numpy step per player. Prefix-major,
-    block-minor order keeps the strings in lexicographic order, and a
-    count per open block enforces the cap during generation, so no
-    oversized partition is ever materialised. Players 0 and 1 seed the
-    loop, so a two-player family takes no step. A family whose codes
-    would hold more than _DENSE_LIMIT entries is refused from its exact
-    count, before anything is built.
+    Builds the family's leader rows in lexicographic order, one player
+    at a time: every prefix, a partition of the players so far, is
+    extended by each leader the next player may take, those of the
+    blocks with room and then the player itself, who leads a new block,
+    in one numpy step per player. Prefix-major, leader-minor order keeps
+    the rows in lexicographic order, and each block's size, kept at its
+    leader's column, enforces the cap during generation, so no oversized
+    partition is ever materialised. Players 0 and 1 seed the loop, so a
+    two-player family takes no step. A family whose rows would hold more
+    than _DENSE_LIMIT entries is refused from its exact count, before
+    anything is built.
     """
     _check_args(n_players, max_block)
     n, K = int(n_players), int(max_block)
@@ -434,27 +423,27 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
             f"the {count} partitions of {n} players with blocks of at most {K} "
             f"exceed the dense limit of {_DENSE_LIMIT} code entries"
         )
-    dtype = _code_dtype(n)
+    dtype = _leader_dtype(n)
     if n == 1:
-        return PartitionFamily._of_codes(n, K, np.zeros((1, 1), dtype=dtype))
-    codes = np.array([[0, 0], [0, 1]] if K > 1 else [[0, 1]], dtype=dtype)
+        return PartitionFamily._of_leaders(n, K, np.zeros((1, 1), dtype=dtype))
+    leaders = np.array([[0, 0], [0, 1]] if K > 1 else [[0, 1]], dtype=dtype)
     if n > 2:
-        sizes = np.zeros((len(codes), n), dtype=dtype)
+        # Each block's size, at its leader's column.
+        sizes = np.zeros((len(leaders), n), dtype=dtype)
         sizes[:, :2] = [[2, 0], [1, 1]] if K > 1 else [[1, 1]]
-        opened = codes[:, 1] + 1  # the blocks in use
         for player in range(2, n):
-            room = sizes[:, : player + 1] < K
-            room &= np.arange(player + 1) <= opened[:, None]
-            rows, block = np.nonzero(room)
+            placed = sizes[:, : player + 1]
+            room = (placed > 0) & (placed < K)
+            room[:, player] = True
+            rows, leader = np.nonzero(room)
             grown = np.empty((len(rows), player + 1), dtype=dtype)
-            grown[:, :player] = codes[rows]
-            grown[:, player] = block
-            codes = grown
+            grown[:, :player] = leaders[rows]
+            grown[:, player] = leader
+            leaders = grown
             if player + 1 < n:
                 sizes = sizes[rows]
-                sizes[np.arange(len(rows)), block] += 1
-                opened = np.maximum(opened[rows], block + 1)
-    return PartitionFamily._of_codes(n, K, codes)
+                sizes[np.arange(len(rows)), leader] += 1
+    return PartitionFamily._of_leaders(n, K, leaders)
 
 
 def restricted_bell(n_players: int, max_block: int) -> int:

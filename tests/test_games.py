@@ -333,6 +333,14 @@ class TestRestriction:
             game.restrict(0)
         with pytest.raises(ValueError):
             game.restrict(3)
+        bos = build_game("bos")
+        for cap in (2.0, 1.0, True, "2"):
+            for restrict in (bos.restrict, lambda cap: restrict_game(bos, cap)):
+                with pytest.raises(ValueError) as caught:
+                    restrict(cap)
+                assert str(caught.value) == f"restriction cap must be an integer, got {cap!r}"
+        assert bos.restrict(np.int64(2)) is bos
+        assert type(bos.restrict(np.int64(1)).max_coalition) is int
 
 
 class TestValidation:

@@ -309,6 +309,20 @@ class TestStructures:
                 Coalition.of(*members)
             assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2", None])
+    def test_player_count_is_an_integer_of_at_least_one(self, n):
+        message = f"n_players must be an integer of at least 1, got {n!r}"
+        for build in (CoalitionStructure.singletons, lambda n: CoalitionStructure((), n),
+                      lambda n: CoalitionStructure.of([[0, 1]], n)):
+            with pytest.raises(ValueError) as caught:
+                build(n)
+            assert str(caught.value) == message
+
+    def test_numpy_player_counts_read_back_as_int(self):
+        for s in (CoalitionStructure.singletons(np.int64(2)), CoalitionStructure.of([[0, 1]], np.int8(2))):
+            assert type(s.n_players) is int and s.n_players == 2
+            assert s == CoalitionStructure.of([b.members for b in s], 2) and s in enumerate_partitions(2, 2)
+
     def test_block_lookup(self):
         s = CoalitionStructure.of([[0, 2], [1], [3]], 4)
         assert s.block_of(2) == Coalition.of(0, 2)
@@ -403,7 +417,7 @@ class TestFamilyLookups:
         for value in [None, 0, "{0,1},{2}", ((0, 1), (2,)), [[0, 1], [2]], Coalition.of(0, 1)]:
             assert value not in family
         assert CoalitionStructure.singletons(4) not in family
-        assert family != "family" and family != family._codes
+        assert family != "family" and family != family._leaders
 
     def test_reads_build_structures_once_and_only_when_read(self, monkeypatch):
         smaller = enumerate_partitions(10, 2)
@@ -443,6 +457,8 @@ class TestCodesAgainstTheWalk:
         rows = walk_rows(n, cap)
         assert len(family) == len(rows) == restricted_bell(n, cap)
         assert [tuple(b.members for b in s) for s in family] == rows
+        assert [tuple(row) for row in family._leaders.tolist()] == [partitions._row(s) for s in family]
+        assert family._find(family._leaders).tolist() == list(range(len(family)))
         position = {as_key(row): i for i, row in enumerate(rows)}
         for blocks in all_partitions(n):
             probe = CoalitionStructure.of(blocks, n)
@@ -465,7 +481,7 @@ class TestCodesAgainstTheWalk:
 
 @pytest.mark.parametrize("n", [16, 17, 127, 128, 129])
 def test_hand_built_families_at_the_edges_of_the_code_format(n):
-    """Keys change format above 16 players, and codes need 16 bits from 128."""
+    """Rows of 16 and 17 players are keyed as every row is, and leaders need 16 bits from 128."""
     structures = [
         CoalitionStructure.singletons(n),
         CoalitionStructure.of([range(n)], n),
@@ -488,16 +504,16 @@ def test_hand_built_families_at_the_edges_of_the_code_format(n):
     assert not is_nested(family, PartitionFamily(n, n, structures[1:]))
     assert family == PartitionFamily(n, n, rebuilt(structures, n)) and family != backwards
     assert hash(family) == hash(PartitionFamily(n, n, rebuilt(structures, n)))
-    assert list(PartitionFamily._of_codes(n, n, family._codes.copy())) == structures
+    assert list(PartitionFamily._of_leaders(n, n, family._leaders.copy())) == structures
 
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_single_lookups_agree_with_the_family_lookup_on_hand_built_families(n):
-    """in and index_of give what _lookup gives, on both sides of the change of key format."""
+    """in and index_of give what _lookup gives, at 16 and 17 players."""
     rng = np.random.default_rng(n)
     labels = [rng.integers(0, k, n) for k in (2, 3, 5, 8, 13, n)]
     drawn = [CoalitionStructure.of([np.flatnonzero(row == v) for v in np.unique(row)], n) for row in labels]
-    # The last two differ only in the last player's block, the digit a 16-player key has no room for.
+    # The last two differ only in the last player's block, the last byte of their keys.
     edges = [CoalitionStructure.of([range(n)], n), CoalitionStructure.of([range(n - 1), [n - 1]], n)]
     probes = PartitionFamily(n, n, dict.fromkeys([*drawn, CoalitionStructure.singletons(n), *edges]))
     family = PartitionFamily(n, n, probes[::-2])  # every other probe, out of key order
@@ -548,7 +564,7 @@ class TestFamilyValue:
             (lambda f: setattr(f, "n_players", 1), "cannot assign to field 'n_players'"),
             (lambda f: setattr(f, "colour", "red"), "cannot assign to field 'colour'"),
             (lambda f: delattr(f, "structures"), "cannot delete field 'structures'"),
-            (lambda f: delattr(f, "_codes"), "cannot delete field '_codes'"),
+            (lambda f: delattr(f, "_leaders"), "cannot delete field '_leaders'"),
         ],
     )
     def test_is_frozen(self, change, message):
@@ -588,7 +604,6 @@ class TestFamilyValue:
     def test_reads_are_kept(self):
         family = enumerate_partitions(4, 2)
         assert family.structures is family.structures
-        assert family._keys is family._keys
         assert family._sorted is family._sorted
         structures = tuple(CoalitionStructure.of([b.members for b in s], 4) for s in family)
         hand_built = PartitionFamily(4, 2, structures)
