@@ -51,6 +51,7 @@ from .partitions import (
     PartitionFamily,
     enumerate_partitions,
     is_nested,
+    labelled_blocks,
     restricted_bell,
 )
 from .solver import (
@@ -117,6 +118,7 @@ __all__ = [
     "is_complete_cooperation",
     "is_nested",
     "is_pure_equilibrium",
+    "labelled_blocks",
     "lift_profile",
     "load_game",
     "load_profile",

@@ -35,7 +35,7 @@ from .gamefile import (
     parse_rational,
 )
 from .games import CoalitionGame, ValidationError
-from .partitions import enumerate_partitions, restricted_bell
+from .partitions import enumerate_partitions, labelled_blocks, restricted_bell
 from .solver import EquilibriumResult, SolverConfig, VerificationReport
 
 PROG = "coalition-forge"
@@ -294,17 +294,19 @@ def _emit(text: str) -> int:
 def cmd_enumerate(args) -> int:
     n, cap = args.n, args.K if args.K is not None else args.n
     count = restricted_bell(n, cap)
-    family = () if args.count_only else enumerate_partitions(n, cap)
+    family = None if args.count_only else enumerate_partitions(n, cap)
     names = _default_names(n)
     if args.json:
         document = _document("enumerate", n=n, K=cap, count=count)
-        if not args.count_only:
-            document["partitions"] = [_structure_literal(s, names) for s in family]
+        if family is not None:
+            # Each partition's literal, its blocks of player names; structures share their blocks' lists.
+            document["partitions"] = labelled_blocks(family, lambda block: [names[i] for i in block])
         return _emit(dumps(document))
-    if args.count_only:
+    if family is None:
         return _emit(str(count))
+    texts = labelled_blocks(family, lambda block: "{" + ",".join(names[i] for i in block) + "}")
     lines = [f"p({n},{cap}) = {count}"]
-    lines.extend(f"{i:>3}  {_structure_text(_structure_literal(s, names))}" for i, s in enumerate(family))
+    lines.extend(f"{i:>3}  {{{','.join(blocks)}}}" for i, blocks in enumerate(texts))
     return _emit("\n".join(lines))
 
 

@@ -9,24 +9,29 @@ document are rejected rather than ignored.
 
 Every document is written by dumps, whose text is exactly
 json.dumps(data, indent=2, sort_keys=True), so the format is byte
-stable. game_to_dict reads the validated payoff tensor: each payoff's
-text is str(Fraction) of its payoff_ints entry over payoff_scale, the
-text of the stored value. A game's payoffs depend on few things (in
-lunch, the realized structure), so its payoff table repeats a handful
-of rows: game_to_dict builds one list per distinct row, as it builds
-one literal per distinct structure of a table mechanism, and dumps
-writes a container that holds one list, tuple or dict at several
-places from the text of each distinct child, built once. The cap 4
-lunch file holds 8 distinct rows over 50,625 profiles.
+stable. dumps writes with json's C encoder, mostly as one compact
+encode of a container that _reindent indents in a few numpy passes
+(see dumps for the other two ways). game_to_dict reads the validated
+payoff tensor: each payoff's text is str(Fraction) of its payoff_ints
+entry over payoff_scale, the text of the stored value. A game's payoffs depend on few things (in lunch, the realized
+structure), so its payoff table repeats a handful of rows:
+game_to_dict builds one list per distinct row, as it builds one
+literal per distinct structure of a table mechanism, and dumps writes
+a container that holds one list, tuple or dict at several places from
+the text of each distinct child, built once. The cap 4 lunch file
+holds 8 distinct rows over 50,625 profiles.
 
 game_from_dict reads the tables the other way, straight into the
 game's two arrays: one reader, _by_profile, serves both profile-keyed
-tables, reads each distinct entry once and lists the payoff rows and
-the mechanism's structures in canonical key order for the payoff and
-table readers of games. Each distinct payoff text becomes one Fraction
-and each distinct partition literal of the strategy lists one
-structure, all of which are found in the family in one lookup, and no
-profile-keyed mapping is built.
+tables. It takes the entries in canonical key order and their reprs
+in C-level passes, with no loop over the keys, reads each distinct
+entry once and lists the payoff rows and the mechanism's structures in
+that order for the payoff and table readers of games; a faulty table
+is read again key by key, so the fault named is the first in document
+order. Each distinct payoff text becomes one Fraction and each
+distinct partition literal of the strategy lists one structure, all of
+which are found in the family in one lookup, and no profile-keyed
+mapping is built.
 """
 
 from __future__ import annotations
@@ -203,16 +208,34 @@ def _known_as(entry: Any, fallback: Any) -> Any:
 
 
 def _by_profile(
-    raw: Any, position: Mapping[str, int], shape: Sequence[int], where: str, read, *args
+    raw: Any, keys: Sequence[str], shape: Sequence[int], where: str, read, *args
 ) -> list:
     """The entries of a profile-keyed table in canonical key order, None for a gap.
 
-    Keys are checked in document order, and read(entry, where, *args) reads
-    each distinct entry once (see _known_as).
+    keys are the canonical keys of the space (_profile_keys). The
+    entries are taken in that order and told apart by their reprs (see
+    _known_as), each in one C-level pass, and read(entry, where, *args)
+    reads each distinct entry once, in key order of first appearance.
+    A table with a key outside the space, an entry nested too deeply for
+    repr or an entry that fails to read is read again key by key in
+    document order, skipping the entries already read, so the fault
+    named is the first in document order.
     """
-    entries: list = [None] * len(position)
+    raw = _require_mapping(raw, where)
+    entries = list(map(raw.get, keys, itertools.repeat(_GAP)))
+    gaps = entries.count(_GAP)
     done: dict[Any, Any] = {}
-    for key, entry in _require_mapping(raw, where).items():
+    if len(raw) + gaps == len(keys):  # no key outside the space
+        try:
+            texts = list(map(repr, entries))
+            for text, (key, entry) in dict(zip(texts, zip(keys, entries))).items():
+                done[text] = None if entry is _GAP else read(entry, f"{where}[{key!r}]", *args)
+            return list(map(done.__getitem__, texts))
+        except (GameFileError, RecursionError):
+            pass
+    position = dict(zip(keys, range(len(keys))))
+    entries = [None] * len(keys)
+    for key, entry in raw.items():
         if key not in position:
             _reject_profile_key(key, shape, where)
         text = _known_as(entry, (key,))
@@ -220,6 +243,10 @@ def _by_profile(
             done[text] = read(entry, f"{where}[{key!r}]", *args)
         entries[position[key]] = done[text]
     return entries
+
+
+# A profile the table has no entry for; its repr is no JSON value's.
+_GAP = object()
 
 
 def _rationals(row: Any, where: str, size: int, decoded: dict[Any, Fraction]) -> tuple[Fraction, ...]:
@@ -277,7 +304,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     strategy_sets = [tuple(Strategy(found[text], action) for text, action in mine) for mine in chosen]
     shape = [len(s) for s in strategy_sets]
     _require_dense(shape, n)
-    position = {key: k for k, key in enumerate(_profile_keys(shape))}
+    keys = _profile_keys(shape)
 
     raw_mech = data["mechanism"]
     if raw_mech == UNANIMITY:
@@ -285,7 +312,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
     elif isinstance(raw_mech, Mapping):
         _check_keys(raw_mech, _MECHANISM_KEYS, _MECHANISM_KEYS, "mechanism")
         table = _by_profile(
-            raw_mech["table"], position, shape, "mechanism.table", _parse_structure, by_name, n
+            raw_mech["table"], keys, shape, "mechanism.table", _parse_structure, by_name, n
         )
     else:
         raise GameFileError(
@@ -294,7 +321,7 @@ def game_from_dict(data: Any) -> tuple[CoalitionGame, tuple[str, ...]]:
         )
 
     # One memo for the document: each distinct payoff string is read once.
-    rows = _by_profile(data["payoffs"], position, shape, "payoffs", _rationals, n, {})
+    rows = _by_profile(data["payoffs"], keys, shape, "payoffs", _rationals, n, {})
     payoffs = _read_payoffs(rows, (*shape, n))
     # After the payoffs, so a payoff fault is named first.
     index = None if table is None else _read_table(table, family, shape)
@@ -402,28 +429,38 @@ def save_game(game: CoalitionGame, path: str | Path, player_names: Sequence[str]
 def dumps(data: Any) -> str:
     """Deterministic JSON text: exactly json.dumps(data, indent=2, sort_keys=True).
 
-    json writes indented text with its pure-Python encoder. Here the
-    containers are walked in Python, and each dict, list or tuple of
-    height 1 or 2 (see _height) is written by one call to the C
-    encoder. The encoder of a depth is built once per call, with that
-    depth's newline and indent in its item separator, so the items of
-    a height-1 container come out indented and only its brackets get
-    theirs here; _lift indents the children of a height-2 container.
+    json writes indented text with its pure-Python encoder. Here json's
+    C encoder writes the containers, in one of three ways:
 
-    A list, tuple or dict of containers that holds one of them at
-    several places (_SHARED, see _height), such as a game file's payoff
-    table with its shared rows, is one join instead: its keys are
-    sorted once, and the text of each distinct child is built once at
-    depth + 1 (a height-1 child by its depth's C encoder, a taller one
-    as write writes it), in the order json first meets them. Every
-    other container is walked as json walks it: keys are sorted and
-    converted as json converts them, empty containers are [] and {}, a
-    cycle raises ValueError, and what JSON cannot hold raises json's
-    TypeError, with json's messages.
+    - a container of scalars (_FLAT, see _layout) by one call of its
+      depth's encoder, which is built once per call with that depth's
+      newline and indent in its item separator, so the items come out
+      indented and only the brackets get theirs here;
+    - a list, tuple or dict of containers that holds one of them at
+      several places (_SHARED), such as a game file's payoff table with
+      its shared rows, as one join: its keys are sorted once, and the
+      text of each distinct child is built once at depth + 1, in the
+      order json first meets them;
+    - any other list, tuple or dict by one compact encode of all of it,
+      which _reindent indents, unless one of its children is _SHARED.
+      Such a container, and a subclass of one, is walked in Python as
+      json walks it, to reach that child.
+
+    Keys are sorted and converted as json converts them, empty
+    containers are [] and {}, a cycle raises ValueError, and what JSON
+    cannot hold raises json's TypeError, with json's messages: a
+    container whose compact encode fails is walked instead, and the
+    walk fails as json fails.
     """
     out: list[str] = []
     encoders: dict[int, Any] = {}
     markers: set[int] = set()
+    # The compact encoder's cycle markers, built per call: a failed
+    # encode leaves its path in them, so they are cleared after one.
+    entered: dict[int, Any] = {}
+    compact = c_make_encoder(
+        entered, _refuse, encode_basestring_ascii, None, ": ", ",", True, False, True
+    )
 
     def encode(value: Any, depth: int) -> str:
         """C text of value with the item separator of items at depth + 1."""
@@ -431,27 +468,35 @@ def dumps(data: Any) -> str:
         if encoder is None:
             encoder = encoders[depth] = c_make_encoder(
                 None, _refuse, encode_basestring_ascii, None,
-                _KEY_MARK, ",\n" + "  " * (depth + 1), True, False, True,
+                ": ", ",\n" + "  " * (depth + 1), True, False, True,
             )
         return "".join(encoder(value, 0))
 
-    def write(value: Any, depth: int) -> None:
+    def write(value: Any, depth: int, layout: int | None = None) -> None:
         if not isinstance(value, (list, tuple, dict)) or not value:
             out.extend(_compact(value, 0))  # scalars, [] and {}
             return
-        height = _height(value)
+        if layout is None:
+            layout = _layout(value)
         indent = "\n" + "  " * depth
-        if height == 1:
-            text = encode(value, depth).replace(_KEY_MARK, ": ")
+        if layout == _FLAT:
+            text = encode(value, depth)
             out.extend((text[0], indent, "  ", text[1:-1], indent, text[-1]))
             return
-        if height == 2:
-            out.append(_lift(encode(value, depth + 1), depth))
-            return
+        layouts: dict[int, int] = {}
+        if layout != _SHARED and type(value) in _CONTAINERS:
+            children = value.values() if type(value) is dict else value
+            layouts = dict(zip(map(id, children), map(_layout, children)))
+            if _SHARED not in layouts.values():
+                try:
+                    out.append(_reindent("".join(compact(value, 0)), depth))
+                    return
+                except (TypeError, ValueError):
+                    entered.clear()
         if id(value) in markers:
             raise ValueError("Circular reference detected")
         markers.add(id(value))
-        if height == _SHARED:
+        if layout == _SHARED:
             out.append(joined(value, depth))
             markers.remove(id(value))
             return
@@ -463,7 +508,7 @@ def dumps(data: Any) -> str:
         separator = brackets[0] + indent + "  "
         for key, item in items:
             out.extend((separator, key))
-            write(item, depth + 1)
+            write(item, depth + 1, layouts.get(id(item)))
             separator = "," + indent + "  "
         out.append(indent + brackets[1])
         markers.remove(id(value))
@@ -506,19 +551,15 @@ _compact = c_make_encoder(
 )
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CONTAINERS = frozenset({list, tuple, dict})
-# The height _height gives a container that dumps writes as one join.
-_SHARED = -1
-# The key separator of the per-depth encoders. json escapes every control
-# character inside a string, so raw "\x02" and "\x03" (and the newline of
-# an item separator) never occur in the C text except where put there.
-_KEY_MARK = ":\x02"
+# The layouts _layout tells apart: a container of scalars, and one of
+# containers that holds one of them at several places.
+_FLAT, _SHARED = 1, -1
 
 
-def _height(value: Any) -> int:
-    """1 for a container of scalars, 2 for one of non-empty containers of scalars, else 0.
+def _layout(value: Any) -> int:
+    """_FLAT for a container of scalars, _SHARED for one of containers that holds one twice, else 0.
 
-    A container of containers that holds one of them twice, by identity,
-    is _SHARED whatever its height. Types are matched exactly (a
+    Children are told apart by identity. Types are matched exactly (a
     subclass may change how it iterates), and the keys of a dict count
     as its items.
     """
@@ -531,42 +572,79 @@ def _height(value: Any) -> int:
         value = value.values()
     kinds = set(map(type, value))
     if kinds <= _SCALARS:
-        return 1
-    if not kinds <= _CONTAINERS:
-        return 0
-    if len(set(map(id, value))) < len(value):
+        return _FLAT
+    if kinds <= _CONTAINERS and len(set(map(id, value))) < len(value):
         return _SHARED
-    if not all(value):
-        return 0
-    items = itertools.chain.from_iterable(value)
-    if dict in kinds:
-        items = itertools.chain(items, *(v.values() for v in value if type(v) is dict))
-    return 2 if _SCALARS.issuperset(map(type, items)) else 0
+    return 0
 
 
-def _lift(text: str, depth: int) -> str:
-    r"""The indented text of a height-2 container at depth, from its C text.
+# Per byte of compact C text: 1 opens a container, -1 closes one and 2
+# separates two items; what each does to the nesting level, by code
+# (-1 indexes the last entry).
+_STRUCTURE = np.zeros(256, dtype=np.int8)
+_STRUCTURE[list(b"[{")] = 1
+_STRUCTURE[list(b"]}")] = -1
+_STRUCTURE[ord(",")] = 2
+_STEP = np.array([0, 1, 0, -1])
+# The bytes of compact text _reindent indents at a time, which bounds
+# its index arrays.
+_CHUNK = 1 << 16
 
-    The C text was written with the item separator of depth + 2, right
-    between scalars, and _KEY_MARK between keys and values. No scalar's
-    text ends with "]" or "}", so a separator right after one of those
-    lies between two children: it takes the indent of depth + 1, and
-    the child before it the newline before its closing bracket. "\x03"
-    then marks where each child starts, after the container's opening
-    bracket or a separator between children, so that each child's
-    opening bracket, after that mark or after its key, gets its newline.
+
+def _reindent(text: str, depth: int) -> str:
+    r"""The text json writes at indent 2 for a container at depth, from its compact C text.
+
+    The compact text has item separator "," and key separator ": ", and
+    it is ASCII: json escapes every other character inside a string,
+    and a string is the only place where a bracket or a comma is not
+    structure. Once each escaped backslash ("\\") is blanked, a quote
+    after a backslash is escaped, and the others open and close strings,
+    so a running xor of them marks the bytes inside strings. A running
+    sum gives the nesting level of each bracket and comma outside them,
+    and each takes a newline and two spaces per level after it (an
+    opening bracket or a comma) or before it (a closing bracket), except
+    the two brackets of an empty container. The text is read _CHUNK
+    bytes at a time, carrying the string state and the level, and each
+    chunk's bytes are scattered to their shifted places.
     """
-    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    separator = "," + inner
-    text = f"{text[0]}\x03{text[1:-2]}{outer}{text[-2]}\n{'  ' * depth}{text[-1]}"
-    text = text.replace("]" + separator, outer + "],\x03")
-    text = text.replace("}" + separator, outer + "},\x03")
-    if text[0] == "{":  # each child follows its key
-        text = text.replace("\x03", outer)
-        text = text.replace(_KEY_MARK + "[", ": [" + inner).replace(_KEY_MARK + "{", ": {" + inner)
-    else:
-        text = text.replace("\x03[", outer + "[" + inner).replace("\x03{", outer + "{" + inner)
-    return text.replace(_KEY_MARK, ": ")
+    data = text.encode("ascii")
+    chars = np.frombuffer(data, dtype=np.uint8)
+    plain = np.frombuffer(data.replace(b"\\\\", b"  "), dtype=np.uint8) if b"\\" in data else chars
+    quotes = plain == ord('"')
+    if plain is not chars:
+        quotes[1:] &= plain[:-1] != ord("\\")
+    empty = b"[]" in data or b"{}" in data
+    pieces = []
+    inside, level = False, depth
+    for start in range(0, len(chars), _CHUNK):
+        part = chars[start : start + _CHUNK]
+        code = np.take(_STRUCTURE, part)
+        strings = np.logical_xor.accumulate(quotes[start : start + _CHUNK])
+        if inside:
+            np.logical_not(strings, out=strings)
+        inside = bool(strings[-1])
+        code[strings] = 0
+        at = np.flatnonzero(code)
+        kind = code[at]
+        levels = np.cumsum(np.take(_STEP, kind)) + level
+        if len(levels):
+            level = int(levels[-1])
+        if empty:
+            # An opening bracket right before a closing one, and that one.
+            beside = np.take(_STRUCTURE, chars[at + start + (kind == 1) - (kind == -1)])
+            keep = beside != -kind
+            at, kind, levels = at[keep], kind[keep], levels[keep]
+        breaks = at + (kind != -1)  # each line break goes before the byte there
+        widths = 2 * levels + 1
+        shift = np.zeros(len(part) + 1, dtype=np.int64)
+        shift[breaks] = widths
+        np.cumsum(shift, out=shift)
+        shift += np.arange(len(part) + 1)
+        lines = np.full(shift[-1], ord(" "), dtype=np.uint8)
+        lines[shift[:-1]] = part
+        lines[shift[breaks] - widths] = ord("\n")
+        pieces.append(str(lines.data, "ascii"))
+    return "".join(pieces)
 
 
 def _key_text(key: Any) -> str:

@@ -532,28 +532,32 @@ def _read_payoffs(rows: list, shape: tuple[int, ...]) -> _TensorPayoffs:
 
     shape is (*strategy counts, n_players). Every row must hold n_players
     exact rationals (numbers.Rational, such as int or Fraction). Tables
-    repeat a few payoff objects many times (builders and game files share
-    them), so each distinct object is read once.
+    repeat a few payoff row objects many times (builders and game files
+    share them), so the rows are told apart by identity first, and each
+    distinct row, and within those each distinct value object, is read
+    once; the first faulty profile is named.
     """
     n = shape[-1]
-    bad = next((k for k, row in enumerate(rows) if row is None or len(row) != n), None)
+    distinct, inverse = _distinct(rows)
+    bad = next((j for j, row in enumerate(distinct) if row is None or len(row) != n), None)
     if bad is not None:
-        profile = tuple(map(int, np.unravel_index(bad, shape[:-1])))
-        if rows[bad] is None:
+        profile = tuple(map(int, np.unravel_index(inverse.index(bad), shape[:-1])))
+        if distinct[bad] is None:
             raise ValidationError(f"payoff table has no entry for profile {profile}")
         raise ValidationError(f"payoff entry for {profile} has the wrong arity")
-    values = list(itertools.chain.from_iterable(rows))
-    first, inverse = _distinct(values)
-    bad = next((k for k in sorted(first) if not isinstance(values[k], Rational)), None)
-    if bad is not None:
+    numbers, inverse_values = _distinct(list(itertools.chain.from_iterable(distinct)))
+    if not all(isinstance(v, Rational) for v in numbers):
+        # Named at its first profile, in profile order.
+        bad, value = next(
+            (k, v) for k, v in enumerate(itertools.chain.from_iterable(rows)) if not isinstance(v, Rational)
+        )
         profile = tuple(map(int, np.unravel_index(bad // n, shape[:-1])))
-        raise ValidationError(f"payoff entry for {profile} holds {values[bad]!r}, not an exact rational")
-    distinct = [values[k] for k in first]
-    scale = lcm(*{int(v.denominator) for v in distinct})
-    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in distinct]
+        raise ValidationError(f"payoff entry for {profile} holds {value!r}, not an exact rational")
+    scale = lcm(*{int(v.denominator) for v in numbers})
+    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in numbers]
     fits = max(map(abs, ints)) < 2**63
-    array = np.array(ints, dtype=np.int64 if fits else object)[inverse]
-    return _TensorPayoffs(_frozen(array.reshape(shape)), scale)
+    table = np.array(ints, dtype=np.int64 if fits else object)[inverse_values].reshape(len(distinct), n)
+    return _TensorPayoffs(_frozen(table[inverse].reshape(shape)), scale)
 
 
 def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) -> np.ndarray:
@@ -564,27 +568,32 @@ def _read_table(entries: list, family: PartitionFamily, shape: tuple[int, ...]) 
     (the loader reads each distinct literal once), so each distinct
     object is looked up once.
     """
-    first, inverse = _distinct(entries)
-    rows = [_row(entries[k]) for k in first]
+    distinct, inverse = _distinct(entries)
+    rows = list(map(_row, distinct))
     fits = [j for j, row in enumerate(rows) if row is not None and len(row) == family.n_players]
     codes = np.full(len(rows), -1)
     codes[fits] = family._find(np.array([rows[j] for j in fits], dtype=np.intp).reshape(-1, family.n_players))
-    bad = min((k for k, code in zip(first, codes.tolist()) if code < 0), default=None)
+    bad = next((j for j, code in enumerate(codes.tolist()) if code < 0), None)
     if bad is not None:
-        profile = tuple(map(int, np.unravel_index(bad, shape)))
-        if entries[bad] is None:
+        profile = tuple(map(int, np.unravel_index(inverse.index(bad), shape)))
+        if distinct[bad] is None:
             raise ValidationError(f"mechanism table has no entry for profile {profile}")
         raise ValidationError(
-            f"profile {profile} realizes {entries[bad]}, outside the family cap {family.max_block}"
+            f"profile {profile} realizes {distinct[bad]}, outside the family cap {family.max_block}"
         )
     return _frozen(codes[inverse].reshape(shape))
 
 
-def _distinct(values: list) -> tuple[list[int], np.ndarray]:
-    """Each distinct object's first position in values, by identity, and each value's distinct number."""
-    ids = np.fromiter(map(id, values), np.uint64, len(values))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return first.tolist(), inverse
+def _distinct(values: list) -> tuple[list, list[int]]:
+    """The distinct objects of values, by identity, in order of first appearance, and each value's number among them.
+
+    Dict passes over the ids, with no sort, so a short list costs a few
+    microseconds.
+    """
+    ids = list(map(id, values))
+    objects = dict(zip(ids, values))
+    number = dict(zip(objects, range(len(objects))))
+    return list(objects.values()), list(map(number.__getitem__, ids))
 
 
 class _ProfileView(Mapping):

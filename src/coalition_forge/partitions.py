@@ -24,14 +24,17 @@ which ascend in enumeration order, so a lookup is a binary search and no
 lookup hashes a structure. Every structure, looked up or built into a
 family by hand, is read as its leader row (_row). A family builds its
 structures only when they are read, all at once, with one Coalition per
-distinct block shared by all of them. Every structure, enumerated or
-not, passes the same constructor check: its members, flattened and
-sorted, must be exactly 0..n-1. Only a structure that fails it is walked
-block by block to name the overlap or the gap.
+distinct block shared by all of them; labelled_blocks reads the blocks
+of each structure from the rows the same way, with no structure built.
+Every structure, enumerated or not, passes the same constructor check:
+its members, flattened and sorted, must be exactly 0..n-1. Only a
+structure that fails it is walked block by block to name the overlap or
+the gap.
 """
 
 from __future__ import annotations
 
+import itertools
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -327,33 +330,46 @@ def _keys(leaders: np.ndarray) -> np.ndarray:
 
 
 def _structures(leaders: np.ndarray) -> tuple[CoalitionStructure, ...]:
-    """The structures of leader rows, in order, with one Coalition per distinct block.
+    """The structures of leader rows, in order, with one Coalition per distinct block."""
+    n = leaders.shape[1]
+    return tuple([CoalitionStructure(blocks, n) for blocks in _blocks(leaders, Coalition)])
+
+
+def labelled_blocks(family: PartitionFamily, label) -> list[tuple]:
+    """Each structure of the family, in order, as the tuple of its blocks in canonical order.
+
+    A block is given as label(members), its members an ascending tuple
+    of players, and label is called once per distinct block of the
+    family, so structures that share a block share its label. Read from
+    the leader rows: no structure is built.
+    """
+    return _blocks(family._leaders, label)
+
+
+def _blocks(leaders: np.ndarray, make) -> list[tuple]:
+    """Each leader row's blocks in canonical order, as make(members) of each distinct block, made once.
 
     Each block is read as the bit set of its members at its leader's
     column, one numpy step per player, so the distinct blocks are the
-    distinct bit sets (0 where a column leads no block). The Coalitions
-    of all structures are gathered at once, one column list per column,
-    after each row's bit sets are sorted in descending order, so its
-    blocks come first and the empty columns last; each structure takes
-    its row's blocks, which its constructor puts in canonical order.
-    Column lists, rather than one list per row, keep the live containers
-    few while the structures are built.
+    distinct bit sets, and a row's nonzero bit sets, in column order,
+    are its blocks in canonical order (0 where a column leads no block).
+    All rows' blocks are gathered in one flat list, which is cut into
+    rows by their block counts.
     """
     count, n = leaders.shape
     rows = np.arange(count)
     bits = np.zeros((count, n), dtype=np.int64 if n < 64 else object)
     for player, column in enumerate(leaders.T):
         bits[rows, column] |= 1 << player
-    bits = np.sort(bits, axis=1)[:, ::-1]
-    distinct = sorted(set(bits.ravel().tolist()))
-    coalitions = np.empty(len(distinct), dtype=object)  # None for 0, no block
+    full = bits != 0
+    sizes = np.count_nonzero(full, axis=1).tolist()
+    values = bits[full]
+    distinct = sorted(set(values.tolist()))
+    made = np.empty(len(distinct), dtype=object)
     for i, v in enumerate(distinct):
-        if v:
-            coalitions[i] = Coalition(tuple(m for m in range(n) if v >> m & 1))
-    blocks = coalitions[np.array(distinct, dtype=bits.dtype).searchsorted(bits)]
-    sizes = np.count_nonzero(bits, axis=1).tolist()
-    padded = zip(*[column.tolist() for column in blocks.T])
-    return tuple([CoalitionStructure(row[:size], n) for row, size in zip(padded, sizes)])
+        made[i] = make(tuple(m for m in range(n) if v >> m & 1))
+    flat = iter(made[np.array(distinct, dtype=bits.dtype).searchsorted(values)].tolist())
+    return list(map(tuple, map(itertools.islice, itertools.repeat(flat), sizes)))
 
 
 def _row(structure) -> tuple[int, ...] | None:
@@ -407,13 +423,14 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     at a time: every prefix, a partition of the players so far, is
     extended by each leader the next player may take, those of the
     blocks with room and then the player itself, who leads a new block,
-    in one numpy step per player. Prefix-major, leader-minor order keeps
-    the rows in lexicographic order, and each block's size, kept at its
-    leader's column, enforces the cap during generation, so no oversized
-    partition is ever materialised. Players 0 and 1 seed the loop, so a
-    two-player family takes no step. A family whose rows would hold more
-    than _DENSE_LIMIT entries is refused from its exact count, before
-    anything is built.
+    in one numpy step per player, which repeats each prefix row whole,
+    once per leader, so no index array is built. Prefix-major,
+    leader-minor order keeps the rows in lexicographic order, and each
+    block's size, kept at its leader's column, enforces the cap during
+    generation, so no oversized partition is ever materialised. Players
+    0 and 1 seed the loop, so a two-player family takes no step. A
+    family whose rows would hold more than _DENSE_LIMIT entries is
+    refused from its exact count, before anything is built.
     """
     _check_args(n_players, max_block)
     n, K = int(n_players), int(max_block)
@@ -421,28 +438,29 @@ def enumerate_partitions(n_players: int, max_block: int) -> PartitionFamily:
     if count * n > _DENSE_LIMIT:
         raise ValueError(
             f"the {count} partitions of {n} players with blocks of at most {K} "
-            f"exceed the dense limit of {_DENSE_LIMIT} code entries"
+            f"exceed the dense limit of {_DENSE_LIMIT} entries"
         )
     dtype = _leader_dtype(n)
-    if n == 1:
-        return PartitionFamily._of_leaders(n, K, np.zeros((1, 1), dtype=dtype))
-    leaders = np.array([[0, 0], [0, 1]] if K > 1 else [[0, 1]], dtype=dtype)
+    # Every row has all n columns from the start, so a step repeats whole rows.
+    leaders = np.zeros((2 if K > 1 else 1, n), dtype=dtype)
+    if n > 1:
+        leaders[:, 1] = [0, 1] if K > 1 else [1]
     if n > 2:
         # Each block's size, at its leader's column.
-        sizes = np.zeros((len(leaders), n), dtype=dtype)
+        sizes = np.zeros(leaders.shape, dtype=dtype)
         sizes[:, :2] = [[2, 0], [1, 1]] if K > 1 else [[1, 1]]
         for player in range(2, n):
             placed = sizes[:, : player + 1]
             room = (placed > 0) & (placed < K)
             room[:, player] = True
-            rows, leader = np.nonzero(room)
-            grown = np.empty((len(rows), player + 1), dtype=dtype)
-            grown[:, :player] = leaders[rows]
-            grown[:, player] = leader
-            leaders = grown
+            # Each prefix once per leader it offers, in row-major order.
+            counts = room.sum(axis=1)
+            leader = np.broadcast_to(np.arange(player + 1, dtype=dtype), room.shape)[room]
+            leaders = np.repeat(leaders, counts, axis=0)
+            leaders[:, player] = leader
             if player + 1 < n:
-                sizes = sizes[rows]
-                sizes[np.arange(len(rows)), leader] += 1
+                sizes = np.repeat(sizes, counts, axis=0)
+                sizes[np.arange(len(sizes)), leader] += 1
     return PartitionFamily._of_leaders(n, K, leaders)
 
 

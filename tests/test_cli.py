@@ -79,7 +79,7 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err == (
             "coalition-forge: error: the 606917269909048576 partitions of 30 players "
-            f"with blocks of at most 2 exceed the dense limit of {2**27} code entries\n"
+            f"with blocks of at most 2 exceed the dense limit of {2**27} entries\n"
         )
         assert run("enumerate", "-n", "30", "-K", "2", "--count-only") == (0, "606917269909048576\n", "")
 

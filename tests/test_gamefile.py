@@ -1,8 +1,8 @@
 """The JSON writer against the json module, the format's byte pins and the loader's refusals.
 
 gamefile.dumps must return exactly json.dumps(data, indent=2,
-sort_keys=True), failures included, while it writes containers of
-scalars through the C encoder. The pins fix the bytes of the lunch game
+sort_keys=True), failures included, while it writes every container
+through the C encoder, re-indenting its compact text. The pins fix the bytes of the lunch game
 files and of two CLI documents, as the writer gave them before it
 stopped using json's pure-Python encoder, and of two enumerate outputs,
 as the CLI gave them before families built their structures lazily. The
@@ -245,6 +245,54 @@ class TestDumpsAgainstJson:
         shared = [[1, 2], [3]]
         data = {"a": shared, "b": [shared, shared[0]]}
         assert dumps(data) == reference(data)
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_strings_that_hold_json_syntax(self, depth, share):
+        # Keys and values at the given depth; shared, the tree is joined and walked.
+        data = {text: [text, {text: text}] for text in SYNTAX_TEXTS}
+        for _ in range(depth):
+            data = [data, data] if share else [data, {"[]{},:": data}]
+        assert dumps(data) == reference(data)
+
+    def test_empty_containers_beside_full_ones(self):
+        data = {
+            "a": [[], [1, []], {}, {"k": {}}, [{}], "[]", [[[]], {"{}": []}]],
+            "b": {"": [], "x": {"y": [], "z": [{}]}},
+            "c": [[], []],
+        }
+        assert dumps(data) == reference(data)
+        assert dumps([data, {}, []]) == reference([data, {}, []])
+
+    @DIFFERENTIAL
+    @given(trees, st.sampled_from([1, 2, 3, 7]))
+    def test_texts_read_a_few_bytes_at_a_time(self, data, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gamefile, "_CHUNK", chunk)
+            assert outcome(dumps, data) == outcome(reference, data)
+
+    def test_a_failed_encode_leaves_no_marker_behind(self):
+        thing = object()
+        message = (TypeError, "Object of type object is not JSON serializable")
+        assert outcome(dumps, [[1, thing]]) == message
+        # Held twice, in one call and then in another.
+        for data in ({"a": [thing], "b": [thing]}, [[thing], [1, [thing]]]):
+            assert outcome(dumps, data) == outcome(reference, data) == message
+
+    def test_a_bad_key_is_named_as_json_names_it(self):
+        for data in ({decimal.Decimal(1): 1}, {"a": [{"b": {decimal.Decimal(1): [1]}}]}):
+            assert outcome(dumps, data) == (
+                TypeError, "keys must be str, int, float, bool or None, not Decimal"
+            )
+            assert outcome(reference, data) == outcome(dumps, data)
+
+
+# Text that means something to JSON or to the re-indent: brackets, commas,
+# colons, escaped quotes and backslashes, control and non-ASCII characters.
+SYNTAX_TEXTS = [
+    "[]{},:", "]", "{", ",", ":", '"', "\\", r'\"', r"\\", r'\\\"', "a\\", "\\]",
+    "\x00\x01\x1f\n\t", "é", "\U0001d11e", "中文 [x]", "",
+]
 
 
 # sha256 of the bytes the writer gave before it used the C encoder.
@@ -670,6 +718,40 @@ def test_a_repeated_faulty_literal_is_named_at_its_first_key():
     assert str(caught.value) == "mechanism.table['1,1'] assigns a player to two blocks"
 
 
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        ("fault", "payoffs['1,1'][1] is not a rational: 'x'"),
+        ("unknown", "payoffs key '2,0': index 2 out of range for player 0"),
+    ],
+)
+def test_a_faulty_entry_and_an_unknown_key_are_named_in_document_order(first, message):
+    document = small_document()
+    payoffs = document["payoffs"]
+    # Document order differs from the canonical order of the keys.
+    fault, unknown = {"1,1": ["1", "x"]}, {"2,0": ["0", "0"]}
+    rest = {key: payoffs[key] for key in ("0,1", "0,0", "1,0")}
+    document["payoffs"] = {**fault, **rest, **unknown} if first == "fault" else {**unknown, **rest, **fault}
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == message
+
+
+def test_of_two_faulty_entries_the_first_in_document_order_is_named():
+    document = small_document()
+    payoffs = document["payoffs"]
+    # "0,0" comes first in canonical order, "1,1" in the document.
+    document["payoffs"] = {"1,1": ["1", "x"], "0,1": payoffs["0,1"], "1,0": payoffs["1,0"], "0,0": ["y", "1"]}
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "payoffs['1,1'][1] is not a rational: 'x'"
+    # Without that one, the other is named.
+    document["payoffs"]["1,1"] = payoffs["1,1"]
+    with pytest.raises(GameFileError) as caught:
+        game_from_dict(document)
+    assert str(caught.value) == "payoffs['0,0'][0] is not a rational: 'y'"
+
+
 def test_a_player_in_two_blocks_is_named_before_a_player_named_twice():
     document = one_edit(("mechanism", "table", "0,1"), [["A", "B"], ["B", "B"]])
     with pytest.raises(GameFileError) as caught:
@@ -794,10 +876,16 @@ def test_each_distinct_payoff_row_of_a_game_file_is_written_once(monkeypatch):
 
 def test_each_distinct_literal_of_a_table_file_is_written_once(monkeypatch):
     _, document = lunch_table_document()
-    lifted = counted(monkeypatch, "_lift")
-    dumps(document["mechanism"])
-    assert (len(document["mechanism"]["table"]), len(lifted), sum(lifted.values())) == (38_416, 14, 14)
+    table = document["mechanism"]["table"]
+    literals = {id(literal): literal for literal in table.values()}
+    assert (len(table), len(literals)) == (38_416, 14)
+    encoded = counted_encoders(monkeypatch)
+    text = dumps(document["mechanism"])
+    # One encoder call per distinct literal, none for the table.
+    assert [encoded[i] for i in literals] == [1] * 14
+    assert encoded[id(table)] == 0
     monkeypatch.undo()
+    assert text == reference(document["mechanism"])
     assert dumps(document) == reference(document)
 
 

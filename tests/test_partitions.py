@@ -19,6 +19,7 @@ from coalition_forge.partitions import (
     PartitionFamily,
     enumerate_partitions,
     is_nested,
+    labelled_blocks,
     restricted_bell,
 )
 
@@ -206,10 +207,10 @@ class TestEnumeration:
             enumerate_partitions(30, 2)
         assert str(caught.value) == (
             f"the {count} partitions of 30 players with blocks of at most 2 "
-            f"exceed the dense limit of {2**27} code entries"
+            f"exceed the dense limit of {2**27} entries"
         )
 
-    def test_the_dense_limit_counts_code_entries(self, monkeypatch):
+    def test_the_dense_limit_counts_leader_entries(self, monkeypatch):
         # restricted_bell(4, 2) is 10 structures of 4 entries each.
         monkeypatch.setattr(partitions, "_DENSE_LIMIT", 40)
         assert len(enumerate_partitions(4, 2)) == 10
@@ -477,6 +478,23 @@ class TestCodesAgainstTheWalk:
         assert hand_built == family and hash(hand_built) == hash(family)
         if len(family) > 1:
             assert PartitionFamily(n, cap, rebuilt(family, n)[::-1]) != family
+
+
+@pytest.mark.parametrize("n, cap", [(1, 1), (2, 1), (2, 2), (4, 2), (5, 5), (7, 3), (65, 1)])
+def test_labelled_blocks_are_the_blocks_of_each_structure_labelled_once(n, cap):
+    family = enumerate_partitions(n, cap)
+    calls = []
+
+    def label(members):
+        calls.append(members)
+        return list(members)
+
+    rows = labelled_blocks(family, label)
+    assert [tuple(map(tuple, row)) for row in rows] == [tuple(b.members for b in s) for s in family]
+    # One label per distinct block, shared by every structure that has the block.
+    assert len(calls) == len(set(calls)) == len({b for s in family for b in s})
+    shared = {id(block) for row in rows for block in row}
+    assert len(shared) == len(calls)
 
 
 @pytest.mark.parametrize("n", [16, 17, 127, 128, 129])
