@@ -258,11 +258,15 @@ def _pareto_dominating_pures(
     """
     pay = game.payoff_ints
     scaled = [(n * game.payoff_scale, d) for n, d in (b.as_integer_ratio() for b in baseline)]
-    # Object arrays keep the thresholds Python ints: numpy would infer
+    at_least = [-(-n // d) for n, d in scaled]
+    above = [n // d for n, d in scaled]
+    # An int64 tensor compares in int64 when every threshold fits. Else
+    # object arrays keep the thresholds Python ints: numpy would infer
     # uint64 for [2**63] and float64 for [2**63, -1], and the comparison
     # would stop being exact.
-    at_least = np.array([-(-n // d) for n, d in scaled], dtype=object)
-    above = np.array([n // d for n, d in scaled], dtype=object)
+    fits = pay.dtype == np.int64 and all(-(2**63) <= t < 2**63 for t in at_least + above)
+    dtype = np.int64 if fits else object
+    at_least, above = np.array(at_least, dtype=dtype), np.array(above, dtype=dtype)
     dominating = (pay >= at_least).all(axis=-1) & (pay > above).any(axis=-1)
     for profile in map(tuple, _pure_profiles(game, np.argwhere(dominating)).tolist()):
         yield StabilityDiagnostic(game.max_coalition, profile, game.payoff(profile))

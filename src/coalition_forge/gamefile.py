@@ -23,8 +23,9 @@ holds 8 distinct rows over 50,625 profiles.
 
 game_from_dict reads the tables the other way, straight into the
 game's two arrays: one reader, _by_profile, serves both profile-keyed
-tables. It takes the entries in canonical key order and their reprs
-in C-level passes, with no loop over the keys, reads each distinct
+tables. It takes the entries in canonical key order and keys them in
+C-level passes, with no loop over the keys: payoff rows, lists of
+strings, by their tuples, any other entry by its repr. It reads each distinct
 entry once and lists the payoff rows and the mechanism's structures in
 that order for the payoff and table readers of games; a faulty table
 is read again key by key, so the fault named is the first in document
@@ -207,15 +208,33 @@ def _known_as(entry: Any, fallback: Any) -> Any:
         return fallback
 
 
+def _string_rows(entries: list) -> list[tuple] | None:
+    """Each entry as a tuple when every entry is a list and each distinct one holds only strs.
+
+    Then the tuples tell the entries apart as their reprs do, since a str
+    equals no other JSON value; otherwise None.
+    """
+    if set(map(type, entries)) != {list}:
+        return None
+    rows = list(map(tuple, entries))
+    try:
+        distinct = dict.fromkeys(rows)
+    except TypeError:  # an unhashable item, such as a nested list
+        return None
+    return rows if all(type(v) is str for row in distinct for v in row) else None
+
+
 def _by_profile(
     raw: Any, keys: Sequence[str], shape: Sequence[int], where: str, read, *args
 ) -> list:
     """The entries of a profile-keyed table in canonical key order, None for a gap.
 
     keys are the canonical keys of the space (_profile_keys). The
-    entries are taken in that order and told apart by their reprs (see
-    _known_as), each in one C-level pass, and read(entry, where, *args)
-    reads each distinct entry once, in key order of first appearance.
+    entries are taken in that order and told apart by their tuples when
+    each is a list of strs (_string_rows), as payoff rows are, else by
+    their reprs (see _known_as), each in one C-level pass, and
+    read(entry, where, *args) reads each distinct entry once, in key
+    order of first appearance.
     A table with a key outside the space, an entry nested too deeply for
     repr or an entry that fails to read is read again key by key in
     document order, skipping the entries already read, so the fault
@@ -227,12 +246,13 @@ def _by_profile(
     done: dict[Any, Any] = {}
     if len(raw) + gaps == len(keys):  # no key outside the space
         try:
-            texts = list(map(repr, entries))
+            texts = _string_rows(entries) or list(map(repr, entries))
             for text, (key, entry) in dict(zip(texts, zip(keys, entries))).items():
                 done[text] = None if entry is _GAP else read(entry, f"{where}[{key!r}]", *args)
             return list(map(done.__getitem__, texts))
         except (GameFileError, RecursionError):
-            pass
+            # The entries read so far are found again by their reprs below.
+            done = {k if type(k) is str else repr(list(k)): v for k, v in done.items()}
     position = dict(zip(keys, range(len(keys))))
     entries = [None] * len(keys)
     for key, entry in raw.items():

@@ -137,6 +137,11 @@ class CoalitionGame:
             payoff_ints and then replaced by a read-only view of the
             tensor, which a built, restricted or loaded game holds from
             the start.
+
+    A payoffs or table mapping is read once, at the first read of the
+    array it fills (payoff_ints, or realized_index). Writes to the
+    caller's own mapping before that read are seen; later ones are not,
+    and raise no error. Writes through the game's views raise TypeError.
     """
 
     n_players: int

@@ -22,7 +22,11 @@ row. So each reader takes one path, and the modes differ only in the
 payoff operand, the integers or each payoff rounded once to a float
 (the float(Fraction) of it), and in how a value is made: one Fraction
 of an integer sum over payoff_scale times the denominators it was
-weighted by, or the float sum as it stands. The pure lane reads
+weighted by, or the float sum as it stands. With four players a
+contraction multiplies the first opponent's weights into a scratch copy
+of the tensor and sums it with the other two in one three-operand
+einsum call (see _contraction for why a float sum keeps its bits that
+way). The pure lane reads
 best-reply counts for the unilateral test and screens the survivors
 for group redesires in one array pass per group: the members' payoffs
 are gathered over their own axes, a member already at their payoff peak
@@ -43,10 +47,11 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from numbers import Real
+from typing import Callable
 
 import numpy as np
 
@@ -276,30 +281,54 @@ def _player(game: CoalitionGame, player) -> int:
     return i
 
 
-def _einsum_operands(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> list:
-    """einsum's arguments for summing the tensor down to the player's axis.
+def _contraction(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> Callable[[], np.ndarray]:
+    """The sum of the tensor over every axis but the player's, as a function of no arguments.
 
-    Every other axis is summed weighted by its player's weights. The list
-    is a subscript string, such as "ABC,B,C->A" for player 0 of three,
-    then the tensor and the other players' weight arrays in player order.
-    It holds the weight arrays themselves, so it stays valid while they
-    change in place. The letters are A to Z then a to z, the labels numpy
-    gives sublist axes 0 to 51, so the contraction is the one the sublist
-    form names, while einsum's dispatch reads only the string and the
-    arrays. More than 52 players are refused.
+    Every other axis is summed weighted by its player's weights. The
+    function holds the weight arrays themselves, so it stays valid while
+    they change in place. It is one einsum call, such as "ABC,B,C->A"
+    for player 0 of three, except with four players and at least two own
+    strategies, where one call would take numpy's n-operand loop, about
+    twice as slow on lunch as this route: the first opponent's weights
+    are multiplied into a scratch copy of the tensor (np.empty_like, so
+    it keeps the tensor's layout), and one three-operand einsum call sums
+    it with the other two opponents' weights.
+
+    einsum multiplies each element's operands left to right, rounding
+    once per step, so every product is the one call's. With one opponent
+    multiplied in, every axis still carries a weight or the output, so
+    numpy keeps the same loops and adds the products into the same
+    accumulators, and a float sum is the one call's to the bit. That was
+    checked on x86_64 with numpy 2.4.6 only (see ROADMAP). Two multiplied
+    axes can merge into one loop, and numpy 2.4 then groups some large
+    reductions differently (player 0 of a 5 x 10 x 12 x 9 x 10 tensor);
+    an own axis of one entry makes it pick another summing loop. So five
+    or more players, and an own axis of one entry, keep one call.
+
+    The letters are A to Z then a to z, the labels numpy gives sublist
+    axes 0 to 51, so the contraction is the one the sublist form names,
+    while einsum's dispatch reads only the string and the arrays. More
+    than 52 players are refused.
     """
     n = len(weights)
     if n > _EINSUM_AXES:
         raise ValueError(f"contractions handle at most {_EINSUM_AXES} players, game has {n}")
     labels = _EINSUM_LETTERS[:n]
     others = [j for j in range(n) if j != player]
-    subscripts = ",".join([labels, *[labels[j] for j in others]]) + "->" + labels[player]
-    return [subscripts, tensor, *[weights[j] for j in others]]
+    if len(others) != 3 or tensor.shape[player] < 2:
+        subscripts = ",".join([labels, *[labels[j] for j in others]]) + "->" + labels[player]
+        return partial(np.einsum, subscripts, tensor, *[weights[j] for j in others])
+    front, *summed = others
+    subscripts = ",".join([labels, *[labels[j] for j in summed]]) + "->" + labels[player]
+    first = weights[front].reshape([-1 if a == front else 1 for a in range(n)])
+    summed = [weights[j] for j in summed]
+    scratch = np.empty_like(tensor)
 
+    def contract() -> np.ndarray:
+        np.multiply(tensor, first, out=scratch)
+        return np.einsum(subscripts, scratch, *summed)
 
-def _contract(tensor: np.ndarray, weights: list[np.ndarray], player: int) -> np.ndarray:
-    """Sum the tensor over every axis but the player's, weighted by the others' weights."""
-    return np.einsum(*_einsum_operands(tensor, weights, player))
+    return contract
 
 
 def _float_payoffs(game: CoalitionGame, ints: np.ndarray) -> np.ndarray:
@@ -365,7 +394,7 @@ def _deviation_values(game: CoalitionGame, player: int, mixed: MixedProfile) -> 
         None if j == player else np.array(numerators, dtype=dtype)
         for j, (_, numerators) in enumerate(mixed._units)
     ]
-    return _contract(tensor, weights, player).tolist(), others * scale
+    return _contraction(tensor, weights, player)().tolist(), others * scale
 
 
 def _expected(mixed: MixedProfile, player: int, values: list):
@@ -861,14 +890,16 @@ def mixed_nash_iterative(
     The payoffs become floats once per run, by one float division when
     payoff_ints is int64 with every entry and payoff_scale within 2**53
     in size, and by Python int division otherwise; either way each is
-    the float nearest its exact value. Each player's contraction
-    operands are built once, as a subscript string and arrays, so
-    einsum's dispatch reads no list. Every player's weights are a view
-    into one flat array. An iteration is then n einsum calls, each
-    player's best reply and regret taken in one pass with the same float
-    operations the reference loop makes, one multiply of the flat array
-    and one add per player, in a fixed order that keeps the float
-    trajectory the same bit for bit.
+    the float nearest its exact value. Each player's contraction is
+    built once (_contraction), and every player's weights are a view
+    into one flat array. An iteration is then n contractions: one einsum
+    call each, or with four players a multiply of the first opponent's
+    weights into a scratch copy of the tensor and a three-operand einsum
+    call, which sums in the same loops to the same bits (checked on
+    x86_64 with numpy 2.4.6). Each player's best reply and regret are taken in one pass
+    with the same float operations the reference loop makes, then one
+    multiply of the flat array and one add per player, in a fixed order
+    that keeps the float trajectory the same bit for bit.
     """
     config = config or SolverConfig()
     tensors = np.ascontiguousarray(np.moveaxis(_float_payoffs(game, game.payoff_ints), -1, 0))
@@ -876,15 +907,15 @@ def mixed_nash_iterative(
     flat = np.concatenate(starts)
     dists = np.split(flat, np.cumsum([len(d) for d in starts])[:-1])
     # Built once: the distributions below change in place.
-    operands = [_einsum_operands(tensors[i], dists, i) for i in range(game.n_players)]
+    contractions = [_contraction(tensors[i], dists, i) for i in range(game.n_players)]
     last_br: Profile | None = None
     stable = 0
     iterations = 0
     for t in range(config.max_iterations):
         iterations = t + 1
         replies, regrets = [], []
-        for args, d in zip(operands, dists):
-            v = np.einsum(*args)
+        for contract, d in zip(contractions, dists):
+            v = contract()
             b = int(v.argmax())
             replies.append(b)
             regrets.append(v.item(b) - float(v.dot(d)))

@@ -655,6 +655,39 @@ def counted(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize(
+    "odd, message",
+    [
+        ([1, 2], None),
+        (["1", 2], None),
+        ([True, "2"], "payoffs['0,1'][0] must be a rational, got True"),
+        ([1.0, "2"], "payoffs['0,1'][0] must be a rational string, got float"),
+    ],
+)
+def test_rows_of_strings_are_told_apart_from_numbers_and_bools(odd, message, monkeypatch):
+    """A row of strings sits beside the same values as a JSON integer, bool or float.
+
+    Rows of strings alone are keyed by their tuples, any other table by
+    reprs, so "1", 1, true and 1.0 are never taken for one another.
+    """
+    document = small_document()
+    document["payoffs"] = {"0,0": ["1", "2"], "0,1": odd, "1,0": [1, "2"], "1,1": ["1", "2"]}
+    if message is None:
+        game, _ = game_from_dict(document)
+        assert set(game.payoffs.values()) == {(Fraction(1), Fraction(2))}
+    else:
+        with pytest.raises(GameFileError) as caught:
+            game_from_dict(document)
+        assert str(caught.value) == message
+    # With every row a list of strings but one faulty, the fault is still
+    # named, and the table read again skips the row already read.
+    document["payoffs"] = {"0,0": ["1", "2"], "0,1": ["1", "2"], "1,0": ["1", "x"], "1,1": ["1", "2"]}
+    rows = counted(monkeypatch, "_rationals")
+    with pytest.raises(GameFileError, match=r"^payoffs\['1,0'\]\[1\] is not a rational: 'x'$"):
+        game_from_dict(document)
+    assert rows == {repr(["1", "2"]): 1, repr(["1", "x"]): 2}
+
+
 def test_each_distinct_entry_of_a_table_file_is_read_once(monkeypatch):
     table, document = lunch_table_document()
     literals = collections.Counter(map(repr, document["mechanism"]["table"].values()))

@@ -232,6 +232,21 @@ class TestMappingsAfterTheirRead:
         assert dict(game.mechanism.table) == {p: game.realized_partition(p) for p in game.profiles()}
         assert [len(profiles) for _, profiles in game.validate_domains()] == [1, 3]
 
+    def test_a_callers_own_mappings_are_read_once_at_the_first_read(self):
+        """Writes to the caller's mappings count until the game reads them, then go unseen."""
+        payoffs = {p: (Fraction(0), Fraction(0)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        table = {p: SPLIT for p in payoffs}
+        game = CoalitionGame(2, 2, enumerate_partitions(2, 2), self.SETS, Mechanism("table", table), payoffs)
+        payoffs[(0, 0)] = (Fraction(3), Fraction(3))
+        table[(1, 1)] = PAIR
+        assert game.payoff((0, 0)) == (3, 3)
+        assert game.realized_partition((1, 1)) == PAIR
+        payoffs[(0, 0)] = (Fraction(5), Fraction(5))
+        table[(1, 1)] = SPLIT
+        assert game.payoff((0, 0)) == game.payoffs[(0, 0)] == (3, 3)
+        assert game.realized_partition((1, 1)) == game.mechanism.table[(1, 1)] == PAIR
+        assert game.payoffs is not payoffs and game.mechanism.table is not table
+
 
 class TestRestriction:
     def test_restrict_to_base_dilemma(self):

@@ -244,6 +244,12 @@ def brute_nash(game):
 # integer readers must give equal values.
 
 
+def plain_contraction(tensor, weights, player):
+    """The tensor summed to the player's axis in one einsum call, the other players' weights in order."""
+    others = [x for j in range(tensor.ndim) if j != player for x in (weights[j], [j])]
+    return np.einsum(tensor, range(tensor.ndim), *others, [player])
+
+
 def reference_deviation_values(game, player, mixed):
     """Expected payoff of each pure strategy of one player vs the rest."""
     exact = mixed.is_exact
@@ -254,7 +260,7 @@ def reference_deviation_values(game, player, mixed):
             tensor = tensor.take([k for k, _ in row], axis=j)
         weights.append(np.array([w for _, w in row], dtype=object if exact else float))
     tensor = tensor if exact else solver._float_payoffs(game, tensor)
-    values = solver._contract(tensor, weights, player).tolist()
+    values = plain_contraction(tensor, weights, player).tolist()
     return [Fraction(v, game.payoff_scale) for v in values] if exact else values
 
 
@@ -515,7 +521,12 @@ def tied_game():
 
 @st.composite
 def games_with_baselines(draw):
-    """An exact-payoff game and a baseline per player, at or next to a payoff, some floats."""
+    """An exact-payoff game and a baseline per player, at or next to a payoff, some floats.
+
+    Some baselines sit at or half a unit above an int64 edge in
+    payoff_ints units instead, so a threshold lies just inside or just
+    outside the int64 range.
+    """
     game = draw(exact_games)
     # One profile's payoffs, some a hair off: where ceil and floor of the
     # scaled baseline differ.
@@ -523,6 +534,9 @@ def games_with_baselines(draw):
     baseline = []
     for payoff in row:
         value = payoff + draw(st.sampled_from([0, 0, Fraction(1, 1000), Fraction(-1, 1000)]))
+        if draw(st.integers(0, 3)) == 0:
+            edge = draw(st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]))
+            value = (edge + draw(st.sampled_from([0, Fraction(1, 2)]))) / game.payoff_scale
         if draw(st.booleans()):
             value = float(value)
         baseline.append(value)
@@ -1488,10 +1502,7 @@ def reference_mixed_nash_iterative(game, config, start=None):
     iterations = 0
     for t in range(config.max_iterations):
         iterations = t + 1
-        values = []
-        for i in range(n):
-            operands = [x for j in range(n) if j != i for x in (dists[j], [j])]
-            values.append(np.einsum(tensors[i], range(n), *operands, [i]))
+        values = [plain_contraction(tensors[i], dists, i) for i in range(n)]
         br = tuple(int(np.argmax(v)) for v in values)
         regret = max(float(values[i][br[i]] - values[i] @ dists[i]) for i in range(n))
         if regret <= config.tolerance:
@@ -1535,8 +1546,9 @@ def exact_starts(draw, game):
 
 
 # Payoffs whose payoff_ints are int64 within 2**53, int64 beyond it, or object.
+# Up to five players, so float contractions take both of solver._contraction's paths.
 iterative_games = st.one_of(
-    coalition_games(payoff_values=values)
+    coalition_games(players=(2, 5), payoff_values=values)
     for values in (*exact_payoffs, huge_payoffs, st.integers(-(2**62), 2**62))
 )
 
@@ -1574,7 +1586,8 @@ def three_player_game(seed, sizes):
     return CoalitionGame(3, 3, family, sets, Mechanism(), payoffs)
 
 
-@pytest.mark.parametrize("rng_seed", [0, 5])
+# Lunch at seeds 13 and 14 ends unverified, so its float weights and regret are compared too.
+@pytest.mark.parametrize("rng_seed", [0, 5, 13, 14])
 @pytest.mark.parametrize(
     "build",
     [
@@ -1592,6 +1605,31 @@ def test_fictitious_play_matches_the_reference_at_benchmark_sizes(build, rng_see
     config = SolverConfig(max_iterations=300, rng_seed=rng_seed)
     expected = reference_mixed_nash_iterative(game, config)
     assert repr(mixed_nash_iterative(game, config)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "shape, player",
+    [
+        ((15, 15, 15, 15), 0),
+        ((15, 15, 15, 15), 2),
+        ((2, 2, 1, 1), 2),
+        ((1, 2, 1, 2), 0),
+        ((5, 10, 12, 9, 10), 0),
+    ],
+)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_float_contractions_match_one_einsum_call(shape, player, order):
+    """Lunch's shape, and shapes where multiplying opponents in first would move bits.
+
+    An own axis of one entry, and two opponents multiplied in, change the
+    loops numpy's einsum sums in, so those contractions stay one call.
+    """
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        tensor = np.asarray(rng.standard_normal(shape) * 1e3, order=order)
+        weights = [rng.dirichlet(np.ones(k)) for k in shape]
+        got = solver._contraction(tensor, weights, player)()
+        assert got.tobytes() == plain_contraction(tensor, weights, player).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1, 3, 2**53, 2**53 + 1])
@@ -2293,6 +2331,11 @@ def test_integer_and_string_payoffs_load_alike():
 # -- exact readers in integer units ------------------------------------------------
 
 
+# Exact-payoff games of two to five players: with four, contractions multiply
+# one opponent into a scratch tensor before a three-operand einsum call.
+many_player_games = st.one_of(coalition_games(players=(2, 5), payoff_values=v) for v in exact_payoffs)
+
+
 @st.composite
 def wide_unit_profiles(draw):
     """An exact-payoff game and an exact profile whose units stretch past int64.
@@ -2302,7 +2345,7 @@ def wide_unit_profiles(draw):
     2**63 and its numerators can too. Whole weights, 0 and 1, are
     written as int or Fraction at random.
     """
-    game = draw(exact_games)
+    game = draw(many_player_games)
     rows = []
     for strategies in game.strategy_sets:
         size = len(strategies)
@@ -2344,6 +2387,15 @@ def test_exact_readers_match_the_fraction_contraction(case):
     assert all(type(v) is Fraction for v in values)
 
 
+@DIFFERENTIAL
+@given(st.data())
+def test_exact_readers_in_narrow_units_match_one_einsum_call(data):
+    """Exact profiles of up to five players whose units keep int64 tensors in int64."""
+    game = data.draw(many_player_games)
+    mixed = data.draw(profiles_of(game, True))
+    assert verify_epsilon_nash(game, mixed) == reference_verify(game, mixed)
+
+
 @st.composite
 def float_profiles(draw):
     """A game and a float profile of it, sometimes with one numpy float or one Fraction weight.
@@ -2351,7 +2403,7 @@ def float_profiles(draw):
     The Fraction is the float weight's own ratio, a small integer over
     the row's sum, so the row still sums to one within the float slack.
     """
-    game = draw(exact_games)
+    game = draw(many_player_games)
     rows = [list(row) for row in draw(profiles_of(game, False)).weights]
     i = draw(st.integers(0, game.n_players - 1))
     k = draw(st.integers(0, len(rows[i]) - 1))
@@ -2435,13 +2487,13 @@ def test_exact_contraction_dtype_boundary(product, dtype, monkeypatch):
     assert game.payoff_ints.dtype == np.int64
     row = (Fraction(1, denominator), Fraction(denominator - 1, denominator))
     mixed = MixedProfile((row, row))
-    contract, dtypes = solver._contract, []
+    contraction, dtypes = solver._contraction, []
 
     def spy(tensor, weights, player):
         dtypes.append(tensor.dtype)
-        return contract(tensor, weights, player)
+        return contraction(tensor, weights, player)
 
-    monkeypatch.setattr(solver, "_contract", spy)
+    monkeypatch.setattr(solver, "_contraction", spy)
     report = verify_epsilon_nash(game, mixed)
     assert dtypes == [dtype, dtype]
     assert report.expected == report.best_response == (peak, -peak)
